@@ -85,26 +85,6 @@ def parse_aliases(text: str) -> Dict[str, str]:
     return aliases
 
 
-def _rename_tree(node, renames: Mapping[str, str]):
-    if isinstance(node, ex.Ident):
-        return ex.Ident(renames.get(node.name, node.name))
-    if isinstance(node, ex.Num):
-        return node
-    if isinstance(node, ex.Unary):
-        return ex.Unary(node.op, _rename_tree(node.arg, renames))
-    if isinstance(node, ex.Binary):
-        return ex.Binary(node.op, _rename_tree(node.lhs, renames),
-                         _rename_tree(node.rhs, renames))
-    if isinstance(node, ex.Ternary):
-        return ex.Ternary(_rename_tree(node.cond, renames),
-                          _rename_tree(node.then, renames),
-                          _rename_tree(node.other, renames))
-    if isinstance(node, ex.Concat):
-        return ex.Concat(tuple(_rename_tree(p, renames)
-                               for p in node.parts))
-    raise AlignError(f"cannot rename {node!r}")
-
-
 def _match_ports(a: Lct, b: Lct, aliases: Mapping[str, str]) -> Dict[str, str]:
     """Map each port name in b to its counterpart in a."""
     used_b = set()
@@ -150,7 +130,7 @@ def _rename_table(table: Lct, renames: Mapping[str, str]) -> Lct:
                 SignalHeader(renames.get(header.name, header.name)))
         else:
             conditions.append(
-                ExprHeader(ex.render(_rename_tree(header.tree, renames))))
+                ExprHeader(ex.render(ex.rename(header.tree, renames))))
     results = tuple(renames.get(name, name) for name in table.results)
     rows = tuple(
         CaseRow(row.inputs,

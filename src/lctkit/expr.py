@@ -1,5 +1,7 @@
 """
-Expression trees for condition headers and the HDL subset.
+Expression trees, and the one expression grammar that condition headers
+and the HDL subset share: `parse_expr` reads a header, and the HDL parser
+extends `_Parser` over its own token list.
 
 Grammar (loosest to tightest binding):
 
@@ -13,6 +15,10 @@ Grammar (loosest to tightest binding):
     relation  := unary (('<' | '<=' | '>' | '>=') unary)*
     unary     := ('~' | '!')* primary
     primary   := identifier | literal | '(' ternary ')' | '{' list '}'
+
+The binary levels are parsed by one precedence-climbing loop.  Nesting
+deeper than MAX_DEPTH is an error, not a stack overflow.  Sized literals
+must fit their width.
 
 Rendering is fully parenthesized; two expressions are considered the same
 condition iff their renderings are byte-identical.
@@ -75,6 +81,22 @@ _TOKEN_RE = re.compile(r"""
     | (?P<op><=|>=|==|!=|&&|\|\||[-&|^~!<>(){}?:,])
     )""", re.VERBOSE)
 
+# The most brackets, and the most prefix operators and ternary arms, that
+# may be open at once (see _Parser).
+MAX_DEPTH = 100
+
+# Binary operators by binding strength, loosest first.
+_BINARY = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
+           "<": 6, "<=": 6, ">": 6, ">=": 6}
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident, lit, num, op
+    text: str
+    line: int
+    col: int
+
 
 def tokenize(text: str) -> list:
     tokens = []
@@ -87,90 +109,138 @@ def tokenize(text: str) -> list:
                 break
             raise ExprError(f"bad token at {rest[:12]!r}")
         pos = m.end()
-        for kind in ("lit", "num", "ident", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append(Token(kind, m.group(kind), 1, m.start(kind) + 1))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over a token list.  The HDL parser extends it
+    with statements, overriding `error` (to locate errors) and
+    `is_ident` (to reserve keywords).
+
+    Nesting is bounded, so no input can exhaust the interpreter stack:
+    at most MAX_DEPTH brackets (also `begin` and the bodies of `if` and
+    `case` in HDL) and at most MAX_DEPTH prefix operators and ternary
+    arms may be open at once.  The two are counted apart because
+    canonical rendering brackets every unary and ternary node: `~~a`
+    renders as `(~(~a))`, which must parse again."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.brackets = 0
+        self.operators = 0
+
+    def error(self, message: str, tok=None) -> LctError:
+        return ExprError(message)
+
+    def is_ident(self, tok) -> bool:
+        return tok.kind == "ident"
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def take(self, value=None):
-        kind, text = self.peek()
-        if kind is None:
-            raise ExprError("unexpected end of expression")
-        if value is not None and text != value:
-            raise ExprError(f"expected {value!r}, found {text!r}")
+    def at(self, text: str) -> bool:
+        tok = self.peek()
+        return tok is not None and tok.text == text
+
+    def take(self, text=None):
+        tok = self.peek()
+        if tok is None:
+            raise self.error("unexpected end of input")
+        if text is not None and tok.text != text:
+            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
         self.i += 1
-        return kind, text
+        return tok
 
-    def ternary(self):
-        cond = self.binary(0)
-        if self.peek()[1] == "?":
-            self.take("?")
-            then = self.ternary()
-            self.take(":")
-            other = self.ternary()
-            return Ternary(cond, then, other)
-        return cond
+    def open_bracket(self, tok):
+        self.brackets += 1
+        if self.brackets > MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
 
-    _LEVELS = (("||",), ("&&",), ("|",), ("^",), ("&",),
-               ("==", "!="), ("<", "<=", ">", ">="))
+    def open_operator(self, tok):
+        self.operators += 1
+        if self.operators > MAX_DEPTH:
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
 
-    def binary(self, level):
-        if level >= len(self._LEVELS):
-            return self.unary()
-        node = self.binary(level + 1)
-        while self.peek()[1] in self._LEVELS[level]:
-            op = self.take()[1]
-            node = Binary(op, node, self.binary(level + 1))
-        return node
+    def expression(self):
+        cond = self.binary()
+        tok = self.peek()
+        if tok is None or tok.text != "?":
+            return cond
+        self.i += 1
+        self.open_operator(tok)
+        then = self.expression()
+        self.take(":")
+        other = self.expression()
+        self.operators -= 1
+        return Ternary(cond, then, other)
+
+    def binary(self):
+        """Precedence climbing with explicit stacks: operators of equal
+        strength associate to the left."""
+        operands = [self.unary()]
+        pending = []
+        while True:
+            tok = self.peek()
+            level = _BINARY.get(tok.text) if tok is not None else None
+            while pending and (level is None
+                               or _BINARY[pending[-1]] >= level):
+                rhs = operands.pop()
+                operands.append(Binary(pending.pop(), operands.pop(), rhs))
+            if level is None:
+                return operands[0]
+            self.i += 1
+            pending.append(tok.text)
+            operands.append(self.unary())
 
     def unary(self):
-        if self.peek()[1] in ("~", "!"):
-            op = self.take()[1]
-            return Unary(op, self.unary())
-        return self.primary()
+        tok = self.peek()
+        if tok is None or tok.text not in ("~", "!"):
+            return self.primary()
+        self.i += 1
+        self.open_operator(tok)
+        node = Unary(tok.text, self.unary())
+        self.operators -= 1
+        return node
 
     def primary(self):
-        kind, text = self.peek()
-        if text == "(":
-            self.take("(")
-            node = self.ternary()
+        tok = self.take()
+        if tok.text == "(":
+            self.open_bracket(tok)
+            node = self.expression()
             self.take(")")
+            self.brackets -= 1
             return node
-        if text == "{":
-            self.take("{")
-            parts = [self.ternary()]
-            while self.peek()[1] == ",":
-                self.take(",")
-                parts.append(self.ternary())
+        if tok.text == "{":
+            self.open_bracket(tok)
+            parts = [self.expression()]
+            while self.at(","):
+                self.i += 1
+                parts.append(self.expression())
             self.take("}")
+            self.brackets -= 1
             return Concat(tuple(parts))
-        if kind == "ident":
-            self.take()
-            return Ident(text)
-        if kind == "lit":
-            self.take()
-            bv = parse_literal(text)
+        if tok.kind == "lit":
+            # Verilog allows upper-case bases: 8'HFF reads as 8'hff.
+            width, _, digits = tok.text.partition("'")
+            try:
+                bv = parse_literal(f"{width}'{digits[0].lower()}{digits[1:]}")
+            except LctError as e:
+                raise self.error(str(e), tok)
             return Num(bv.value, bv.width)
-        if kind == "num":
-            self.take()
-            return Num(int(text), None)
-        raise ExprError(f"unexpected token {text!r}")
+        if tok.kind == "num":
+            return Num(int(tok.text), None)
+        if self.is_ident(tok):
+            return Ident(tok.text)
+        raise self.error(f"unexpected token {tok.text!r}", tok)
 
 
 def parse_expr(text: str):
     try:
         parser = _Parser(tokenize(text))
-        node = parser.ternary()
+        node = parser.expression()
     except LctError as e:
         raise ExprError(f"in expression {text!r}: {e}")
     if parser.i != len(parser.tokens):
@@ -215,6 +285,25 @@ def identifiers(node) -> frozenset:
         for p in node.parts:
             out |= identifiers(p)
         return out
+    raise ExprError(f"cannot walk {node!r}")
+
+
+def rename(node, renames: Mapping[str, str]):
+    """The same tree with each identifier mapped through `renames`."""
+    if isinstance(node, Ident):
+        return Ident(renames.get(node.name, node.name))
+    if isinstance(node, Num):
+        return node
+    if isinstance(node, Unary):
+        return Unary(node.op, rename(node.arg, renames))
+    if isinstance(node, Binary):
+        return Binary(node.op, rename(node.lhs, renames),
+                      rename(node.rhs, renames))
+    if isinstance(node, Ternary):
+        return Ternary(rename(node.cond, renames), rename(node.then, renames),
+                       rename(node.other, renames))
+    if isinstance(node, Concat):
+        return Concat(tuple(rename(p, renames) for p in node.parts))
     raise ExprError(f"cannot walk {node!r}")
 
 

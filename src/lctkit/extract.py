@@ -23,7 +23,6 @@ from .hdl import (
     CasePattern,
     HAssign,
     HCase,
-    HCaseArm,
     HIf,
     HdlError,
     HdlModule,
@@ -59,12 +58,13 @@ class ExtractError(LctError):
 class _Env:
     """One partial path: accumulated column constraints and the last
     assignment per signal."""
-    constraints: dict  # column key -> int value
-    assigns: dict      # signal -> CellValue
-    touched: bool      # did any assignment occur on this path
+    constraints: dict   # column key -> int value
+    assigns: dict       # signal -> CellValue
+    fall_through: bool  # no guarded arm taken and nothing assigned yet
 
     def clone(self):
-        return _Env(dict(self.constraints), dict(self.assigns), self.touched)
+        return _Env(dict(self.constraints), dict(self.assigns),
+                    self.fall_through)
 
 
 class _Builder:
@@ -187,8 +187,11 @@ class _Builder:
     # -- path enumeration ---------------------------------------------------
 
     def paths(self) -> List[_Env]:
-        envs = [_Env({}, {}, False)]
-        for stmt in self.process.body:
+        return self._expand_body(_Env({}, {}, True), self.process.body)
+
+    def _expand_body(self, env: _Env, body: list) -> List[_Env]:
+        envs = [env]
+        for stmt in body:
             envs = self._apply_stmt(envs, stmt)
         return envs
 
@@ -204,22 +207,36 @@ class _Builder:
         if isinstance(stmt, HAssign):
             return self._expand_assign(env, stmt.lhs, stmt.rhs)
         if isinstance(stmt, HIf):
-            then_env = env.clone()
-            branches = []
-            if self._apply_condition(then_env, stmt.cond):
-                sub = [then_env]
-                for s in stmt.then:
-                    sub = self._apply_stmt(sub, s)
-                branches.extend(sub)
-            else_env = env.clone()
-            sub = [else_env]
-            for s in (stmt.els or []):
-                sub = self._apply_stmt(sub, s)
-            branches.extend(sub)
-            return branches
+            return self._expand_arms(env, stmt.arms, stmt.default,
+                                     self._apply_condition)
         if isinstance(stmt, HCase):
-            return self._expand_case(env, stmt)
+            fields = self._case_fields(stmt.subject)
+            arms = [(pattern, arm.body)
+                    for arm in stmt.arms for pattern in arm.patterns]
+            return self._expand_arms(
+                env, arms, stmt.default,
+                lambda arm_env, pattern:
+                    self._apply_pattern(arm_env, fields, pattern))
         raise ExtractError(f"unsupported statement {stmt!r}")
+
+    def _expand_arms(self, env: _Env, arms, default: Optional[list],
+                     apply_guard) -> List[_Env]:
+        """Paths through prioritized arms, in priority order: each arm
+        whose guard (a condition or a case label) is feasible, then the
+        default body or, without one, the bare fall-through.
+
+        Only a path that took no arm and assigned nothing stays a
+        fall-through, which a clocked process drops as the no-match
+        hold.  An always-true arm (1'b1, an all-? label) is not one: it
+        still shadows the arms after it."""
+        out: List[_Env] = []
+        for guard, body in arms:
+            arm_env = env.clone()
+            arm_env.fall_through = False
+            if apply_guard(arm_env, guard):
+                out.extend(self._expand_body(arm_env, body))
+        out.extend(self._expand_body(env.clone(), default or []))
+        return out
 
     def _expand_assign(self, env: _Env, lhs: str, rhs) -> List[_Env]:
         if isinstance(rhs, ex.Ternary):
@@ -232,7 +249,7 @@ class _Builder:
         if lhs not in self.result_widths:
             raise ExtractError(f"assignment to non-schema signal {lhs}")
         env.assigns[lhs] = self._cell(lhs, rhs)
-        env.touched = True
+        env.fall_through = False
         return [env]
 
     def _cell(self, lhs: str, rhs):
@@ -247,30 +264,6 @@ class _Builder:
         raise ExtractError(
             f"assignment to {lhs} is not a constant or signal "
             f"(found {ex.render(rhs)})")
-
-    def _expand_case(self, env: _Env, stmt: HCase) -> List[_Env]:
-        fields = self._case_fields(stmt.subject)
-        out: List[_Env] = []
-        has_default = False
-        for arm in stmt.arms:
-            if arm.patterns is None:
-                has_default = True
-                sub = [env.clone()]
-                for s in arm.body:
-                    sub = self._apply_stmt(sub, s)
-                out.extend(sub)
-                continue
-            for pattern in arm.patterns:
-                arm_env = env.clone()
-                if not self._apply_pattern(arm_env, fields, pattern):
-                    continue
-                sub = [arm_env]
-                for s in arm.body:
-                    sub = self._apply_stmt(sub, s)
-                out.extend(sub)
-        if not has_default:
-            out.append(env.clone())  # implicit fall-through
-        return out
 
     def _case_fields(self, subject) -> List[Tuple[str, int]]:
         if isinstance(subject, ex.Ident):
@@ -320,11 +313,8 @@ class _Builder:
         clocked = self.process.kind is Clocking.CLOCKED
         rows = []
         for env in self.paths():
-            if clocked and not env.touched and not env.constraints:
-                # The unguarded fall-through: identical to holding via
-                # no-match.  Guarded empty branches are kept: they still
-                # shadow later branches in the if-chain.
-                continue
+            if clocked and env.fall_through:
+                continue  # identical to holding via no-match
             inputs = []
             for header, width in zip(self.headers, self.widths):
                 key = header.key

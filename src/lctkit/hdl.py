@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 
 from .model import Clocking, Direction, LctError
 from . import expr as ex
+from .expr import Token
 
 
 class HdlError(LctError):
@@ -40,14 +41,6 @@ KEYWORDS = {
     "casex", "endcase", "default", "posedge", "negedge", "or", "integer",
     "signed", "parameter", "localparam",
 } | UNSUPPORTED
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident, lit, num, op
-    text: str
-    line: int
-    col: int
 
 
 _HDL_TOKEN_RE = re.compile(r"""
@@ -108,17 +101,19 @@ class HAssign:
     line: int
 
 
+# Both prioritized forms share one shape: arms in priority order, then a
+# default body (`else` or `default`) taken when no arm matches.
+
 @dataclass
 class HIf:
-    cond: object
-    then: list
-    els: Optional[list]
+    arms: List[Tuple[object, list]]  # (condition, body) for if, else if...
+    default: Optional[list]          # the final else body
     line: int
 
 
 @dataclass
 class HCaseArm:
-    patterns: Optional[list]  # None for the default arm
+    patterns: list
     body: list
 
 
@@ -126,6 +121,7 @@ class HCaseArm:
 class HCase:
     subject: object
     arms: List[HCaseArm]
+    default: Optional[list]  # the default item, wherever it was written
     wildcard: bool  # casez
     line: int
 
@@ -157,37 +153,22 @@ class HdlModule:
 # ---------------------------------------------------------------------------
 # Parser
 
-class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
-        self.i = 0
+class _Parser(ex._Parser):
+    """The statement layer over the shared expression grammar."""
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
+    def error(self, message: str, tok: Optional[Token] = None) -> HdlError:
+        if tok is None and self.tokens:
+            tok = self.tokens[min(self.i, len(self.tokens) - 1)]
+        return HdlError(message, tok.line if tok else None,
+                        tok.col if tok else None)
 
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
-
-    def take(self, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise HdlError("unexpected end of input",
-                           last.line if last else None,
-                           last.col if last else None)
-        if text is not None and tok.text != text:
-            raise HdlError(f"expected {text!r}, found {tok.text!r}",
-                           tok.line, tok.col)
-        self.i += 1
-        return tok
+    def is_ident(self, tok: Token) -> bool:
+        return tok.kind == "ident" and tok.text not in KEYWORDS
 
     def take_ident(self) -> Token:
         tok = self.take()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise HdlError(f"expected identifier, found {tok.text!r}",
-                           tok.line, tok.col)
+        if not self.is_ident(tok):
+            raise self.error(f"expected identifier, found {tok.text!r}", tok)
         return tok
 
     def check_supported(self, tok: Token):
@@ -319,13 +300,14 @@ class _Parser:
 
     def statement_block(self) -> list:
         if self.at("begin"):
-            self.take("begin")
+            self.open_bracket(self.take("begin"))
             stmts = []
             while not self.at("end"):
                 if self.peek() is None:
                     raise HdlError("missing end")
                 stmts.extend(self.statement())
             self.take("end")
+            self.brackets -= 1
             return stmts
         return self.statement()
 
@@ -343,7 +325,7 @@ class _Parser:
             return [self.case_statement()]
         if tok.text == "begin":
             return self.statement_block()
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
+        if self.is_ident(tok):
             name = self.take_ident()
             op = self.take()
             if op.text not in ("=", "<="):
@@ -356,16 +338,26 @@ class _Parser:
                        tok.col)
 
     def if_statement(self) -> HIf:
+        """One arm per `if` / `else if`, read in a loop: a chain of any
+        length nests one level."""
         tok = self.take("if")
-        self.take("(")
-        cond = self.expression()
-        self.take(")")
-        then = self.statement_block()
-        els = None
-        if self.at("else"):
+        self.open_bracket(tok)
+        arms = []
+        default = None
+        while True:
+            self.take("(")
+            cond = self.expression()
+            self.take(")")
+            arms.append((cond, self.statement_block()))
+            if not self.at("else"):
+                break
             self.take("else")
-            els = self.statement_block()
-        return HIf(cond, then, els, tok.line)
+            if not self.at("if"):
+                default = self.statement_block()
+                break
+            self.take("if")
+        self.brackets -= 1
+        return HIf(arms, default, tok.line)
 
     def case_statement(self) -> HCase:
         tok = self.take()
@@ -375,14 +367,18 @@ class _Parser:
         self.take("(")
         subject = self.expression()
         self.take(")")
+        self.open_bracket(tok)
         arms: List[HCaseArm] = []
+        default = None
         while not self.at("endcase"):
             if self.peek() is None:
                 raise HdlError("missing endcase")
             if self.at("default"):
-                self.take("default")
+                item = self.take("default")
+                if default is not None:
+                    raise self.error("second default item in case", item)
                 self.take(":")
-                arms.append(HCaseArm(None, self.statement()))
+                default = self.statement()
                 continue
             patterns = [self.case_label(wildcard)]
             while self.at(","):
@@ -391,11 +387,13 @@ class _Parser:
             self.take(":")
             arms.append(HCaseArm(patterns, self.statement()))
         self.take("endcase")
-        return HCase(subject, arms, wildcard, tok.line)
+        self.brackets -= 1
+        return HCase(subject, arms, default, wildcard, tok.line)
 
     def case_label(self, wildcard: bool):
         tok = self.peek()
-        if tok.kind == "lit" and re.search(r"[?zZxX]", tok.text):
+        if (tok is not None and tok.kind == "lit"
+                and re.search(r"[?zZxX]", tok.text)):
             self.take()
             m = re.match(r"(\d+)'[bB]([01?zZxX_]+)\Z", tok.text)
             if not m or not wildcard:
@@ -411,70 +409,6 @@ class _Parser:
                                tok.line, tok.col)
             return CasePattern(width, bits)
         return self.expression()
-
-    # -- expressions --------------------------------------------------------
-
-    _LEVELS = (("||",), ("&&",), ("|",), ("^",), ("&",),
-               ("==", "!="), ("<", "<=", ">", ">="))
-
-    def expression(self):
-        cond = self.binary(0)
-        if self.at("?"):
-            self.take("?")
-            then = self.expression()
-            self.take(":")
-            other = self.expression()
-            return ex.Ternary(cond, then, other)
-        return cond
-
-    def binary(self, level: int):
-        if level >= len(self._LEVELS):
-            return self.unary()
-        node = self.binary(level + 1)
-        while self.peek() and self.peek().text in self._LEVELS[level]:
-            op = self.take().text
-            node = ex.Binary(op, node, self.binary(level + 1))
-        return node
-
-    def unary(self):
-        if self.peek() and self.peek().text in ("~", "!"):
-            op = self.take().text
-            return ex.Unary(op, self.unary())
-        return self.primary()
-
-    def primary(self):
-        tok = self.peek()
-        if tok is None:
-            raise HdlError("unexpected end of expression")
-        if tok.text == "(":
-            self.take("(")
-            node = self.expression()
-            self.take(")")
-            return node
-        if tok.text == "{":
-            self.take("{")
-            parts = [self.expression()]
-            while self.at(","):
-                self.take(",")
-                parts.append(self.expression())
-            self.take("}")
-            return ex.Concat(tuple(parts))
-        if tok.kind == "lit":
-            self.take()
-            m = re.match(r"(\d+)'([bdhBDH])([0-9a-fA-F_]+)\Z", tok.text)
-            if not m:
-                raise HdlError(f"bad literal {tok.text!r}", tok.line, tok.col)
-            base = {"b": 2, "d": 10, "h": 16}[m.group(2).lower()]
-            return ex.Num(int(m.group(3).replace("_", ""), base),
-                          int(m.group(1)))
-        if tok.kind == "num":
-            self.take()
-            return ex.Num(int(tok.text), None)
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.take()
-            return ex.Ident(tok.text)
-        self.check_supported(tok)
-        raise HdlError(f"unexpected token {tok.text!r}", tok.line, tok.col)
 
 
 def parse_hdl(text: str) -> HdlModule:

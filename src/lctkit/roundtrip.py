@@ -278,16 +278,6 @@ def alter_output_cell(row: int, column: int, value) -> Callable[[Lct], Lct]:
     return fault
 
 
-def alter_condition_cell(row: int, column: int, value) -> Callable[[Lct], Lct]:
-    def fault(table: Lct) -> Lct:
-        rows = list(table.rows)
-        inputs = list(rows[row].inputs)
-        inputs[column] = value
-        rows[row] = replace(rows[row], inputs=tuple(inputs))
-        return replace(table, rows=tuple(rows))
-    return fault
-
-
 def add_spurious_row(position: int, row: CaseRow) -> Callable[[Lct], Lct]:
     def fault(table: Lct) -> Lct:
         rows = list(table.rows)

@@ -217,3 +217,15 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-command"])
     assert err.value.code == 2
+
+
+def test_check_too_deeply_nested_header_exits_two(tmp_path, capsys):
+    header = "(" * 120 + "a" + ")" * 120
+    doc = ("unit deep\nclocking combinational\ninputs 1\noutputs 1\n"
+           "port input a 1\nport output q 1\ntable deep.csv\n---\n"
+           f"{header},q\n1,1\n")
+    path = tmp_path / "deep.unit"
+    path.write_text(doc)
+    code, _, err = run(capsys, "check", str(path))
+    assert code == cli.EXIT_ERROR
+    assert "error:" in err and "nesting" in err

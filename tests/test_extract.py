@@ -1,8 +1,25 @@
 import pytest
 
 from lctkit import codegen, equiv, extract, hdl
-from lctkit.model import Clocking, DONT_CARE, SignalRef
-from lctkit.roundtrip import schema_of
+from lctkit.model import (
+    BitVector,
+    CaseRow,
+    Clocking,
+    Constant,
+    DONT_CARE,
+    Direction,
+    Lct,
+    Port,
+    PortMap,
+    SignalHeader,
+    SignalRef,
+)
+from lctkit.roundtrip import (
+    DeterministicBackend,
+    Label,
+    run_roundtrip,
+    schema_of,
+)
 from .util import load_fixture, random_lct
 
 
@@ -172,3 +189,47 @@ def test_random_tables_roundtrip_equivalent():
         table = random_lct(seed)
         back = _roundtrip(table)
         assert equiv.compare(table, back).verdict.equivalent, seed
+
+
+def _all_x_hold():
+    """Row 1 matches everything and holds r0, so the unit always holds;
+    row 2 is shadowed."""
+    return Lct(name="all_x_hold", clocking=Clocking.CLOCKED,
+               conditions=(SignalHeader("c0"),), results=("r0",),
+               rows=(CaseRow((DONT_CARE,), (SignalRef("r0"),)),
+                     CaseRow((Constant(BitVector(1, 1)),),
+                             (Constant(BitVector(2, 3)),))),
+               ports=PortMap((Port(Direction.INPUT, "c0", 1),
+                              Port(Direction.OUTPUT, "r0", 2))))
+
+
+@pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
+def test_always_true_empty_arm_still_shadows(style):
+    """`if (1'b1) begin end` and an all-? casez label with an empty body
+    take every assignment: they are not the droppable fall-through."""
+    backend = DeterministicBackend(style)
+    report = run_roundtrip(_all_x_hold(), backend, backend)
+    assert report.outcome.label is Label.M
+
+
+CASEZ_DEFAULT_FIRST = """\
+module pick (
+  input wire [1:0] sel,
+  output reg [3:0] y
+);
+always @* begin
+  casez (sel)
+    default: y = 4'b0111;
+    2'b01: y = 4'b0001;
+  endcase
+end
+endmodule
+"""
+
+
+def test_casez_default_applies_only_when_no_item_matches():
+    from lctkit import sim
+    table = extract.hdl_text_to_lct(CASEZ_DEFAULT_FIRST, ["sel"], ["y"])
+    for sel, y in ((0, 7), (1, 1), (2, 7), (3, 7)):
+        out = sim.eval_comb(table, {"sel": BitVector(2, sel)})
+        assert out["y"] == sim.Known(BitVector(4, y)), sel

@@ -61,7 +61,7 @@ def test_parse_clocked_process():
     process = hdl.parse_hdl(CLOCKED).processes[0]
     assert process.kind is Clocking.CLOCKED
     assert process.clocks == ["clk"]
-    assert process.body[0].then[0].nonblocking
+    assert process.body[0].arms[0][1][0].nonblocking
 
 
 def test_parse_async_reset_sensitivity():
@@ -116,7 +116,7 @@ def test_sized_literal_value_styles_agree():
     dec_text = CLOCKED.replace("2'd3", "2'b11")
     a = hdl.parse_hdl(bin_text).processes[0].body[0]
     b = hdl.parse_hdl(dec_text).processes[0].body[0]
-    assert a.els[0].rhs.value == b.els[0].rhs.value == 3
+    assert a.default[0].rhs.value == b.default[0].rhs.value == 3
 
 
 def test_comments_ignored():
@@ -158,3 +158,34 @@ def test_generated_code_always_parses_back():
         for style in (codegen.STYLE_IF, codegen.STYLE_CASE):
             text = codegen.gen_unit(load_fixture(name), style=style)
             assert hdl.parse_hdl(text).name == name
+
+
+def test_second_default_item_rejected():
+    text = codegen.gen_unit(load_fixture("fsm4"), style=codegen.STYLE_CASE)
+    text = text.replace("default: ;", "default: ;\n    default: ;")
+    with pytest.raises(hdl.HdlError, match="default"):
+        hdl.parse_hdl(text)
+
+
+def test_overwide_sized_literal_rejected():
+    with pytest.raises(hdl.HdlError) as err:
+        hdl.parse_hdl(CLOCKED.replace("2'd3", "2'd7"))
+    assert (err.value.line, err.value.col) == (10, 10)
+
+
+def test_upper_case_literal_bases_accepted():
+    text = CLOCKED.replace("2'd3", "2'B11").replace("2'd0", "2'H0")
+    arms = hdl.parse_hdl(text).processes[0].body[0]
+    assert arms.arms[0][1][0].rhs.value == 0
+    assert arms.default[0].rhs.value == 3
+
+
+def test_else_if_chain_is_one_flat_statement():
+    chain = " else ".join(f"if (q == 2'd{i % 4}) q <= 2'd{i % 4};"
+                          for i in range(3000))
+    text = CLOCKED.replace(CLOCKED[CLOCKED.index("  if"):
+                                   CLOCKED.index("end\nendmodule")],
+                           chain + "\n")
+    statement = hdl.parse_hdl(text).processes[0].body[0]
+    assert len(statement.arms) == 3000
+    assert statement.default is None
