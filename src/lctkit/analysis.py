@@ -3,15 +3,19 @@ Static checks and table transformations: completeness, overlap/shadowing,
 don't-care expansion, canonicalization, and synthetic FSM generation.
 
 All enumeration respects first-match row priority and is bounded by an
-explicit assignment limit.
+explicit assignment limit.  The checks, canonicalization and
+``equiv.compare`` share one walk over the control space, ``match_sets``,
+which finds the rows matching an assignment with one AND per condition
+column over row bitsets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from .model import (
     BitVector,
@@ -62,13 +66,6 @@ class CoverageReport:
         return "\n".join(lines)
 
 
-def _check_space(table: Lct, enum_limit: int) -> None:
-    size = sim.control_space_size(table)
-    if size > enum_limit:
-        raise EnumLimitError(
-            f"control space of {size} assignments exceeds limit {enum_limit}")
-
-
 def _reset_warning(table: Lct) -> Optional[str]:
     # Heuristic only: a clocked table normally pins an rst*/reset* signal
     # in some row; its absence is worth flagging but is not an error.
@@ -85,18 +82,74 @@ def _reset_warning(table: Lct) -> Optional[str]:
     return "clocked table never pins its reset condition (missing reset row?)"
 
 
+def match_sets(table: Lct, rows: Optional[Sequence[CaseRow]] = None,
+               enum_limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[tuple]:
+    """Yield ``(assignment, m)`` in enumeration order, where bit i of
+    ``m`` is set when row i (of ``rows``, by default the table's own)
+    matches: the lowest set bit is the first-match row.  Each column
+    keeps a bitset of rows per required value plus one of the rows that
+    accept any value, so an assignment costs one AND per column (the
+    bit-vector scheme of first-match packet classification)."""
+    size = sim.control_space_size(table)
+    if size > enum_limit:
+        raise EnumLimitError(
+            f"control space of {size} assignments exceeds limit {enum_limit}")
+    rows = table.rows if rows is None else rows
+    columns = []
+    for c in range(len(table.conditions)):
+        exact, wild = {}, 0
+        for i, row in enumerate(rows):
+            cell = row.inputs[c]
+            if isinstance(cell, Constant):
+                exact[cell.bv.value] = exact.get(cell.bv.value, 0) | 1 << i
+            else:
+                wild |= 1 << i
+        columns.append(({v: bits | wild for v, bits in exact.items()}, wild))
+    full = (1 << len(rows)) - 1
+    for assignment in sim.enumerate_assignments(table):
+        m = full
+        for (by_value, wild), value in zip(columns, assignment):
+            m &= by_value.get(value, wild)
+        yield assignment, m
+
+
+def first_row(m: int) -> int:
+    """Index of the lowest set bit of a match set; -1 when it is empty."""
+    return (m & -m).bit_length() - 1
+
+
+def _several(m: int) -> bool:
+    return m & (m - 1) != 0
+
+
+def _first_rows(sets) -> int:
+    """The rows that are first match somewhere, as a bitset."""
+    claimed = 0
+    for m in sets:
+        claimed |= m & -m
+    return claimed
+
+
+def row_outputs(table: Lct) -> List[tuple]:
+    """Per row, its symbolic outputs with every signal reference that is
+    not a hold read as a token; last, the outputs when no row matches,
+    which ``first_row`` of an empty match set (-1) finds."""
+    fallback = sim.HOLD if table.clocking is Clocking.CLOCKED else sim.UNSPEC
+    return [tuple(sim.resolve_cell(table, name, cell)
+                  for name, cell in zip(table.results, row.outputs))
+            for row in table.rows] + [(fallback,) * len(table.results)]
+
+
 def check_completeness(table: Lct,
                        enum_limit: int = DEFAULT_ENUM_LIMIT) -> CoverageReport:
     """List every control assignment matched by no row.  Expression
     columns are enumerated as independent booleans, so some uncovered
     entries may be infeasible combinations."""
-    _check_space(table, enum_limit)
-    compiled = sim.compile_rows(table)
     report = CoverageReport()
     report.possibly_infeasible = any(
         isinstance(h, ExprHeader) for h in table.conditions)
-    for assignment in sim.enumerate_assignments(table):
-        if sim.first_match(compiled, assignment) is None:
+    for assignment, m in match_sets(table, enum_limit=enum_limit):
+        if not m:
             report.uncovered.append(sim.assignment_dict(table, assignment))
     warning = _reset_warning(table)
     if warning:
@@ -109,32 +162,25 @@ def check_overlap(table: Lct,
     """Find shadowed rows and row pairs that overlap with differing
     symbolic outputs.  Overlaps are warnings: first-match priority
     resolves them deterministically."""
-    _check_space(table, enum_limit)
-    compiled = sim.compile_rows(table)
-    claimed = [False] * len(table.rows)
+    claimed = 0
+    seen_sets = set()
     seen_conflicts = set()
+    outputs = row_outputs(table)
     report = CoverageReport()
-    for assignment in sim.enumerate_assignments(table):
-        matching = [i for i, constraints in enumerate(compiled)
-                    if sim.row_matches(constraints, assignment)]
-        if not matching:
+    for assignment, m in match_sets(table, enum_limit=enum_limit):
+        claimed |= m & -m
+        # A repeated match set has no pair left to report.
+        if not _several(m) or m in seen_sets:
             continue
-        claimed[matching[0]] = True
-        if len(matching) > 1:
-            outputs = {}
-            for i in matching:
-                outputs[i] = tuple(
-                    sim.resolve_cell(table, name, cell)
-                    for name, cell in zip(table.results,
-                                          table.rows[i].outputs))
-            for a, b in itertools.combinations(matching, 2):
-                if (a, b) in seen_conflicts:
-                    continue
-                if outputs[a] != outputs[b]:
-                    seen_conflicts.add((a, b))
-                    report.conflicts.append(
-                        (a, b, sim.assignment_dict(table, assignment)))
-    report.shadowed_rows = [i for i, hit in enumerate(claimed) if not hit]
+        seen_sets.add(m)
+        matching = [i for i in range(m.bit_length()) if m >> i & 1]
+        for a, b in itertools.combinations(matching, 2):
+            if (a, b) not in seen_conflicts and outputs[a] != outputs[b]:
+                seen_conflicts.add((a, b))
+                report.conflicts.append(
+                    (a, b, sim.assignment_dict(table, assignment)))
+    report.shadowed_rows = [i for i in range(len(table.rows))
+                            if not claimed >> i & 1]
     return report
 
 
@@ -197,42 +243,33 @@ def _all_hold(table: Lct, row: CaseRow) -> bool:
 def shadowed_row_indices(table: Lct,
                          enum_limit: int = DEFAULT_ENUM_LIMIT) -> List[int]:
     """Rows never chosen by first-match over the full control space."""
-    _check_space(table, enum_limit)
-    compiled = sim.compile_rows(table)
-    claimed = [False] * len(table.rows)
-    for assignment in sim.enumerate_assignments(table):
-        index = sim.first_match(compiled, assignment)
-        if index is not None:
-            claimed[index] = True
-    return [i for i, hit in enumerate(claimed) if not hit]
+    claimed = _first_rows(m for _, m in match_sets(table,
+                                                   enum_limit=enum_limit))
+    return [i for i in range(len(table.rows)) if not claimed >> i & 1]
 
 
-def _droppable_hold_rows(table: Lct) -> set:
-    """Pure-hold rows of a clocked table that no later row overlaps.
-
-    Dropping such a row preserves semantics: every assignment it claims
-    becomes unmatched, which also holds every register.  A pure-hold row
-    that a later row overlaps must stay: it shadows that row.
-    """
-    compiled = sim.compile_rows(table)
-    hold_rows = {i for i, row in enumerate(table.rows)
-                 if _all_hold(table, row)}
-    blocked = set()
-    for assignment in sim.enumerate_assignments(table):
-        matching = [i for i, constraints in enumerate(compiled)
-                    if sim.row_matches(constraints, assignment)]
-        if matching and matching[0] in hold_rows and len(matching) > 1:
-            blocked.add(matching[0])
-    return hold_rows - blocked
-
-
-def _has_overlap(table: Lct) -> bool:
-    compiled = sim.compile_rows(table)
-    for assignment in sim.enumerate_assignments(table):
-        if sum(1 for constraints in compiled
-               if sim.row_matches(constraints, assignment)) > 1:
-            return True
-    return False
+def _prune(table: Lct, enum_limit: int) -> tuple:
+    """The rows that canonicalization keeps, as a bitset, and whether it
+    may sort them, from the distinct match sets of one walk.  Past the
+    limit every row is kept in order."""
+    try:
+        sets = {m for _, m in match_sets(table, enum_limit=enum_limit)}
+    except EnumLimitError:
+        return (1 << len(table.rows)) - 1, False
+    keep = _first_rows(sets)
+    if table.clocking is Clocking.CLOCKED:
+        # A pure-hold row can go unless a later kept row overlaps it
+        # where it matches first: the assignments it claims become
+        # unmatched, which also holds every register.
+        blocked = _first_rows(m & keep for m in sets if _several(m & keep))
+        for i, row in enumerate(table.rows):
+            if keep >> i & 1 and not blocked >> i & 1 \
+                    and _all_hold(table, row):
+                keep ^= 1 << i
+    # Sorting overlapping rows could conflate tables that differ only in
+    # priority, so decide from the kept rows (keeps the form stable
+    # under re-canonicalization).
+    return keep, not any(_several(m & keep) for m in sets)
 
 
 def canonicalize(table: Lct,
@@ -257,39 +294,10 @@ def canonicalize(table: Lct,
                           for name, cell in zip(table.results, row.outputs)),
                     label=row.label, comment=row.comment)
             for row in table.rows)
-        table = Lct(name=table.name, clocking=table.clocking,
-                    conditions=table.conditions, results=table.results,
-                    rows=rows, ports=table.ports, feedback=table.feedback)
+        table = dataclasses.replace(table, rows=rows)
 
-    def with_rows(rows):
-        return Lct(name=table.name, clocking=table.clocking,
-                   conditions=table.conditions, results=table.results,
-                   rows=tuple(rows), ports=table.ports,
-                   feedback=table.feedback)
-
-    sort_rows = True
-    try:
-        shadowed = set(shadowed_row_indices(table, enum_limit))
-    except EnumLimitError:
-        shadowed = set()
-    rows = [row for i, row in enumerate(table.rows) if i not in shadowed]
-
-    if table.clocking is Clocking.CLOCKED:
-        try:
-            _check_space(with_rows(rows), enum_limit)
-            droppable = _droppable_hold_rows(with_rows(rows))
-        except EnumLimitError:
-            droppable = set()
-        rows = [row for i, row in enumerate(rows) if i not in droppable]
-
-    # Sorting overlapping rows could conflate tables that differ only in
-    # priority, so decide from the pruned rows (keeps the form stable
-    # under re-canonicalization).
-    try:
-        _check_space(table, enum_limit)
-        sort_rows = not _has_overlap(with_rows(rows))
-    except EnumLimitError:
-        sort_rows = False
+    keep, sort_rows = _prune(table, enum_limit)
+    rows = [row for i, row in enumerate(table.rows) if keep >> i & 1]
 
     cond_order = sorted(range(len(table.conditions)),
                         key=lambda i: table.conditions[i].key)

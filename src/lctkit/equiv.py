@@ -236,9 +236,22 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
             f"control space of {size} assignments exceeds limit {enum_limit}")
     normalizations.extend(["semantic-enumeration", "literal-normalization"])
 
-    compiled_a = sim.compile_rows(a)
-    compiled_b = sim.compile_rows(b)
-    for assignment in sim.enumerate_assignments(a):
+    # Walk both tables' rows as one bitset, a's rows in the low bits.  A
+    # pass-through of a condition signal read as a token only merges
+    # equal values, so a row pair that agrees once agrees everywhere.
+    # Any other pair is settled by the oracle at the assignment itself.
+    outputs_a, outputs_b = analysis.row_outputs(a), analysis.row_outputs(b)
+    compiled_a, compiled_b = sim.compile_rows(a), sim.compile_rows(b)
+    low = (1 << len(a.rows)) - 1
+    agreeing = set()
+    for assignment, m in analysis.match_sets(a, a.rows + b.rows, enum_limit):
+        pair = (analysis.first_row(m & low),
+                analysis.first_row(m >> len(a.rows)))
+        if pair in agreeing:
+            continue
+        if all(map(_values_agree, outputs_a[pair[0]], outputs_b[pair[1]])):
+            agreeing.add(pair)
+            continue
         outs_a = sim.symbolic_outputs(a, assignment, compiled_a)
         outs_b = sim.symbolic_outputs(b, assignment, compiled_b)
         for name, va, vb in zip(a.results, outs_a, outs_b):

@@ -228,14 +228,20 @@ class _Parser(ex._Parser):
         if not self.at("["):
             return 1
         self.take("[")
-        msb = int(self.take().text)
+        msb = self.range_bound()
         self.take(":")
-        lsb = int(self.take().text)
+        lsb = self.range_bound()
         self.take("]")
         if lsb != 0 or msb < 0:
             raise HdlError(f"only [N:0] ranges are supported, got "
                            f"[{msb}:{lsb}]")
         return msb + 1
+
+    def range_bound(self) -> int:
+        tok = self.take()
+        if tok.kind != "num":
+            raise self.error(f"expected a number, found {tok.text!r}", tok)
+        return int(tok.text)
 
     def net_decl(self, module: HdlModule):
         self.take()  # wire / reg / integer
@@ -275,6 +281,8 @@ class _Parser(ex._Parser):
             else:
                 while True:
                     item = self.peek()
+                    if item is None:
+                        raise self.error("unexpected end of input")
                     if item.text == "posedge":
                         self.take()
                         clocks.append(self.take_ident().text)

@@ -514,10 +514,12 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
     semantic = None
     if reconstructed is not None:
         try:
-            aligned_a, aligned_b = equiv.align(unit, reconstructed)
-            textual = equiv.textual_match(aligned_a, aligned_b, enum_limit)
+            # Align first: a misaligned table is reported as such even
+            # when its clocking differs too.
+            equiv.align(unit, reconstructed)
             result = equiv.compare(unit, reconstructed,
                                    enum_limit=enum_limit)
+            textual = result.verdict is equiv.Verdict.TEXTUALLY_IDENTICAL
             semantic = result.verdict
             if counterexample is None:
                 counterexample = result.counterexample

@@ -4,8 +4,10 @@ Reference interpreter for LCTs.
 First-match semantics: the earliest row whose condition cells all match
 the inputs determines the outputs.  Control inputs resolve to concrete
 values; data inputs pass through as opaque tokens.  This module is the
-brute-force oracle used by the analysis, equivalence, and round-trip
-modules.
+brute-force oracle: it scans the rows one by one.  ``analysis`` and
+``equiv`` find matching rows with row bitsets instead
+(``analysis.match_sets``) and are tested against it; ``equiv.compare``
+takes every counterexample from ``symbolic_outputs``.
 """
 
 from __future__ import annotations

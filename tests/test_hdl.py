@@ -189,3 +189,37 @@ def test_else_if_chain_is_one_flat_statement():
     statement = hdl.parse_hdl(text).processes[0].body[0]
     assert len(statement.arms) == 3000
     assert statement.default is None
+
+
+def _token_ends(text):
+    """The offset just past each token of the text."""
+    starts = [0]
+    for line in text.splitlines(keepends=True):
+        starts.append(starts[-1] + len(line))
+    return [starts[tok.line - 1] + tok.col - 1 + len(tok.text)
+            for tok in hdl.tokenize(text)]
+
+
+@pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
+@pytest.mark.parametrize("name", ["mux4", "regmux2", "fsm4"])
+def test_every_token_prefix_parses_or_raises_hdl_error(name, style):
+    text = codegen.gen_unit(load_fixture(name), style)
+    for end in _token_ends(text):
+        try:
+            hdl.parse_hdl(text[:end])
+        except hdl.HdlError:
+            pass
+
+
+def test_unfinished_sensitivity_list_is_located():
+    with pytest.raises(hdl.HdlError) as info:
+        hdl.parse_hdl("module m (input wire a, output reg y);\n"
+                      "always @(")
+    assert (info.value.line, info.value.col) == (2, 9)
+
+
+def test_symbolic_range_bound_is_located():
+    with pytest.raises(hdl.HdlError, match="expected a number") as info:
+        hdl.parse_hdl("module m (\n  input wire [N:0] a,\n"
+                      "  output wire y\n);\nendmodule\n")
+    assert (info.value.line, info.value.col) == (2, 15)

@@ -1,10 +1,14 @@
-"""Size and nesting limits of the HDL reader: long prioritized chains
-extract back, and nesting fails cleanly at one fixed depth."""
+"""Size and nesting limits: long prioritized chains extract back, large
+generated FSMs round-trip and compare, and nesting fails cleanly at one
+fixed depth."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctkit import analysis, codegen, extract, hdl, roundtrip as rt
+from lctkit import analysis, codegen, equiv, extract, hdl, sim, \
+    roundtrip as rt
 from lctkit.expr import MAX_DEPTH, ExprError, parse_expr, render
 from lctkit.model import (
     BitVector,
@@ -49,6 +53,40 @@ def test_2050_row_fsm_extracts_row_for_row(style):
                                    *rt.schema_of(table))
     assert [(r.inputs, r.outputs) for r in back.rows] == \
         [(r.inputs, r.outputs) for r in table.rows]
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_64_state_6_condition_fsm_roundtrips_to_match(style):
+    table = analysis.generate_fsm(64, 6, 8, seed=1)
+    assert len(table.rows) == 386
+    backend = rt.DeterministicBackend(style)
+    report = rt.run_roundtrip(table, backend, backend)
+    assert report.outcome.label is rt.Label.M
+
+
+def test_64_state_6_condition_fsm_late_mutation_counterexample():
+    """The last transition row matches one assignment, the latest of any
+    row's lowest; the table does not overlap, so that assignment is the
+    first disagreement."""
+    table = analysis.generate_fsm(64, 6, 8, seed=1)
+    row = table.rows[-1]
+    col = table.results.index("out7")
+    flipped = _const(1, 1 - row.outputs[col].bv.value)
+    rows = table.rows[:-1] + (dataclasses.replace(
+        row, outputs=row.outputs[:col] + (flipped,)
+        + row.outputs[col + 1:]),)
+    mutated = dataclasses.replace(table, rows=rows)
+
+    result = equiv.compare(table, mutated)
+    assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
+    cx = result.counterexample
+    assignment = tuple(cell.bv.value for cell in row.inputs)
+    assert cx.assignment == sim.assignment_dict(table, assignment)
+    assert cx.output == "out7"
+    va = sim.symbolic_outputs(table, assignment)[col]
+    vb = sim.symbolic_outputs(mutated, assignment)[col]
+    assert va != vb
+    assert (cx.value_a, cx.value_b) == (str(va), str(vb))
 
 
 # -- nesting ------------------------------------------------------------------

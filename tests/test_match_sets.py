@@ -1,0 +1,108 @@
+"""The match-set walk behind canonicalization, the coverage checks and
+`equiv.compare`, checked against the row-by-row reference in
+`tests.util`, which scans rows with `sim.first_match` and compares with
+`sim.symbolic_outputs` at every control assignment."""
+
+import dataclasses
+import random
+
+from hypothesis import assume, given, settings, strategies as st
+
+from lctkit import analysis, equiv, sim
+from lctkit.model import Clocking, DONT_CARE, SignalHeader, SignalRef
+from . import util
+
+SEEDS = st.integers(0, 10 ** 6)
+
+TABLES = st.one_of(
+    SEEDS.map(util.random_lct),
+    st.builds(util.random_disjoint_lct, SEEDS, st.booleans()),
+    SEEDS.map(util.random_passthrough_lct),
+    st.builds(analysis.generate_fsm, st.sampled_from([2, 4, 8]),
+              st.integers(1, 3), st.integers(0, 2), SEEDS),
+)
+
+
+def test_walk_yields_every_matching_row_in_enumeration_order():
+    table = util.random_lct(7)
+    compiled = sim.compile_rows(table)
+    walked = list(analysis.match_sets(table))
+    assert [a for a, _ in walked] == list(sim.enumerate_assignments(table))
+    for assignment, m in walked:
+        assert m == sum(1 << i for i, constraints in enumerate(compiled)
+                        if sim.row_matches(constraints, assignment))
+        first = sim.first_match(compiled, assignment)
+        assert analysis.first_row(m) == (-1 if first is None else first)
+
+
+@settings(max_examples=120, deadline=None)
+@given(TABLES)
+def test_checks_match_reference(table):
+    shadowed = util.reference_shadowed(table)
+    assert analysis.shadowed_row_indices(table) == shadowed
+    assert analysis.check_completeness(table).uncovered == \
+        util.reference_uncovered(table)
+    overlap = analysis.check_overlap(table)
+    assert overlap.shadowed_rows == shadowed
+    assert overlap.conflicts == util.reference_conflicts(table)
+
+
+@settings(max_examples=120, deadline=None)
+@given(TABLES)
+def test_pruning_and_canonical_form_match_reference(table):
+    assert util.canonical_text(analysis.canonicalize(table)) == \
+        util.canonical_text(util.reference_canonicalize(table))
+
+    table = util.hold_spelling(table)
+    shadowed = set(util.reference_shadowed(table))
+    pruned = [i for i in range(len(table.rows)) if i not in shadowed]
+    dropped = set()
+    if table.clocking is Clocking.CLOCKED:
+        dropped = {pruned[j] for j in util.reference_droppable_hold_rows(
+            dataclasses.replace(table,
+                                rows=tuple(table.rows[i] for i in pruned)))}
+    keep, _ = analysis._prune(table, analysis.DEFAULT_ENUM_LIMIT)
+    assert [i for i in range(len(table.rows)) if keep >> i & 1] == \
+        [i for i in pruned if i not in dropped]
+
+
+def _variant(table, kind, rng):
+    if kind == "mutate":
+        try:
+            return util.mutate_output(table, rng)[0]
+        except ValueError:
+            return None
+    if kind == "reverse":
+        return dataclasses.replace(table, rows=table.rows[::-1])
+    if kind == "expand":
+        return analysis.expand_dont_cares(table)
+    rows = list(table.rows)
+    i = rng.randrange(len(rows))
+    if kind == "drop":
+        del rows[i]
+        return dataclasses.replace(table, rows=tuple(rows))
+    # Rewrite one output cell as a don't-care, a hold (when clocked), or
+    # a pass-through of a condition signal as wide as the result.
+    j = rng.randrange(len(table.results))
+    name = table.results[j]
+    choices = [DONT_CARE] + [SignalRef(name)] * (
+        table.clocking is Clocking.CLOCKED) + [
+        SignalRef(h.name) for h in table.conditions
+        if isinstance(h, SignalHeader)
+        and table.condition_width(h) == table.result_width(name)]
+    outputs = list(rows[i].outputs)
+    outputs[j] = rng.choice(choices)
+    rows[i] = dataclasses.replace(rows[i], outputs=tuple(outputs))
+    return dataclasses.replace(table, rows=tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(TABLES, st.sampled_from(["mutate", "reverse", "expand", "drop",
+                                "rewrite"]), SEEDS)
+def test_compare_matches_reference_in_both_orders(table, kind, seed):
+    other = _variant(table, kind, random.Random(seed))
+    assume(other is not None)
+    for a, b in ((table, other), (other, table)):
+        result = equiv.compare(a, b)
+        assert (result.verdict, result.counterexample) == \
+            util.reference_compare(a, b)

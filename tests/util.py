@@ -1,8 +1,11 @@
-"""Shared test helpers: fixture loading and seeded random table
-generators."""
+"""Shared test helpers: fixture loading, seeded random table generators,
+and a row-by-row reference for the checks that ``analysis`` and
+``equiv`` compute from match-set bitsets."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import os
 import random
 
@@ -12,6 +15,7 @@ from lctkit.model import (
     Clocking,
     Constant,
     DONT_CARE,
+    DontCare,
     Direction,
     ExprHeader,
     Lct,
@@ -20,7 +24,7 @@ from lctkit.model import (
     SignalHeader,
     SignalRef,
 )
-from lctkit import analysis, sim, tableio
+from lctkit import analysis, equiv, sim, tableio
 
 TABLES_DIR = os.path.join(os.path.dirname(__file__), "tables")
 
@@ -155,6 +159,179 @@ def mutate_output(table: Lct, rng: random.Random):
     rows[row_idx] = CaseRow(rows[row_idx].inputs, tuple(outputs),
                             label=rows[row_idx].label,
                             comment=rows[row_idx].comment)
-    import dataclasses
     return (dataclasses.replace(table, rows=tuple(rows)),
             row_idx, table.results[col_idx])
+
+
+def random_passthrough_lct(seed: int) -> Lct:
+    """A ``random_lct`` with one more result, ``p``, as wide as the first
+    condition column, whose cells mostly pass that condition signal
+    through (``random_lct`` never does).  Its other cells are
+    constants, don't-cares and, when clocked, holds."""
+    table = random_lct(seed, max_control_bits=8)
+    rng = random.Random(seed * 7 + 1)
+    source = table.conditions[0].name
+    width = table.condition_width(table.conditions[0])
+    clocked = table.clocking is Clocking.CLOCKED
+
+    def cell():
+        roll = rng.random()
+        if roll < 0.5:
+            return SignalRef(source)
+        if roll < 0.6:
+            return DONT_CARE
+        if clocked and roll < 0.75:
+            return SignalRef("p")
+        return _const(width, rng.randrange(1 << width))
+
+    rows = tuple(CaseRow(row.inputs, row.outputs + (cell(),))
+                 for row in table.rows)
+    ports = PortMap(table.ports.entries
+                    + (Port(Direction.OUTPUT, "p", width),))
+    return dataclasses.replace(table, name=f"pass_{seed}",
+                               results=table.results + ("p",), rows=rows,
+                               ports=ports)
+
+
+# ---------------------------------------------------------------------------
+# Row-by-row reference: one sim.first_match or sim.row_matches scan per
+# control assignment, and sim.symbolic_outputs for every comparison.
+
+def _matching(compiled, assignment):
+    return [i for i, constraints in enumerate(compiled)
+            if sim.row_matches(constraints, assignment)]
+
+
+def reference_shadowed(table: Lct) -> list:
+    compiled = sim.compile_rows(table)
+    claimed = set()
+    for assignment in sim.enumerate_assignments(table):
+        index = sim.first_match(compiled, assignment)
+        if index is not None:
+            claimed.add(index)
+    return [i for i in range(len(table.rows)) if i not in claimed]
+
+
+def reference_uncovered(table: Lct) -> list:
+    compiled = sim.compile_rows(table)
+    return [sim.assignment_dict(table, assignment)
+            for assignment in sim.enumerate_assignments(table)
+            if sim.first_match(compiled, assignment) is None]
+
+
+def reference_conflicts(table: Lct) -> list:
+    """(i, j, witness) per overlapping row pair with differing symbolic
+    outputs, at the first assignment where both match."""
+    compiled = sim.compile_rows(table)
+    conflicts = []
+    seen = set()
+    for assignment in sim.enumerate_assignments(table):
+        matching = _matching(compiled, assignment)
+        for a, b in itertools.combinations(matching, 2):
+            outs = [tuple(sim.resolve_cell(table, name, cell)
+                          for name, cell in zip(table.results,
+                                                table.rows[i].outputs))
+                    for i in (a, b)]
+            if (a, b) not in seen and outs[0] != outs[1]:
+                seen.add((a, b))
+                conflicts.append(
+                    (a, b, sim.assignment_dict(table, assignment)))
+    return conflicts
+
+
+def _all_hold(table: Lct, row: CaseRow) -> bool:
+    return all(isinstance(cell, SignalRef) and cell.name == name
+               for name, cell in zip(table.results, row.outputs))
+
+
+def reference_droppable_hold_rows(table: Lct) -> set:
+    """Pure-hold rows that no later row overlaps where they match
+    first."""
+    compiled = sim.compile_rows(table)
+    blocked = set()
+    for assignment in sim.enumerate_assignments(table):
+        matching = _matching(compiled, assignment)
+        if len(matching) > 1:
+            blocked.add(matching[0])
+    return {i for i, row in enumerate(table.rows)
+            if _all_hold(table, row)} - blocked
+
+
+def _cell_sort_key(cell):
+    if isinstance(cell, Constant):
+        return (0, cell.bv.value, "")
+    if isinstance(cell, DontCare):
+        return (1, 0, "")
+    return (2, 0, cell.name)
+
+
+def hold_spelling(table: Lct) -> Lct:
+    """A clocked table with its don't-care outputs written as holds, as
+    canonicalization reads it; other tables unchanged."""
+    if table.clocking is not Clocking.CLOCKED:
+        return table
+    return dataclasses.replace(table, rows=tuple(
+        CaseRow(row.inputs,
+                tuple(SignalRef(name) if isinstance(cell, DontCare) else cell
+                      for name, cell in zip(table.results, row.outputs)))
+        for row in table.rows))
+
+
+def reference_canonicalize(table: Lct) -> Lct:
+    """``analysis.canonicalize`` as three separate passes over the
+    control space (the table must fit the default enumeration limit)."""
+    table = hold_spelling(table)
+    shadowed = set(reference_shadowed(table))
+    table = dataclasses.replace(table, rows=tuple(
+        row for i, row in enumerate(table.rows) if i not in shadowed))
+    if table.clocking is Clocking.CLOCKED:
+        droppable = reference_droppable_hold_rows(table)
+        table = dataclasses.replace(table, rows=tuple(
+            row for i, row in enumerate(table.rows) if i not in droppable))
+    compiled = sim.compile_rows(table)
+    sort_rows = all(len(_matching(compiled, assignment)) < 2
+                    for assignment in sim.enumerate_assignments(table))
+
+    cond_order = sorted(range(len(table.conditions)),
+                        key=lambda i: table.conditions[i].key)
+    res_order = sorted(range(len(table.results)),
+                       key=lambda i: table.results[i])
+    conditions = tuple(
+        ExprHeader(h.canonical) if isinstance(h, ExprHeader) else h
+        for h in (table.conditions[i] for i in cond_order))
+    rows = [CaseRow(tuple(row.inputs[i] for i in cond_order),
+                    tuple(row.outputs[i] for i in res_order))
+            for row in table.rows]
+    if sort_rows:
+        rows.sort(key=lambda r: tuple(_cell_sort_key(c) for c in r.inputs))
+    ports = tuple(sorted(table.ports.entries,
+                         key=lambda p: (p.direction.value, p.name)))
+    return Lct(name=table.name, clocking=table.clocking,
+               conditions=conditions,
+               results=tuple(table.results[i] for i in res_order),
+               rows=tuple(rows), ports=PortMap(ports), feedback=())
+
+
+def canonical_text(canonical: Lct) -> str:
+    return tableio.serialize_unit_doc(
+        dataclasses.replace(canonical, name="unit"))
+
+
+def reference_compare(a: Lct, b: Lct):
+    """(verdict, counterexample) of ``equiv.compare`` without aliases:
+    textual identity of the reference canonical forms, then every
+    assignment in order through ``sim.symbolic_outputs``."""
+    a, b = equiv.align(a, b)
+    if canonical_text(reference_canonicalize(a)) == \
+            canonical_text(reference_canonicalize(b)):
+        return equiv.Verdict.TEXTUALLY_IDENTICAL, None
+    for assignment in sim.enumerate_assignments(a):
+        outs_a = sim.symbolic_outputs(a, assignment)
+        outs_b = sim.symbolic_outputs(b, assignment)
+        for name, va, vb in zip(a.results, outs_a, outs_b):
+            if isinstance(va, sim.Unspecified) or \
+                    isinstance(vb, sim.Unspecified) or va == vb:
+                continue
+            return equiv.Verdict.NOT_EQUIVALENT, equiv.Counterexample(
+                sim.assignment_dict(a, assignment), name, str(va), str(vb))
+    return equiv.Verdict.EQUIVALENT, None
