@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .model import BitVector, LctError, parse_literal
 
@@ -90,8 +90,7 @@ _BINARY = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
            "<": 6, "<=": 6, ">": 6, ">=": 6}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident, lit, num, op
     text: str
     line: int
@@ -131,6 +130,9 @@ class _Parser:
         self.i = 0
         self.brackets = 0
         self.operators = 0
+        # Literal text -> Num for this parse; a text that fails is not
+        # kept, so each occurrence raises at its own token.
+        self.literals = {}
 
     def error(self, message: str, tok=None) -> LctError:
         return ExprError(message)
@@ -139,16 +141,22 @@ class _Parser:
         return tok.kind == "ident"
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        try:
+            return self.tokens[self.i]
+        except IndexError:
+            return None
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
+        try:
+            return self.tokens[self.i].text == text
+        except IndexError:
+            return False
 
     def take(self, text=None):
-        tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
+        try:
+            tok = self.tokens[self.i]
+        except IndexError:
+            raise self.error("unexpected end of input") from None
         if text is not None and tok.text != text:
             raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
         self.i += 1
@@ -223,13 +231,17 @@ class _Parser:
             self.brackets -= 1
             return Concat(tuple(parts))
         if tok.kind == "lit":
-            # Verilog allows upper-case bases: 8'HFF reads as 8'hff.
-            width, _, digits = tok.text.partition("'")
-            try:
-                bv = parse_literal(f"{width}'{digits[0].lower()}{digits[1:]}")
-            except LctError as e:
-                raise self.error(str(e), tok)
-            return Num(bv.value, bv.width)
+            num = self.literals.get(tok.text)
+            if num is None:
+                # Verilog allows upper-case bases: 8'HFF reads as 8'hff.
+                width, _, digits = tok.text.partition("'")
+                try:
+                    bv = parse_literal(
+                        f"{width}'{digits[0].lower()}{digits[1:]}")
+                except LctError as e:
+                    raise self.error(str(e), tok)
+                num = self.literals[tok.text] = Num(bv.value, bv.width)
+            return num
         if tok.kind == "num":
             return Num(int(tok.text), None)
         if self.is_ident(tok):

@@ -71,11 +71,15 @@ class _Builder:
     def __init__(self, module: HdlModule, process: HdlProcess,
                  conditions: Sequence[str], results: Sequence[str]):
         self.module = module
+        # The first port of each name wins, as in HdlModule.port.
+        self.ports = {p.name: p for p in reversed(module.ports)}
         self.process = process
         self.results = list(results)
         self.headers: List[object] = []
         self.widths: List[int] = []
         self.key_index: dict = {}
+        self.has_expr_header = False
+        self.constants: dict = {}  # (width, value) -> Constant
         for text in conditions:
             self._add_header(self._make_header(text))
         self.result_widths = {}
@@ -89,7 +93,7 @@ class _Builder:
         return ExprHeader(text)
 
     def _signal_width(self, name: str) -> int:
-        port = self.module.port(name)
+        port = self.ports.get(name)
         if port is not None:
             return port.width
         if name in self.module.nets:
@@ -105,6 +109,8 @@ class _Builder:
             width = 1
         if key in self.key_index:
             return self.key_index[key]
+        if isinstance(header, ExprHeader):
+            self.has_expr_header = True
         self.key_index[key] = len(self.headers)
         self.headers.append(header)
         self.widths.append(width)
@@ -121,7 +127,7 @@ class _Builder:
         return True
 
     def _signal_constraint(self, env: _Env, name: str, value: int) -> bool:
-        port = self.module.port(name)
+        port = self.ports.get(name)
         if port is not None and port.direction is not Direction.INPUT:
             raise ExtractError(
                 f"branch condition over non-input signal {name}")
@@ -136,6 +142,8 @@ class _Builder:
         return self._constrain(env, self.headers[idx].canonical, value)
 
     def _schema_expr_index(self, node) -> Optional[int]:
+        if not self.has_expr_header:
+            return None
         idx = self.key_index.get(ex.render(node))
         if idx is not None and isinstance(self.headers[idx], ExprHeader):
             return idx
@@ -258,12 +266,19 @@ class _Builder:
             if rhs.value >= (1 << width):
                 raise ExtractError(
                     f"value {rhs.value} exceeds width of {lhs}")
-            return Constant(BitVector(width, rhs.value))
+            return self._constant(width, rhs.value)
         if isinstance(rhs, ex.Ident):
             return SignalRef(rhs.name)
         raise ExtractError(
             f"assignment to {lhs} is not a constant or signal "
             f"(found {ex.render(rhs)})")
+
+    def _constant(self, width: int, value: int) -> Constant:
+        cell = self.constants.get((width, value))
+        if cell is None:
+            cell = self.constants[width, value] = Constant(
+                BitVector(width, value))
+        return cell
 
     def _case_fields(self, subject) -> List[Tuple[str, int]]:
         if isinstance(subject, ex.Ident):
@@ -322,7 +337,7 @@ class _Builder:
                 if value is None:
                     inputs.append(DONT_CARE)
                 else:
-                    inputs.append(Constant(BitVector(width, value)))
+                    inputs.append(self._constant(width, value))
             outputs = []
             for result in self.results:
                 cell = env.assigns.get(result)

@@ -43,34 +43,45 @@ KEYWORDS = {
 } | UNSUPPORTED
 
 
+# One match per token: the whitespace and comments before it, then the
+# token, a stray character (`bad`), or the end of the text.  After the
+# skipped run the next character is never whitespace, so the match
+# never backtracks into a comment.
 _HDL_TOKEN_RE = re.compile(r"""
-      (?P<ws>\s+|//[^\n]*|/\*.*?\*/)
-    | (?P<lit>\d+'[bdhBDH][0-9a-fA-F_?zZxX]+)
+    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
+    (?:(?P<lit>\d+'[bdhBDH][0-9a-fA-F_?zZxX]+)
     | (?P<num>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
     | (?P<op><=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
+    | (?P<bad>\S)
+    | \Z)
     """, re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> List[Token]:
     tokens = []
-    pos = 0
     line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _HDL_TOKEN_RE.match(text, pos)
-        if not m:
-            col = pos - line_start + 1
-            raise HdlError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, chunk, line,
-                                pos - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rfind("\n") + 1
-        pos = m.end()
+    col = 1  # of the character after the previous token
+    for skipped, lit, num, ident, op, bad in _HDL_TOKEN_RE.findall(text):
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            col = len(skipped) - skipped.rindex("\n")
+        else:
+            col += len(skipped)
+        if lit:
+            tok = Token("lit", lit, line, col)
+        elif num:
+            tok = Token("num", num, line, col)
+        elif ident:
+            tok = Token("ident", ident, line, col)
+        elif op:
+            tok = Token("op", op, line, col)
+        elif bad:
+            raise HdlError(f"unexpected character {bad!r}", line, col)
+        else:  # only whitespace and comments were left
+            break
+        tokens.append(tok)
+        col += len(tok.text)
     return tokens
 
 
@@ -195,7 +206,7 @@ class _Parser(ex._Parser):
         while not self.at("endmodule"):
             tok = self.peek()
             if tok is None:
-                raise HdlError("missing endmodule")
+                raise self.error("missing endmodule")
             self.check_supported(tok)
             if tok.text in ("wire", "reg", "integer"):
                 self.net_decl(module)
@@ -227,14 +238,14 @@ class _Parser(ex._Parser):
     def opt_range(self) -> int:
         if not self.at("["):
             return 1
-        self.take("[")
+        tok = self.take("[")
         msb = self.range_bound()
         self.take(":")
         lsb = self.range_bound()
         self.take("]")
         if lsb != 0 or msb < 0:
-            raise HdlError(f"only [N:0] ranges are supported, got "
-                           f"[{msb}:{lsb}]")
+            raise self.error(f"only [N:0] ranges are supported, got "
+                             f"[{msb}:{lsb}]", tok)
         return msb + 1
 
     def range_bound(self) -> int:
@@ -312,7 +323,7 @@ class _Parser(ex._Parser):
             stmts = []
             while not self.at("end"):
                 if self.peek() is None:
-                    raise HdlError("missing end")
+                    raise self.error("missing end")
                 stmts.extend(self.statement())
             self.take("end")
             self.brackets -= 1
@@ -322,7 +333,7 @@ class _Parser(ex._Parser):
     def statement(self) -> list:
         tok = self.peek()
         if tok is None:
-            raise HdlError("unexpected end of input in statement")
+            raise self.error("unexpected end of input in statement")
         self.check_supported(tok)
         if tok.text == ";":
             self.take(";")
@@ -380,7 +391,7 @@ class _Parser(ex._Parser):
         default = None
         while not self.at("endcase"):
             if self.peek() is None:
-                raise HdlError("missing endcase")
+                raise self.error("missing endcase")
             if self.at("default"):
                 item = self.take("default")
                 if default is not None:
@@ -423,7 +434,7 @@ def parse_hdl(text: str) -> HdlModule:
     """Parse one module within the supported subset."""
     tokens = tokenize(text)
     if not tokens:
-        raise HdlError("empty input")
+        raise HdlError("empty input", 1, 1)
     parser = _Parser(tokens)
     if not parser.at("module"):
         tok = parser.peek()

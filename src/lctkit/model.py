@@ -319,6 +319,7 @@ def validate_lct(table: Lct) -> list:
     if len(table.results) != len(set(table.results)):
         bad("dup-result", "duplicate result columns")
 
+    ports = {p.name: p for p in table.ports.entries}
     input_names = {p.name for p in table.ports.inputs()}
     output_names = {p.name for p in table.ports.outputs()}
 
@@ -369,7 +370,7 @@ def validate_lct(table: Lct) -> list:
                             "expression column cells must be 0, 1, or X",
                             row=i, column=col)
                 else:
-                    port = table.ports.get(header.name)
+                    port = ports.get(header.name)
                     if port is not None and cell.bv.width != port.width:
                         bad("width",
                             f"cell width {cell.bv.width} != port width "
@@ -382,8 +383,8 @@ def validate_lct(table: Lct) -> list:
                             "hold cell in a combinational table", row=i,
                             column=name)
                 elif cell.name in input_names:
-                    src = table.ports.get(cell.name)
-                    dst = table.ports.get(name)
+                    src = ports.get(cell.name)
+                    dst = ports.get(name)
                     if src and dst and src.width != dst.width:
                         bad("width",
                             f"pass-through {cell.name} width {src.width} != "
@@ -393,7 +394,7 @@ def validate_lct(table: Lct) -> list:
                         f"output cell references unknown signal {cell.name}",
                         row=i, column=name)
             elif isinstance(cell, Constant):
-                port = table.ports.get(name)
+                port = ports.get(name)
                 if port is not None and cell.bv.width != port.width:
                     bad("width",
                         f"cell width {cell.bv.width} != port width "
@@ -408,8 +409,8 @@ def validate_lct(table: Lct) -> list:
             bad("feedback",
                 f"feedback target {cond} is not a signal condition column")
             continue
-        rp = table.ports.get(res)
-        cp = table.ports.get(cond)
+        rp = ports.get(res)
+        cp = ports.get(cond)
         if rp and cp and rp.width != cp.width:
             bad("feedback", f"feedback {res} -> {cond} width mismatch")
 

@@ -186,6 +186,9 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
                 f"result {res} is not declared in the port map", 1)
         result_widths.append(port.width)
 
+    # (side, text, width) -> cell for this CSV; a cell that fails is not
+    # kept, so each occurrence raises at its own line and column.
+    parsed = {}
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = [cell.strip() for cell in line.split(",")]
@@ -212,12 +215,19 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
         inputs = []
         for col, (text, width) in enumerate(zip(cells[:n_inputs],
                                                 cond_widths)):
-            inputs.append(_parse_input_cell(text, width, lineno, col + 1))
+            cell = parsed.get(("in", text, width))
+            if cell is None:
+                cell = parsed["in", text, width] = _parse_input_cell(
+                    text, width, lineno, col + 1)
+            inputs.append(cell)
         outputs = []
         for col, (text, width) in enumerate(zip(cells[n_inputs:],
                                                 result_widths)):
-            outputs.append(
-                _parse_output_cell(text, width, lineno, n_inputs + col + 1))
+            cell = parsed.get(("out", text, width))
+            if cell is None:
+                cell = parsed["out", text, width] = _parse_output_cell(
+                    text, width, lineno, n_inputs + col + 1)
+            outputs.append(cell)
         rows.append(CaseRow(tuple(inputs), tuple(outputs), label=label,
                             comment=comment))
 

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctkit import codegen, hdl
 from lctkit.model import Clocking, Direction
-from .util import load_fixture
+from .util import load_fixture, reference_tokenize
 
 COMB = """\
 module blend (
@@ -173,6 +174,30 @@ def test_overwide_sized_literal_rejected():
     assert (err.value.line, err.value.col) == (10, 10)
 
 
+def test_overwide_literal_rejected_after_valid_one():
+    text = CLOCKED.replace("2'd3", "2'd7").replace("2'd0", "2'd3")
+    with pytest.raises(hdl.HdlError, match="exceeds width") as err:
+        hdl.parse_hdl(text)
+    assert (err.value.line, err.value.col) == (10, 10)
+
+
+def test_repeated_overwide_literal_raises_at_first_use():
+    text = CLOCKED.replace("2'd0", "2'd7").replace("2'd3", "2'd7")
+    with pytest.raises(hdl.HdlError) as err:
+        hdl.parse_hdl(text)
+    assert (err.value.line, err.value.col) == (8, 10)
+
+
+def test_parses_share_no_literal_state():
+    shared = CLOCKED.replace("2'd0", "2'd7")
+    assert hdl.parse_hdl(CLOCKED).processes[0].body[0].default[0].rhs.value \
+        == 3
+    for _ in range(2):
+        with pytest.raises(hdl.HdlError) as err:
+            hdl.parse_hdl(shared)
+        assert (err.value.line, err.value.col) == (8, 10)
+
+
 def test_upper_case_literal_bases_accepted():
     text = CLOCKED.replace("2'd3", "2'B11").replace("2'd0", "2'H0")
     arms = hdl.parse_hdl(text).processes[0].body[0]
@@ -207,8 +232,8 @@ def test_every_token_prefix_parses_or_raises_hdl_error(name, style):
     for end in _token_ends(text):
         try:
             hdl.parse_hdl(text[:end])
-        except hdl.HdlError:
-            pass
+        except hdl.HdlError as e:
+            assert e.line is not None and e.col is not None, str(e)
 
 
 def test_unfinished_sensitivity_list_is_located():
@@ -223,3 +248,56 @@ def test_symbolic_range_bound_is_located():
         hdl.parse_hdl("module m (\n  input wire [N:0] a,\n"
                       "  output wire y\n);\nendmodule\n")
     assert (info.value.line, info.value.col) == (2, 15)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("  // nothing but a comment\n", (1, 1)),
+    ("module m (input wire [3:1] a);\nendmodule\n", (1, 22)),
+    ("module m (input wire a);\nalways @* begin", (2, 11)),
+    ("module m (input wire a);\nalways @* casez (a)", (2, 19)),
+    ("module m (input wire a);\nalways @*", (2, 9)),
+    ("module m (input wire a);\n", (1, 24)),
+])
+def test_errors_at_end_of_input_are_located(text, where):
+    with pytest.raises(hdl.HdlError) as err:
+        hdl.parse_hdl(text)
+    assert (err.value.line, err.value.col) == where
+
+
+# Random token streams for the differential test of the tokenizer:
+# tokens of every kind, whitespace, comments (including an unterminated
+# one) and characters outside the subset, concatenated with no
+# separator, so that neighbouring pieces can also merge.
+_PIECES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_$]{0,5}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,2}'[bdhBDH][0-9a-fA-F_?zZxX]{1,5}",
+                  fullmatch=True),
+    st.sampled_from(["<=", ">=", "==", "!=", "&&", "||", "/", "'",
+                     *"@#.(){}[],;:?=<>&|^~!*+-"]),
+    st.from_regex(r"[ \t\n\r]{1,4}", fullmatch=True),
+    st.from_regex(r"//[^\n]{0,8}\n?", fullmatch=True),
+    st.from_regex(r"/\*[ a-z*/\n]{0,10}\*/", fullmatch=True),
+    st.just("/*"),
+    st.sampled_from(["$", '"', "`", "\\", "\x0b", "\u00e9"]),
+)
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return [tuple(tok) for tok in tokenize(text)]
+    except hdl.HdlError as e:
+        return str(e), e.line, e.col
+
+
+@settings(max_examples=300)
+@given(st.lists(_PIECES, max_size=30).map("".join))
+def test_tokenize_matches_reference(text):
+    assert _tokens_or_error(hdl.tokenize, text) == \
+        _tokens_or_error(reference_tokenize, text)
+
+
+def test_tokens_keep_their_fields():
+    tok = hdl.tokenize("module m")[1]
+    assert (tok.kind, tok.text, tok.line, tok.col) == ("ident", "m", 1, 8)
+    assert tok == ("ident", "m", 1, 8)

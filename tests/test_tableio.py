@@ -107,6 +107,35 @@ def test_empty_cell_rejected():
     assert "empty cell" in str(err.value)
 
 
+WIDTHS_MANIFEST = """\
+unit widths
+clocking combinational
+inputs 2
+outputs 1
+port input s 2
+port input d 8
+port output y 8
+table widths.csv
+"""
+
+
+def test_same_cell_text_takes_each_column_width():
+    table = tableio.parse_unit(WIDTHS_MANIFEST, "s,d,y\n3,3,d\n")
+    assert table.rows[0].inputs == (Constant(BitVector(2, 3)),
+                                    Constant(BitVector(8, 3)))
+
+
+@pytest.mark.parametrize("csv, where", [
+    ("s,d,y\n4,0,0\n4,0,0\n", (2, 1)),  # 4 does not fit 2 bits
+    ("s,d,y\n0,4,0\n4,0,0\n", (3, 1)),  # fits d, not s
+    ("s,d,y\n0,0,d\n0,d,0\n", (3, 2)),  # a signal as output only
+])
+def test_bad_cell_reported_at_its_first_bad_use(csv, where):
+    with pytest.raises(tableio.ParseError) as err:
+        tableio.parse_unit(WIDTHS_MANIFEST, csv)
+    assert (err.value.line, err.value.column) == where
+
+
 def test_header_count_mismatch_rejected():
     with pytest.raises(tableio.ParseError):
         tableio.parse_unit(MANIFEST, "sel,a\n0,0\n")

@@ -1,6 +1,6 @@
 """Shared test helpers: fixture loading, seeded random table generators,
-and a row-by-row reference for the checks that ``analysis`` and
-``equiv`` compute from match-set bitsets."""
+a row-by-row reference for the checks that ``analysis`` and ``equiv``
+compute from match-set bitsets, and a reference HDL tokenizer."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import os
 import random
+import re
 
 from lctkit.model import (
     BitVector,
@@ -25,6 +26,7 @@ from lctkit.model import (
     SignalRef,
 )
 from lctkit import analysis, equiv, sim, tableio
+from lctkit.hdl import HdlError
 
 TABLES_DIR = os.path.join(os.path.dirname(__file__), "tables")
 
@@ -335,3 +337,38 @@ def reference_compare(a: Lct, b: Lct):
             return equiv.Verdict.NOT_EQUIVALENT, equiv.Counterexample(
                 sim.assignment_dict(a, assignment), name, str(va), str(vb))
     return equiv.Verdict.EQUIVALENT, None
+
+
+# ---------------------------------------------------------------------------
+# Reference tokenizer: one regex match per token and one per run of
+# whitespace or comment, with lines counted chunk by chunk.
+
+_REFERENCE_HDL_TOKEN_RE = re.compile(r"""
+      (?P<ws>\s+|//[^\n]*|/\*.*?\*/)
+    | (?P<lit>\d+'[bdhBDH][0-9a-fA-F_?zZxX]+)
+    | (?P<num>\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<op><=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
+    """, re.VERBOSE | re.DOTALL)
+
+
+def reference_tokenize(text: str) -> list:
+    """``hdl.tokenize`` as (kind, text, line, col) tuples."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _REFERENCE_HDL_TOKEN_RE.match(text, pos)
+        if not m:
+            col = pos - line_start + 1
+            raise HdlError(f"unexpected character {text[pos]!r}", line, col)
+        chunk = m.group(0)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, chunk, line, pos - line_start + 1))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            line_start = pos + chunk.rfind("\n") + 1
+        pos = m.end()
+    return tokens
