@@ -32,6 +32,7 @@ from .model import (
     PortMap,
     SignalHeader,
     SignalRef,
+    condition_header,
 )
 from . import sim
 
@@ -240,14 +241,6 @@ def _all_hold(table: Lct, row: CaseRow) -> bool:
                for name, cell in zip(table.results, row.outputs))
 
 
-def shadowed_row_indices(table: Lct,
-                         enum_limit: int = DEFAULT_ENUM_LIMIT) -> List[int]:
-    """Rows never chosen by first-match over the full control space."""
-    claimed = _first_rows(m for _, m in match_sets(table,
-                                                   enum_limit=enum_limit))
-    return [i for i in range(len(table.rows)) if not claimed >> i & 1]
-
-
 def _prune(table: Lct, enum_limit: int) -> tuple:
     """The rows that canonicalization keeps, as a bitset, and whether it
     may sort them, from the distinct match sets of one walk.  Past the
@@ -304,12 +297,9 @@ def canonicalize(table: Lct,
     res_order = sorted(range(len(table.results)),
                        key=lambda i: table.results[i])
 
-    conditions = []
-    for i in cond_order:
-        header = table.conditions[i]
-        if isinstance(header, ExprHeader):
-            header = ExprHeader(header.canonical)
-        conditions.append(header)
+    # A key re-read as header text is the header with its canonical text.
+    conditions = [condition_header(table.conditions[i].key)
+                  for i in cond_order]
     results = tuple(table.results[i] for i in res_order)
 
     new_rows = []

@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import analysis, codegen, equiv, extract, hdl, roundtrip, sim, tableio
-from .model import Clocking, Lct, LctError, validate_lct
+from .model import Clocking, Lct, LctError
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1

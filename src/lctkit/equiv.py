@@ -19,9 +19,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from . import analysis, expr as ex, sim, tableio
 from .model import (
     CaseRow,
-    Clocking,
-    Constant,
-    DontCare,
     ExprHeader,
     Lct,
     LctError,
@@ -148,6 +145,22 @@ def _rename_table(table: Lct, renames: Mapping[str, str]) -> Lct:
                                feedback=feedback)
 
 
+def _column_order(a_keys, b_keys, kind: str) -> List[int]:
+    """The index in b_keys of each of a_keys, in a's order."""
+    b_index = {key: i for i, key in enumerate(b_keys)}
+    order = []
+    for key in a_keys:
+        if key not in b_index:
+            raise AlignError(f"no counterpart for {kind} column {key}")
+        order.append(b_index[key])
+    matched = set(order)
+    if len(matched) != len(b_keys):
+        extra = [key for i, key in enumerate(b_keys) if i not in matched]
+        raise AlignError(f"unmatched {kind} columns in second table: "
+                         f"{extra}")
+    return order
+
+
 def align(a: Lct, b: Lct,
           aliases: Optional[Mapping[str, str]] = None) -> Tuple[Lct, Lct]:
     """Rename b into a's namespace (exact names, then aliases, then
@@ -155,30 +168,10 @@ def align(a: Lct, b: Lct,
     renames = _match_ports(a, b, aliases or {})
     renamed = _rename_table(b, renames)
 
-    b_keys = {h.key: i for i, h in enumerate(renamed.conditions)}
-    cond_order = []
-    for header in a.conditions:
-        if header.key not in b_keys:
-            raise AlignError(f"no counterpart for condition column "
-                             f"{header.key}")
-        cond_order.append(b_keys[header.key])
-    if len(set(cond_order)) != len(renamed.conditions):
-        extra = [h.key for i, h in enumerate(renamed.conditions)
-                 if i not in set(cond_order)]
-        raise AlignError(f"unmatched condition columns in second table: "
-                         f"{extra}")
-
-    b_results = {name: i for i, name in enumerate(renamed.results)}
-    res_order = []
-    for name in a.results:
-        if name not in b_results:
-            raise AlignError(f"no counterpart for result column {name}")
-        res_order.append(b_results[name])
-    if len(set(res_order)) != len(renamed.results):
-        extra = [n for i, n in enumerate(renamed.results)
-                 if i not in set(res_order)]
-        raise AlignError(f"unmatched result columns in second table: "
-                         f"{extra}")
+    cond_order = _column_order([h.key for h in a.conditions],
+                               [h.key for h in renamed.conditions],
+                               "condition")
+    res_order = _column_order(a.results, renamed.results, "result")
 
     rows = tuple(
         CaseRow(tuple(row.inputs[i] for i in cond_order),

@@ -24,7 +24,6 @@ from .hdl import (
     HAssign,
     HCase,
     HIf,
-    HdlError,
     HdlModule,
     HdlProcess,
     parse_hdl,
@@ -37,13 +36,13 @@ from .model import (
     DONT_CARE,
     Direction,
     ExprHeader,
-    IDENT_RE,
     Lct,
     LctError,
     Port,
     PortMap,
     SignalHeader,
     SignalRef,
+    condition_header,
     validate_lct,
 )
 
@@ -81,16 +80,10 @@ class _Builder:
         self.has_expr_header = False
         self.constants: dict = {}  # (width, value) -> Constant
         for text in conditions:
-            self._add_header(self._make_header(text))
+            self._add_header(condition_header(text))
         self.result_widths = {}
         for name in self.results:
             self.result_widths[name] = self._signal_width(name)
-
-    def _make_header(self, text: str):
-        text = text.strip()
-        if IDENT_RE.match(text):
-            return SignalHeader(text)
-        return ExprHeader(text)
 
     def _signal_width(self, name: str) -> int:
         port = self.ports.get(name)
@@ -101,19 +94,13 @@ class _Builder:
         raise ExtractError(f"schema column {name} is not a module signal")
 
     def _add_header(self, header) -> int:
-        if isinstance(header, SignalHeader):
-            key = header.name
-            width = self._signal_width(header.name)
-        else:
-            key = header.canonical
-            width = 1
-        if key in self.key_index:
-            return self.key_index[key]
-        if isinstance(header, ExprHeader):
-            self.has_expr_header = True
-        self.key_index[key] = len(self.headers)
-        self.headers.append(header)
-        self.widths.append(width)
+        key = header.key
+        if key not in self.key_index:
+            is_expr = isinstance(header, ExprHeader)
+            self.has_expr_header |= is_expr
+            self.widths.append(1 if is_expr else self._signal_width(key))
+            self.key_index[key] = len(self.headers)
+            self.headers.append(header)
         return self.key_index[key]
 
     # -- constraint handling ------------------------------------------------
@@ -139,7 +126,7 @@ class _Builder:
 
     def _expr_constraint(self, env: _Env, node, value: int) -> bool:
         idx = self._add_header(ExprHeader(ex.render(node)))
-        return self._constrain(env, self.headers[idx].canonical, value)
+        return self._constrain(env, self.headers[idx].key, value)
 
     def _schema_expr_index(self, node) -> Optional[int]:
         if not self.has_expr_header:
@@ -158,11 +145,11 @@ class _Builder:
         expression conditions reconstruct onto their own columns."""
         idx = self._schema_expr_index(node)
         if idx is not None:
-            return self._constrain(env, self.headers[idx].canonical, 1)
+            return self._constrain(env, self.headers[idx].key, 1)
         if isinstance(node, ex.Unary) and node.op == "!":
             idx = self._schema_expr_index(node.arg)
             if idx is not None:
-                return self._constrain(env, self.headers[idx].canonical, 0)
+                return self._constrain(env, self.headers[idx].key, 0)
         if isinstance(node, ex.Binary) and node.op == "&&":
             return (self._apply_condition(env, node.lhs)
                     and self._apply_condition(env, node.rhs))

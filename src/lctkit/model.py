@@ -8,7 +8,8 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Optional, Union
 
@@ -153,6 +154,10 @@ class SignalHeader:
     name: str
 
     @property
+    def text(self) -> str:
+        return self.name
+
+    @property
     def key(self) -> str:
         return self.name
 
@@ -163,21 +168,25 @@ class ExprHeader:
     its cells must be 0, 1, or X.
 
     Equality and hashing use the canonical rendering so that spacing and
-    redundant parentheses do not matter.
+    redundant parentheses do not matter.  A lone identifier ``a`` is read
+    as ``a != 0``, its truth value, and is never kept as header text: an
+    identifier names a signal column, so an expression's text and key
+    never look like one.
     """
 
     def __init__(self, text: str):
-        self.text = text.strip()
-        self._tree = None
+        text = text.strip()
+        self.text = f"({text} != 0)" if IDENT_RE.match(text) else text
 
-    @property
+    @cached_property
     def tree(self):
-        if self._tree is None:
-            from . import expr
-            self._tree = expr.parse_expr(self.text)
-        return self._tree
+        from . import expr
+        tree = expr.parse_expr(self.text)
+        if isinstance(tree, expr.Ident):
+            return expr.Binary("!=", tree, expr.Num(0, None))
+        return tree
 
-    @property
+    @cached_property
     def canonical(self) -> str:
         from . import expr
         return expr.render(self.tree)
@@ -201,6 +210,13 @@ class ExprHeader:
 
 
 ConditionHeader = Union[SignalHeader, ExprHeader]
+
+
+def condition_header(text: str) -> ConditionHeader:
+    """The condition column a header text names: a signal column for a
+    lone identifier, else an expression column (parsed on first use)."""
+    text = text.strip()
+    return SignalHeader(text) if IDENT_RE.match(text) else ExprHeader(text)
 
 
 # ---------------------------------------------------------------------------
@@ -312,34 +328,35 @@ def validate_lct(table: Lct) -> list:
     if not IDENT_RE.match(table.name):
         bad("bad-name", f"table name {table.name!r} is not an identifier")
 
-    signal_names = [h.name for h in table.conditions
-                    if isinstance(h, SignalHeader)]
-    if len(signal_names) != len(set(signal_names)):
-        bad("dup-condition", "duplicate signal condition columns")
-    if len(table.results) != len(set(table.results)):
-        bad("dup-result", "duplicate result columns")
-
     ports = {p.name: p for p in table.ports.entries}
     input_names = {p.name for p in table.ports.inputs()}
     output_names = {p.name for p in table.ports.outputs()}
 
+    # One key per column, computed once: the row checks name columns by
+    # it, and two columns with one key are the same condition.
+    keys = []
     for header in table.conditions:
+        try:
+            keys.append(header.key)
+        except LctError as e:
+            bad("bad-expr", str(e), column=header.text)
+            keys.append(header.text)
+            continue
         if isinstance(header, SignalHeader):
             if header.name not in input_names:
                 bad("unknown-port",
                     f"condition {header.name} is not an input port",
                     column=header.name)
         else:
-            try:
-                idents = header.identifiers()
-            except LctError as e:
-                bad("bad-expr", str(e), column=header.text)
-                continue
-            for ident in sorted(idents):
+            for ident in sorted(header.identifiers()):
                 if ident not in input_names:
                     bad("unknown-port",
                         f"expression condition references {ident}, "
                         "not an input port", column=header.text)
+    if len(keys) != len(set(keys)):
+        bad("dup-condition", "duplicate condition columns")
+    if len(table.results) != len(set(table.results)):
+        bad("dup-result", "duplicate result columns")
 
     for name in table.results:
         if name not in output_names:
@@ -357,8 +374,7 @@ def validate_lct(table: Lct) -> list:
             bad("arity", f"{len(row.outputs)} output cells, expected {n_res}",
                 row=i)
             continue
-        for header, cell in zip(table.conditions, row.inputs):
-            col = header.key
+        for header, col, cell in zip(table.conditions, keys, row.inputs):
             if isinstance(cell, SignalRef):
                 bad("input-ref",
                     "input cells may be constants or X only", row=i,
@@ -405,7 +421,7 @@ def validate_lct(table: Lct) -> list:
         if res not in result_set:
             bad("feedback", f"feedback result {res} is not a result column")
             continue
-        if cond not in signal_names:
+        if SignalHeader(cond) not in table.conditions:
             bad("feedback",
                 f"feedback target {cond} is not a signal condition column")
             continue

@@ -28,7 +28,6 @@ from .model import (
     Constant,
     DONT_CARE,
     Direction,
-    ExprHeader,
     Lct,
     LctError,
     Port,
@@ -46,9 +45,7 @@ class BackendError(LctError):
 
 
 def schema_of(table: Lct) -> Tuple[List[str], List[str]]:
-    conditions = [h.name if isinstance(h, SignalHeader) else h.text
-                  for h in table.conditions]
-    return conditions, list(table.results)
+    return [h.text for h in table.conditions], list(table.results)
 
 
 def extract_code_block(text: str) -> str:

