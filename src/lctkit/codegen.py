@@ -40,7 +40,8 @@ class CodegenError(LctError):
 
 
 def _digest(table: Lct) -> str:
-    doc = tableio.serialize_unit_doc(table)
+    # Called after `generate` has validated the table.
+    doc = tableio._render_unit_doc(table)
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 

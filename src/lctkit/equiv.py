@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from . import analysis, expr as ex, sim, tableio
+from . import analysis, expr as ex, sim
 from .model import (
     CaseRow,
+    Constant,
     ExprHeader,
     Lct,
     LctError,
@@ -186,16 +187,26 @@ def align(a: Lct, b: Lct,
     return a, reordered
 
 
+def _cell_value(cell):
+    return cell.bv.value if isinstance(cell, Constant) else cell
+
+
+def _canonical_key(table: Lct, enum_limit: int) -> tuple:
+    """What the canonical form's serialization shows, name excluded:
+    clocking, ports, column headers, and each cell with constants by
+    value (an expression column may hold 1'd1 or 2'd1 alike)."""
+    c = analysis.canonicalize(table, enum_limit)
+    return (c.clocking, c.ports, tuple(h.text for h in c.conditions),
+            c.results,
+            tuple((tuple(map(_cell_value, row.inputs)),
+                   tuple(map(_cell_value, row.outputs))) for row in c.rows))
+
+
 def textual_match(a: Lct, b: Lct,
                   enum_limit: int = analysis.DEFAULT_ENUM_LIMIT) -> bool:
-    """True iff the canonical serializations are byte-identical (unit
-    names excluded)."""
-    docs = []
-    for table in (a, b):
-        canonical = analysis.canonicalize(table, enum_limit)
-        canonical = dataclasses.replace(canonical, name="unit")
-        docs.append(tableio.serialize_unit_doc(canonical))
-    return docs[0] == docs[1]
+    """True iff the canonical serializations would be byte-identical
+    (unit names excluded)."""
+    return _canonical_key(a, enum_limit) == _canonical_key(b, enum_limit)
 
 
 def _values_agree(va, vb) -> bool:

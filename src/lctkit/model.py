@@ -393,7 +393,10 @@ def validate_lct(table: Lct) -> list:
                             f"{port.width}", row=i, column=col)
         for name, cell in zip(table.results, row.outputs):
             if isinstance(cell, SignalRef):
-                if cell.name == name:
+                if cell.name == "X":
+                    bad("x-ref", "a cell naming signal X would read as "
+                        "don't care", row=i, column=name)
+                elif cell.name == name:
                     if table.clocking is Clocking.COMBINATIONAL:
                         bad("hold-comb",
                             "hold cell in a combinational table", row=i,

@@ -63,6 +63,9 @@ class InversePayload:
     hdl_text: str
     conditions: List[str]
     results: List[str]
+    # The arbiter's extraction of hdl_text under this schema, when it
+    # succeeded; the deterministic inverse reuses it.
+    arbiter_table: Optional[Lct] = None
 
 
 def mux2_example() -> Lct:
@@ -172,10 +175,13 @@ class DeterministicBackend:
         payload = request.payload
         if not isinstance(payload, InversePayload):
             raise BackendError("inverse request has no HDL payload")
-        table = extract.hdl_text_to_lct(payload.hdl_text, payload.conditions,
-                                        payload.results)
+        table = payload.arbiter_table
+        if table is None:
+            table = extract.hdl_text_to_lct(
+                payload.hdl_text, payload.conditions, payload.results)
+        # An extracted table is validated already.
         return TransformResponse(request.direction,
-                                 tableio.serialize_unit_doc(table))
+                                 tableio._render_unit_doc(table))
 
 
 class FaultInjectingBackend:
@@ -476,6 +482,7 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
     started = time.monotonic()
     schema = schema_of(unit)
     arb_table = None
+    arb_result = None
     arbiter = ArbiterVerdict.UNAVAILABLE
     counterexample = None
     try:
@@ -492,6 +499,7 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
 
     started = time.monotonic()
     inv_req = build_inverse_prompt(hdl_text, schema)
+    inv_req.payload.arbiter_table = arb_table
     artifacts["inverse_prompt.txt"] = inv_req.prompt
     reconstructed = None
     try:
@@ -500,7 +508,7 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
         reconstructed = tableio.parse_unit_doc(
             extract_code_block(inv_resp.text))
         artifacts["reconstructed.unit"] = \
-            tableio.serialize_unit_doc(reconstructed)
+            tableio._render_unit_doc(reconstructed)
     except LctError as e:
         notes.append(f"no reconstruction: {e}")
         artifacts.setdefault("inverse_response.txt", f"<error> {e}\n")
@@ -511,11 +519,15 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
     semantic = None
     if reconstructed is not None:
         try:
-            # Align first: a misaligned table is reported as such even
-            # when its clocking differs too.
-            equiv.align(unit, reconstructed)
-            result = equiv.compare(unit, reconstructed,
-                                   enum_limit=enum_limit)
+            if arb_result is not None and reconstructed == arb_table:
+                # compare is a pure function: same inputs, same result.
+                result = arb_result
+            else:
+                # Align first: a misaligned table is reported as such
+                # even when its clocking differs too.
+                equiv.align(unit, reconstructed)
+                result = equiv.compare(unit, reconstructed,
+                                       enum_limit=enum_limit)
             textual = result.verdict is equiv.Verdict.TEXTUALLY_IDENTICAL
             semantic = result.verdict
             if counterexample is None:

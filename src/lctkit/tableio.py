@@ -246,7 +246,12 @@ def serialize_unit(table: Lct) -> Tuple[str, str]:
     if violations:
         raise LctError("cannot serialize invalid table: " +
                        "; ".join(str(v) for v in violations))
+    return _render_unit(table)
 
+
+def _render_unit(table: Lct) -> Tuple[str, str]:
+    """``serialize_unit`` without the validation, for a table that was
+    validated already (parsed, extracted or compiled)."""
     lines = [f"unit {table.name}",
              f"clocking {table.clocking.value}",
              f"inputs {len(table.conditions)}",
@@ -300,6 +305,10 @@ def parse_unit_doc(text: str) -> Lct:
 
 def serialize_unit_doc(table: Lct) -> str:
     return combine_unit_doc(*serialize_unit(table))
+
+
+def _render_unit_doc(table: Lct) -> str:
+    return combine_unit_doc(*_render_unit(table))
 
 
 # ---------------------------------------------------------------------------

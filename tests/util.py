@@ -319,6 +319,15 @@ def canonical_text(canonical: Lct) -> str:
         dataclasses.replace(canonical, name="unit"))
 
 
+def reference_textual_match(a: Lct, b: Lct,
+                            enum_limit: int = analysis.DEFAULT_ENUM_LIMIT
+                            ) -> bool:
+    """``equiv.textual_match`` as a comparison of text: both canonical
+    forms serialized, unit names excluded."""
+    return canonical_text(analysis.canonicalize(a, enum_limit)) == \
+        canonical_text(analysis.canonicalize(b, enum_limit))
+
+
 def reference_compare(a: Lct, b: Lct):
     """(verdict, counterexample) of ``equiv.compare`` without aliases:
     textual identity of the reference canonical forms, then every
