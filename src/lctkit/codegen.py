@@ -72,6 +72,8 @@ def _guard_terms(table: Lct, row) -> List[str]:
         if isinstance(header, SignalHeader):
             terms.append(f"({header.name} == {cell.bv.binary()})")
         else:
+            # With the process's `begin` and the `if`, this wrapping is
+            # what expr.GUARD_DEPTH counts.
             text = header.canonical
             terms.append(f"({text})" if cell.bv.value else f"(!({text}))")
     return terms

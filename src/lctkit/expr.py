@@ -1,7 +1,7 @@
 """
-Expression trees, and the one expression grammar that condition headers
-and the HDL subset share: `parse_expr` reads a header, and the HDL parser
-extends `_Parser` over its own token list.
+Expression trees, and the one lexer and expression grammar that condition
+headers and the HDL subset share: `parse_expr` reads a header, and the
+HDL parser extends `_Parser` over its own token list.
 
 Grammar (loosest to tightest binding):
 
@@ -18,7 +18,8 @@ Grammar (loosest to tightest binding):
 
 The binary levels are parsed by one precedence-climbing loop.  Nesting
 deeper than MAX_DEPTH is an error, not a stack overflow.  Sized literals
-must fit their width.
+must fit their width.  No identifier is a reserved word (`KEYWORDS`), and
+a header holds no comment.
 
 Rendering is fully parenthesized; two expressions are considered the same
 condition iff their renderings are byte-identical.
@@ -26,15 +27,28 @@ condition iff their renderings are byte-identical.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import List, Mapping, NamedTuple, Optional
 
-from .model import BitVector, LctError, parse_literal
+from .model import KEYWORDS, BitVector, LctError, parse_literal
 
 
 class ExprError(LctError):
     """Malformed expression or evaluation failure."""
+
+
+class HdlError(LctError):
+    """Syntax error, unsupported construct or stray character, with
+    source coordinates."""
+
+    def __init__(self, message: str, line: Optional[int] = None,
+                 col: Optional[int] = None):
+        where = f" (line {line}, column {col})" if line is not None else ""
+        super().__init__(message + where)
+        self.line = line
+        self.col = col
 
 
 @dataclass(frozen=True)
@@ -73,17 +87,30 @@ class Concat:
     parts: tuple
 
 
+# One match per token: the whitespace and comments before it, then the
+# token, a stray character (`bad`), or the end of the text.  After the
+# skipped run the next character is never whitespace, so the match
+# never backtracks into a comment.  Headers and HDL share these tokens;
+# the parsers decide which of them each may hold.
 _TOKEN_RE = re.compile(r"""
-    \s*(?:
-      (?P<lit>\d+'[bdh][0-9a-fA-F_]+)
+    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
+    (?:(?P<lit>\d+'[bdhBDH][0-9a-fA-F_?zZxX]+)
     | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op><=|>=|==|!=|&&|\|\||[-&|^~!<>(){}?:,])
-    )""", re.VERBOSE)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<op><=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
+    | (?P<bad>\S)
+    | \Z)
+    """, re.VERBOSE | re.DOTALL)
 
 # The most brackets, and the most prefix operators and ternary arms, that
 # may be open at once (see _Parser).
 MAX_DEPTH = 100
+
+# The most brackets or prefix operators codegen opens around a header's
+# canonical text in an `if` guard: the process's `begin`, the `if`, and
+# `(...)` or `(!(...))`.  In canonical text every operator has its own
+# bracket, so this one budget bounds both (see check_guard).
+GUARD_DEPTH = 4
 
 # Binary operators by binding strength, loosest first.
 _BINARY = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
@@ -97,26 +124,37 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(text: str) -> list:
+def tokenize(text: str) -> List[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExprError(f"bad token at {rest[:12]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append(Token(kind, m.group(kind), 1, m.start(kind) + 1))
+    line = 1
+    col = 1  # of the character after the previous token
+    for skipped, lit, num, ident, op, bad in _TOKEN_RE.findall(text):
+        if "\n" in skipped:
+            line += skipped.count("\n")
+            col = len(skipped) - skipped.rindex("\n")
+        else:
+            col += len(skipped)
+        if lit:
+            tok = Token("lit", lit, line, col)
+        elif num:
+            tok = Token("num", num, line, col)
+        elif ident:
+            tok = Token("ident", ident, line, col)
+        elif op:
+            tok = Token("op", op, line, col)
+        elif bad:
+            raise HdlError(f"unexpected character {bad!r}", line, col)
+        else:  # only whitespace and comments were left
+            break
+        tokens.append(tok)
+        col += len(tok.text)
     return tokens
 
 
 class _Parser:
     """Recursive descent over a token list.  The HDL parser extends it
-    with statements, overriding `error` (to locate errors) and
-    `is_ident` (to reserve keywords).
+    with statements, overriding `error` (to locate errors).  Reserved
+    words are never identifiers.
 
     Nesting is bounded, so no input can exhaust the interpreter stack:
     at most MAX_DEPTH brackets (also `begin` and the bodies of `if` and
@@ -138,7 +176,7 @@ class _Parser:
         return ExprError(message)
 
     def is_ident(self, tok) -> bool:
-        return tok.kind == "ident"
+        return tok.kind == "ident" and tok.text not in KEYWORDS
 
     def peek(self):
         try:
@@ -252,12 +290,26 @@ class _Parser:
 def parse_expr(text: str):
     try:
         parser = _Parser(tokenize(text))
+        # Once the text tokenizes, a '/' can only be in a comment.
+        if "/" in text:
+            raise ExprError("comments are not allowed")
         node = parser.expression()
     except LctError as e:
         raise ExprError(f"in expression {text!r}: {e}")
     if parser.i != len(parser.tokens):
         raise ExprError(f"trailing tokens in expression {text!r}")
     return node
+
+
+def check_guard(canonical: str):
+    """Raise ExprError unless a header's canonical text parses inside
+    what codegen opens around it in an `if` guard."""
+    parser = _Parser(tokenize(canonical))
+    parser.brackets = parser.operators = GUARD_DEPTH
+    try:
+        parser.expression()
+    except ExprError as e:
+        raise ExprError(f"{e} inside codegen's `if` guard") from None
 
 
 def render(node) -> str:
@@ -319,7 +371,12 @@ def rename(node, renames: Mapping[str, str]):
     raise ExprError(f"cannot walk {node!r}")
 
 
-_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+# Operators with a 1-bit result, and the bitwise ones, whose operand
+# widths must agree.
+_ONE_BIT = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+            "&&": lambda a, b: bool(a and b), "||": lambda a, b: bool(a or b)}
+_BITWISE = {"&": operator.and_, "|": operator.or_, "^": operator.xor}
 
 
 def _widths_agree(a: Optional[int], b: Optional[int], op: str) -> int:
@@ -376,24 +433,10 @@ def _eval(node, inputs):
         lw, lv = _eval(node.lhs, inputs)
         rw, rv = _eval(node.rhs, inputs)
         op = node.op
-        if op in _COMPARISONS:
-            result = {
-                "==": lv == rv, "!=": lv != rv,
-                "<": lv < rv, "<=": lv <= rv,
-                ">": lv > rv, ">=": lv >= rv,
-            }[op]
-            return 1, int(result)
-        if op == "&&":
-            return 1, int(bool(lv) and bool(rv))
-        if op == "||":
-            return 1, int(bool(lv) or bool(rv))
-        w = _widths_agree(lw, rw, op)
-        if op == "&":
-            return w, lv & rv
-        if op == "|":
-            return w, lv | rv
-        if op == "^":
-            return w, lv ^ rv
+        if op in _ONE_BIT:
+            return 1, int(_ONE_BIT[op](lv, rv))
+        if op in _BITWISE:
+            return _widths_agree(lw, rw, op), _BITWISE[op](lv, rv)
         raise ExprError(f"unsupported operator {op!r}")
     raise ExprError(f"cannot evaluate {node!r}")
 

@@ -146,6 +146,13 @@ class _Builder:
         idx = self._schema_expr_index(node)
         if idx is not None:
             return self._constrain(env, self.headers[idx].key, 1)
+        # `~~x` and `{x}` are `x`.  Folding them keeps a guard nested to
+        # the reader's limit in these within what validate_lct allows.
+        if isinstance(node, ex.Concat) and len(node.parts) == 1:
+            return self._apply_condition(env, node.parts[0])
+        if isinstance(node, ex.Unary) and node.op == "~" and \
+                isinstance(node.arg, ex.Unary) and node.arg.op == "~":
+            return self._apply_condition(env, node.arg.arg)
         if isinstance(node, ex.Unary) and node.op == "!":
             idx = self._schema_expr_index(node.arg)
             if idx is not None:

@@ -13,76 +13,11 @@ import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .model import Clocking, Direction, LctError
+from .model import UNSUPPORTED, Clocking, Direction
 from . import expr as ex
-from .expr import Token
-
-
-class HdlError(LctError):
-    """Syntax error or unsupported construct, with source coordinates."""
-
-    def __init__(self, message: str, line: Optional[int] = None,
-                 col: Optional[int] = None):
-        where = f" (line {line}, column {col})" if line is not None else ""
-        super().__init__(message + where)
-        self.line = line
-        self.col = col
-
-
-UNSUPPORTED = {
-    "for", "while", "repeat", "forever", "function", "task", "generate",
-    "genvar", "initial", "fork", "join", "specify", "primitive", "table",
-    "real", "event", "deassign", "force", "release", "wait", "disable",
-}
-
-KEYWORDS = {
-    "module", "endmodule", "input", "output", "inout", "wire", "reg",
-    "always", "assign", "begin", "end", "if", "else", "case", "casez",
-    "casex", "endcase", "default", "posedge", "negedge", "or", "integer",
-    "signed", "parameter", "localparam",
-} | UNSUPPORTED
-
-
-# One match per token: the whitespace and comments before it, then the
-# token, a stray character (`bad`), or the end of the text.  After the
-# skipped run the next character is never whitespace, so the match
-# never backtracks into a comment.
-_HDL_TOKEN_RE = re.compile(r"""
-    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
-    (?:(?P<lit>\d+'[bdhBDH][0-9a-fA-F_?zZxX]+)
-    | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-    | (?P<op><=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
-    | (?P<bad>\S)
-    | \Z)
-    """, re.VERBOSE | re.DOTALL)
-
-
-def tokenize(text: str) -> List[Token]:
-    tokens = []
-    line = 1
-    col = 1  # of the character after the previous token
-    for skipped, lit, num, ident, op, bad in _HDL_TOKEN_RE.findall(text):
-        if "\n" in skipped:
-            line += skipped.count("\n")
-            col = len(skipped) - skipped.rindex("\n")
-        else:
-            col += len(skipped)
-        if lit:
-            tok = Token("lit", lit, line, col)
-        elif num:
-            tok = Token("num", num, line, col)
-        elif ident:
-            tok = Token("ident", ident, line, col)
-        elif op:
-            tok = Token("op", op, line, col)
-        elif bad:
-            raise HdlError(f"unexpected character {bad!r}", line, col)
-        else:  # only whitespace and comments were left
-            break
-        tokens.append(tok)
-        col += len(tok.text)
-    return tokens
+# The shared tokenizer, bound under the name parse_hdl calls, so that a
+# wrapper on `hdl.tokenize` (perfbench's span) sees every HDL parse.
+from .expr import HdlError, Token, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +103,9 @@ class _Parser(ex._Parser):
     """The statement layer over the shared expression grammar."""
 
     def error(self, message: str, tok: Optional[Token] = None) -> HdlError:
-        if tok is None and self.tokens:
+        if tok is None:  # parse_hdl never reads an empty token list
             tok = self.tokens[min(self.i, len(self.tokens) - 1)]
-        return HdlError(message, tok.line if tok else None,
-                        tok.col if tok else None)
-
-    def is_ident(self, tok: Token) -> bool:
-        return tok.kind == "ident" and tok.text not in KEYWORDS
+        return HdlError(message, tok.line, tok.col)
 
     def take_ident(self) -> Token:
         tok = self.take()
@@ -184,8 +115,7 @@ class _Parser(ex._Parser):
 
     def check_supported(self, tok: Token):
         if tok.text in UNSUPPORTED:
-            raise HdlError(f"unsupported construct {tok.text!r}",
-                           tok.line, tok.col)
+            raise self.error(f"unsupported construct {tok.text!r}", tok)
 
     # -- module structure ---------------------------------------------------
 
@@ -215,8 +145,7 @@ class _Parser(ex._Parser):
             elif tok.text == "always":
                 module.processes.append(self.always_block())
             else:
-                raise HdlError(f"unsupported module item {tok.text!r}",
-                               tok.line, tok.col)
+                raise self.error(f"unsupported module item {tok.text!r}", tok)
         self.take("endmodule")
         return module
 
@@ -225,8 +154,8 @@ class _Parser(ex._Parser):
         try:
             direction = Direction(tok.text)
         except ValueError:
-            raise HdlError(f"expected port direction, found {tok.text!r}",
-                           tok.line, tok.col)
+            raise self.error(f"expected port direction, found {tok.text!r}",
+                             tok)
         is_reg = False
         if self.peek() and self.peek().text in ("wire", "reg"):
             is_reg = self.take().text == "reg"
@@ -309,8 +238,7 @@ class _Parser(ex._Parser):
                         break
             self.take(")")
         if clocks and combinational:
-            raise HdlError("mixed edge and level sensitivity", tok.line,
-                           tok.col)
+            raise self.error("mixed edge and level sensitivity", tok)
         kind = Clocking.CLOCKED if clocks else Clocking.COMBINATIONAL
         body = self.statement_block()
         return HdlProcess(kind, clocks, resets, body, tok.line)
@@ -348,13 +276,11 @@ class _Parser(ex._Parser):
             name = self.take_ident()
             op = self.take()
             if op.text not in ("=", "<="):
-                raise HdlError(f"expected assignment, found {op.text!r}",
-                               op.line, op.col)
+                raise self.error(f"expected assignment, found {op.text!r}", op)
             rhs = self.expression()
             self.take(";")
             return [HAssign(name.text, rhs, op.text == "<=", name.line)]
-        raise HdlError(f"unsupported statement {tok.text!r}", tok.line,
-                       tok.col)
+        raise self.error(f"unsupported statement {tok.text!r}", tok)
 
     def if_statement(self) -> HIf:
         """One arm per `if` / `else if`, read in a loop: a chain of any
@@ -381,7 +307,7 @@ class _Parser(ex._Parser):
     def case_statement(self) -> HCase:
         tok = self.take()
         if tok.text == "casex":
-            raise HdlError("unsupported construct 'casex'", tok.line, tok.col)
+            raise self.error("unsupported construct 'casex'", tok)
         wildcard = tok.text == "casez"
         self.take("(")
         subject = self.expression()
@@ -416,16 +342,15 @@ class _Parser(ex._Parser):
             self.take()
             m = re.match(r"(\d+)'[bB]([01?zZxX_]+)\Z", tok.text)
             if not m or not wildcard:
-                raise HdlError(f"bad case label {tok.text!r}", tok.line,
-                               tok.col)
+                raise self.error(f"bad case label {tok.text!r}", tok)
             width = int(m.group(1))
             bits = m.group(2).replace("_", "").lower().replace("z", "?")
             if "x" in bits:
-                raise HdlError(f"x bits are not supported in {tok.text!r}",
-                               tok.line, tok.col)
+                raise self.error(
+                    f"x bits are not supported in {tok.text!r}", tok)
             if len(bits) != width:
-                raise HdlError(f"case label width mismatch in {tok.text!r}",
-                               tok.line, tok.col)
+                raise self.error(
+                    f"case label width mismatch in {tok.text!r}", tok)
             return CasePattern(width, bits)
         return self.expression()
 
@@ -435,10 +360,4 @@ def parse_hdl(text: str) -> HdlModule:
     tokens = tokenize(text)
     if not tokens:
         raise HdlError("empty input", 1, 1)
-    parser = _Parser(tokens)
-    if not parser.at("module"):
-        tok = parser.peek()
-        raise HdlError(f"expected 'module', found {tok.text!r}", tok.line,
-                       tok.col)
-    module = parser.module()
-    return module
+    return _Parser(tokens).module()

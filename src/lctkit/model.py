@@ -14,6 +14,20 @@ from enum import Enum
 from typing import Optional, Union
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# Reserved words, which no name or header may use: the HDL constructs the
+# reader names as unsupported when it meets one, and the subset's own.
+UNSUPPORTED = frozenset({
+    "for", "while", "repeat", "forever", "function", "task", "generate",
+    "genvar", "initial", "fork", "join", "specify", "primitive", "table",
+    "real", "event", "deassign", "force", "release", "wait", "disable",
+})
+KEYWORDS = frozenset({
+    "module", "endmodule", "input", "output", "inout", "wire", "reg",
+    "always", "assign", "begin", "end", "if", "else", "case", "casez",
+    "casex", "endcase", "default", "posedge", "negedge", "or", "integer",
+    "signed", "parameter", "localparam",
+}) | UNSUPPORTED
 _SIZED_LITERAL_RE = re.compile(r"(\d+)'([bdh])([0-9a-fA-F_]+)\Z")
 _DECIMAL_RE = re.compile(r"\d+\Z")
 
@@ -199,6 +213,15 @@ class ExprHeader:
         from . import expr
         return expr.identifiers(self.tree)
 
+    def check(self, ports: dict):
+        """Raise ExprError unless the operand widths agree at the ports'
+        widths (without `?:`, one evaluation at zero inputs decides) and
+        the canonical text nests within codegen's `if` guard."""
+        from . import expr
+        expr.evaluate(self.tree, {name: BitVector(ports[name].width, 0)
+                                  for name in self.identifiers()})
+        expr.check_guard(self.canonical)
+
     def __eq__(self, other):
         return isinstance(other, ExprHeader) and self.canonical == other.canonical
 
@@ -327,6 +350,9 @@ def validate_lct(table: Lct) -> list:
 
     if not IDENT_RE.match(table.name):
         bad("bad-name", f"table name {table.name!r} is not an identifier")
+    for name in [table.name] + [p.name for p in table.ports.entries]:
+        if name in KEYWORDS:
+            bad("bad-name", f"name {name!r} is a reserved word")
 
     ports = {p.name: p for p in table.ports.entries}
     input_names = {p.name for p in table.ports.inputs()}
@@ -348,11 +374,16 @@ def validate_lct(table: Lct) -> list:
                     f"condition {header.name} is not an input port",
                     column=header.name)
         else:
-            for ident in sorted(header.identifiers()):
-                if ident not in input_names:
-                    bad("unknown-port",
-                        f"expression condition references {ident}, "
-                        "not an input port", column=header.text)
+            unknown = sorted(header.identifiers() - input_names)
+            for ident in unknown:
+                bad("unknown-port",
+                    f"expression condition references {ident}, "
+                    "not an input port", column=header.text)
+            if not unknown:
+                try:
+                    header.check(ports)
+                except LctError as e:
+                    bad("bad-expr", str(e), column=header.text)
     if len(keys) != len(set(keys)):
         bad("dup-condition", "duplicate condition columns")
     if len(table.results) != len(set(table.results)):

@@ -68,22 +68,21 @@ class InversePayload:
     arbiter_table: Optional[Lct] = None
 
 
-def mux2_example() -> Lct:
-    """The bundled worked example used as few-shot context in the
-    inverse prompt: a combinational 2-input mux."""
-    ports = PortMap((
-        Port(Direction.INPUT, "select", 1),
-        Port(Direction.INPUT, "data0", 8),
-        Port(Direction.INPUT, "data1", 8),
-        Port(Direction.OUTPUT, "data_out", 8),
-    ))
-    rows = (
-        CaseRow((Constant(BitVector(1, 0)),), (SignalRef("data0"),)),
-        CaseRow((Constant(BitVector(1, 1)),), (SignalRef("data1"),)),
-    )
-    return Lct(name="mux2", clocking=Clocking.COMBINATIONAL,
-               conditions=(SignalHeader("select"),), results=("data_out",),
-               rows=rows, ports=ports)
+# The inverse prompt's worked example, a combinational 2-input mux.  Its
+# HDL and unit document are built once, at import: a lazy cache could be
+# filled twice by concurrent round trips.
+_MUX2 = Lct(name="mux2", clocking=Clocking.COMBINATIONAL,
+            conditions=(SignalHeader("select"),), results=("data_out",),
+            rows=(CaseRow((Constant(BitVector(1, 0)),),
+                          (SignalRef("data0"),)),
+                  CaseRow((Constant(BitVector(1, 1)),),
+                          (SignalRef("data1"),))),
+            ports=PortMap((Port(Direction.INPUT, "select", 1),
+                           Port(Direction.INPUT, "data0", 8),
+                           Port(Direction.INPUT, "data1", 8),
+                           Port(Direction.OUTPUT, "data_out", 8))))
+_MUX2_HDL = codegen.gen_unit(_MUX2)
+_MUX2_DOC = tableio.serialize_unit_doc(_MUX2)
 
 
 def build_forward_prompt(table: Lct) -> TransformRequest:
@@ -125,9 +124,6 @@ def build_inverse_prompt(hdl_text: str,
     """Inverse prompt: LCT definition, the MUX2 worked example (HDL and
     table), the HDL to evaluate, and the column headers, in that order."""
     conditions, results = schema
-    example = mux2_example()
-    example_hdl = codegen.gen_unit(example)
-    example_doc = tableio.serialize_unit_doc(example)
     prompt = f"""Reconstruct a logic condition table (LCT) from Verilog.
 
 1. An LCT is a table specifying logic: its columns are input conditions and
@@ -138,11 +134,11 @@ its prior value.
 
 2. Example Verilog (a 2-input mux):
 
-{example_hdl}
+{_MUX2_HDL}
 3. The corresponding LCT, written as a unit manifest, a "---" line, and the
 table in CSV format:
 
-{example_doc}
+{_MUX2_DOC}
 4. The Verilog to evaluate:
 
 {hdl_text}

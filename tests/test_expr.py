@@ -40,10 +40,18 @@ def test_ternary_and_concat_render():
     assert render(parse_expr("{a, b}")) == "{a, b}"
 
 
-@pytest.mark.parametrize("text", ["a &", "(a", "a ? b", "a @ b", ""])
+@pytest.mark.parametrize("text", ["a &", "(a", "a ? b", "a @ b", "",
+                                  "a = b", "a[0]", "a & end", "if",
+                                  "a // b", "a /* b */ & c", "a $"])
 def test_malformed_expressions_raise(text):
+    """HDL-only tokens, reserved words and comments have no place in a
+    header."""
     with pytest.raises(ExprError):
         parse_expr(text)
+
+
+def test_upper_case_base_literal_reads_as_in_hdl():
+    assert render(parse_expr("a == 8'HFF")) == "(a == 8'd255)"
 
 
 def test_identifiers_collects_all_names():

@@ -165,8 +165,9 @@ def tables(draw):
         header = make(text)
         by_key.setdefault(header.key, header)
     conditions = tuple(by_key.values())
+    # `b` is as wide as `a`: `a & b` over unequal widths is `bad-expr`.
     ports = PortMap((Port(Direction.INPUT, "a", width),
-                     Port(Direction.INPUT, "b", 1),
+                     Port(Direction.INPUT, "b", width),
                      Port(Direction.OUTPUT, "q", 2)))
     table = Lct("t", Clocking.COMBINATIONAL, conditions, ("q",), (), ports)
     cell = st.one_of(st.just(DONT_CARE), st.integers(0, 3).map(
