@@ -417,8 +417,17 @@ def _eval(node, inputs):
             return w, (~v) & ((1 << w) - 1)
         return 1, 0 if v else 1  # '!'
     if isinstance(node, Ternary):
+        # Both arms are evaluated, agree in width (two bare decimals are
+        # 32 bits wide, as for `&`) and fit it, so that the result's width
+        # does not depend on the condition's value.
         _, c = _eval(node.cond, inputs)
-        return _eval(node.then if c else node.other, inputs)
+        tw, tv = _eval(node.then, inputs)
+        ow, ov = _eval(node.other, inputs)
+        width = _widths_agree(tw, ow, "?:")
+        if max(tv, ov) >> width:
+            raise ExprError(f"value {max(tv, ov)} does not fit in {width} "
+                            f"bits for operator '?:'")
+        return width, tv if c else ov
     if isinstance(node, Concat):
         width = 0
         value = 0

@@ -215,8 +215,9 @@ class ExprHeader:
 
     def check(self, ports: dict):
         """Raise ExprError unless the operand widths agree at the ports'
-        widths (without `?:`, one evaluation at zero inputs decides) and
-        the canonical text nests within codegen's `if` guard."""
+        widths (one evaluation at zero inputs decides, as `?:` evaluates
+        both arms) and the canonical text nests within codegen's `if`
+        guard."""
         from . import expr
         expr.evaluate(self.tree, {name: BitVector(ports[name].width, 0)
                                   for name in self.identifiers()})

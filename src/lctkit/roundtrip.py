@@ -12,9 +12,12 @@ arbiter that attributes a mismatch to the forward or inverse direction.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -408,6 +411,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+# A unit's run directory: ``record.json`` maps every other artifact's name
+# to its text under "artifacts", and ``verdict.txt`` is written after it.
+RECORD = "record.json"
+VERDICT = "verdict.txt"
+
+
 def _persist(run_dir: Optional[str], unit: str, artifacts: Mapping[str, str],
              digests: dict) -> Optional[str]:
     for name, text in artifacts.items():
@@ -415,10 +424,19 @@ def _persist(run_dir: Optional[str], unit: str, artifacts: Mapping[str, str],
     if run_dir is None:
         return None
     directory = os.path.join(run_dir, unit)
-    os.makedirs(directory, exist_ok=True)
-    for name, text in artifacts.items():
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
-            f.write(text)
+    verdict_path = os.path.join(directory, VERDICT)
+    try:
+        os.makedirs(directory)
+    except FileExistsError:
+        # A rerun: a verdict must never sit beside a record being rewritten.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(verdict_path)
+    record = {"artifacts": {name: text for name, text in artifacts.items()
+                            if name != VERDICT}}
+    with open(os.path.join(directory, RECORD), "w", encoding="utf-8") as f:
+        f.write(json.dumps(record, indent=2, ensure_ascii=False))
+    with open(verdict_path, "w", encoding="utf-8") as f:
+        f.write(artifacts[VERDICT])
     return directory
 
 
@@ -454,12 +472,13 @@ def _simulate(original: Lct, extracted: Optional[Lct],
 
 def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
                   run_dir: Optional[str] = None,
-                  enum_limit: int = analysis.DEFAULT_ENUM_LIMIT
-                  ) -> RoundTripReport:
+                  enum_limit: int = analysis.DEFAULT_ENUM_LIMIT, *,
+                  _dir_name: Optional[str] = None) -> RoundTripReport:
     """Execute the closed loop for one unit: forward transform, inverse
     transform, alignment + comparison, optional simulation, and outcome
     classification.  All intermediate artifacts are persisted when a run
-    directory is given."""
+    directory is given, under ``<run_dir>/<unit name>`` (``run_many``
+    passes ``_dir_name`` to keep units of one name apart)."""
     timings = {}
     digests = {}
     notes = []
@@ -537,8 +556,8 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
 
     evidence = Evidence(textual, semantic, sim_verdict, arbiter)
     outcome = classify_outcome(evidence)
-    artifacts["verdict.txt"] = _verdict_record(unit, outcome, counterexample)
-    run_path = _persist(run_dir, unit.name, artifacts, digests)
+    artifacts[VERDICT] = _verdict_record(unit, outcome, counterexample)
+    run_path = _persist(run_dir, _dir_name or unit.name, artifacts, digests)
 
     return RoundTripReport(unit=unit.name, outcome=outcome,
                            forward_backend=fwd.name,
@@ -567,14 +586,23 @@ def run_many(units: Sequence[Lct], fwd, inv, sim_suites=None,
              enum_limit: int = analysis.DEFAULT_ENUM_LIMIT
              ) -> List[RoundTripReport]:
     """Round-trip several units concurrently; each unit's pipeline stays
-    sequential and reports come back in input order."""
+    sequential and reports come back in input order.  A unit persists to
+    ``<run_dir>/<name>``, or to ``<run_dir>/<name>-<n>`` when it is the
+    n-th unit of that name (n >= 2); a name is an identifier, so that
+    never meets another unit's directory."""
     sim_suites = sim_suites or {}
+    seen = Counter()
+    dir_names = []
+    for unit in units:
+        seen[unit.name] += 1
+        n = seen[unit.name]
+        dir_names.append(unit.name if n == 1 else f"{unit.name}-{n}")
 
-    def job(unit: Lct) -> RoundTripReport:
+    def job(unit: Lct, dir_name: str) -> RoundTripReport:
         return run_roundtrip(unit, fwd, inv, sim_suites.get(unit.name),
-                             run_dir, enum_limit)
+                             run_dir, enum_limit, _dir_name=dir_name)
 
     if workers <= 1 or len(units) <= 1:
-        return [job(u) for u in units]
+        return list(map(job, units, dir_names))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, units))
+        return list(pool.map(job, units, dir_names))

@@ -230,8 +230,13 @@ def step_clocked(table: Lct, state: SeqState,
     inputs keep the prior register values."""
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("step_clocked requires a clocked table")
+    return _step(table, compile_rows(table), state, inputs)
+
+
+def _step(table: Lct, compiled: List[tuple], state: SeqState,
+          inputs: Mapping[str, BitVector]) -> SeqState:
+    """``step_clocked`` over rows already compiled by ``compile_rows``."""
     assignment = control_assignment(table, inputs)
-    compiled = compile_rows(table)
     index = first_match(compiled, assignment)
     if index is None:
         return state
@@ -253,6 +258,7 @@ def run_trace(table: Lct, stimulus: List[Mapping[str, BitVector]],
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("run_trace requires a clocked table")
     state = initial if initial is not None else initial_state(table)
+    compiled = compile_rows(table)
     states = []
     for cycle, vector in enumerate(stimulus):
         inputs = dict(vector)
@@ -265,7 +271,7 @@ def run_trace(table: Lct, stimulus: List[Mapping[str, BitVector]],
                     f"cycle {cycle}: feedback {result} -> {cond} is not a "
                     f"known value ({value})")
             inputs[cond] = value.bv
-        state = step_clocked(table, state, inputs)
+        state = _step(table, compiled, state, inputs)
         states.append(state)
     return states
 

@@ -14,7 +14,8 @@ Manifest grammar ('#' starts a comment):
 
 CSV dialect: comma separated, no quoting, whitespace trimmed per cell,
 mandatory header row.  An optional leading "Case" column and trailing
-"Comments" column are preserved but carry no semantics.
+"Comments" column are preserved but carry no semantics; they are told
+from ports of those names by the manifest's column counts.
 """
 
 from __future__ import annotations
@@ -137,10 +138,21 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
         raise ParseError("empty CSV", 1)
     header = [cell.strip() for cell in lines[0].split(",")]
 
-    has_case = bool(header) and header[0].lower() == "case"
+    # A first "case" or last "comments" header is a label or comment
+    # column only when the header has more columns than the manifest
+    # declares; else it names a port.
+    extra = len(header) - n_inputs - n_outputs
+    has_case = extra > 0 and header[0].lower() == "case"
+    has_comments = extra > 0 and header[-1].lower() == "comments"
+    if extra == 1 and has_case and has_comments:
+        # One of the two: column n_inputs is the last condition when the
+        # first is a label, and the first result when the last is a
+        # comment.
+        port = portmap.get(header[n_inputs])
+        has_case = port is None or port.direction is not Direction.OUTPUT
+        has_comments = not has_case
     if has_case:
         header = header[1:]
-    has_comments = bool(header) and header[-1].lower() == "comments"
     if has_comments:
         header = header[:-1]
     if len(header) != n_inputs + n_outputs:

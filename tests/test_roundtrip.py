@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -104,18 +106,48 @@ def test_fixtures_roundtrip_to_match():
         assert report.outcome.label is rt.Label.M, name
 
 
+def _read_run_dir(unit_dir):
+    """{artifact name: text} from a unit's run directory, which holds
+    exactly ``record.json`` and ``verdict.txt``."""
+    assert sorted(os.listdir(unit_dir)) == ["record.json", "verdict.txt"]
+    with open(os.path.join(unit_dir, "record.json"), encoding="utf-8") as f:
+        texts = dict(json.load(f)["artifacts"])
+    with open(os.path.join(unit_dir, "verdict.txt"), encoding="utf-8") as f:
+        texts["verdict.txt"] = f.read()
+    return texts
+
+
+def _digests(texts):
+    return {name: hashlib.sha256(text.encode()).hexdigest()[:16]
+            for name, text in texts.items()}
+
+
 def test_roundtrip_persists_artifacts(tmp_path):
     table = load_fixture("mux4")
     report = rt.run_roundtrip(table, det(), det(), run_dir=str(tmp_path))
     unit_dir = os.path.join(str(tmp_path), "mux4")
-    expected = {"forward_prompt.txt", "forward_response.txt", "mux4.v",
-                "inverse_prompt.txt", "inverse_response.txt",
-                "reconstructed.unit", "verdict.txt"}
-    assert expected <= set(os.listdir(unit_dir))
-    with open(os.path.join(unit_dir, "verdict.txt")) as f:
-        record = f.read()
-    assert "label=M" in record
-    assert set(report.digests) == expected
+    assert report.run_dir == unit_dir
+    texts = _read_run_dir(unit_dir)
+    assert set(texts) == {"forward_prompt.txt", "forward_response.txt",
+                          "mux4.v", "inverse_prompt.txt",
+                          "inverse_response.txt", "reconstructed.unit",
+                          "verdict.txt"}
+    assert "label=M" in texts["verdict.txt"].splitlines()
+    assert _digests(texts) == report.digests
+
+
+def test_units_sharing_a_name_keep_their_own_run_directories(tmp_path):
+    twins = [dataclasses.replace(load_fixture(name), name="twin")
+             for name in ("mux4", "regmux2")]
+    for _ in range(2):  # the rerun overwrites the same two directories
+        reports = rt.run_many(twins, det(), det(), run_dir=str(tmp_path),
+                              workers=2)
+        assert [r.run_dir for r in reports] == \
+            [str(tmp_path / "twin"), str(tmp_path / "twin-2")]
+        assert sorted(os.listdir(tmp_path)) == ["twin", "twin-2"]
+        texts = [_read_run_dir(r.run_dir) for r in reports]
+        assert texts[0]["twin.v"] != texts[1]["twin.v"]
+        assert [_digests(t) for t in texts] == [r.digests for r in reports]
 
 
 def test_run_many_preserves_order():

@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lctkit import sim
-from lctkit.model import BitVector
-from .util import load_fixture
+from lctkit import analysis, sim
+from lctkit.model import BitVector, Clocking, LctError, SignalHeader
+from .util import load_fixture, random_lct, random_passthrough_lct
 
 BV = BitVector
 
@@ -155,3 +158,71 @@ def test_format_trace_round_trips_through_grammar():
 def test_control_space_size():
     assert sim.control_space_size(load_fixture("mux4")) == 8
     assert sim.control_space_size(load_fixture("fsm4")) == 32
+
+
+# --- run_trace against a loop of step_clocked calls -------------------------
+
+def _reference_trace(table, stimulus):
+    """``run_trace`` as one public ``step_clocked`` call per cycle."""
+    state = sim.initial_state(table)
+    states = []
+    for cycle, vector in enumerate(stimulus):
+        inputs = dict(vector)
+        for result, cond in table.feedback:
+            if cond not in inputs:
+                value = state.get(result)
+                if not isinstance(value, sim.Known):
+                    raise sim.SimError(
+                        f"cycle {cycle}: feedback {result} -> {cond} is not "
+                        f"a known value ({value})")
+                inputs[cond] = value.bv
+        state = sim.step_clocked(table, state, inputs)
+        states.append(state)
+    return states
+
+
+def _clocked_table(kind, seed):
+    """A clocked table of one of three generators.  A ``tests/util``
+    table gets a feedback binding from a result to a signal condition of
+    the same width when it has one, so that a pass-through, don't-care
+    or hold result can reach a fed-back condition."""
+    if kind == "fsm":
+        rng = random.Random(seed)
+        return analysis.generate_fsm(rng.choice([2, 4, 8]), rng.randint(1, 3),
+                                     rng.randint(0, 2), seed)
+    table = random_lct(seed, clocked=True, max_control_bits=6) \
+        if kind == "random" else random_passthrough_lct(seed)
+    table = dataclasses.replace(table, clocking=Clocking.CLOCKED)
+    pairs = [(result, header.name) for header in table.conditions
+             if isinstance(header, SignalHeader)
+             for result in table.results
+             if table.result_width(result) == table.condition_width(header)]
+    if pairs and seed % 3:
+        table = dataclasses.replace(table,
+                                    feedback=(pairs[seed % len(pairs)],))
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "passthrough", "fsm"]),
+       st.integers(0, 10**6), st.integers(0, 12), st.integers(0, 10**6))
+def test_run_trace_equals_a_loop_of_step_clocked(kind, seed, cycles,
+                                                 stimulus_seed):
+    """The same states, or the same error (a ``SimError``, or an
+    ``ExprError`` for an expression input left out), as stepping cycle
+    by cycle; a vector now and then lacks an input."""
+    table = _clocked_table(kind, seed)
+    rng = random.Random(stimulus_seed)
+    fed = {cond for _, cond in table.feedback}
+    ports = [p for p in table.ports.inputs() if p.name not in fed]
+    stimulus = [{p.name: BV(p.width, rng.randrange(1 << p.width))
+                 for p in ports if rng.random() > 0.02}
+                for _ in range(cycles)]
+
+    def outcome(run):
+        try:
+            return run(table, stimulus)
+        except LctError as e:
+            return f"{type(e).__name__}: {e}"
+
+    assert outcome(sim.run_trace) == outcome(_reference_trace)

@@ -5,12 +5,18 @@ import pytest
 from lctkit import tableio
 from lctkit.model import (
     BitVector,
+    CaseRow,
     Clocking,
     Constant,
     DONT_CARE,
+    Direction,
     ExprHeader,
+    Lct,
+    Port,
+    PortMap,
     SignalHeader,
     SignalRef,
+    validate_lct,
 )
 from .util import TABLES_DIR, load_fixture, random_lct
 
@@ -160,6 +166,27 @@ def test_comments_survive_round_trip():
     manifest, csv = tableio.serialize_unit(table)
     assert "Disabled" in csv
     assert tableio.parse_unit(manifest, csv).rows[0].comment == "Disabled"
+
+
+@pytest.mark.parametrize("condition, result", [
+    ("Case", "q"), ("CASE", "q"), ("a", "Comments"), ("a", "comments"),
+    ("Case", "Comments")])
+@pytest.mark.parametrize("label, comment", [
+    (None, None), ("L0", None), (None, "note"), ("L0", "note")])
+def test_ports_named_like_label_and_comment_columns_read_back(
+        condition, result, label, comment):
+    """A first port `Case` or a last port `Comments` is a data column;
+    label and comment columns still read as such beside them.  (`case`
+    is a reserved word, so no port has that name.)"""
+    table = Lct("u", Clocking.COMBINATIONAL, (SignalHeader(condition),),
+                (result,),
+                (CaseRow((Constant(BitVector(1, 1)),),
+                         (Constant(BitVector(1, 0)),), label=label,
+                         comment=comment),),
+                PortMap((Port(Direction.INPUT, condition, 1),
+                         Port(Direction.OUTPUT, result, 1))))
+    assert validate_lct(table) == []
+    assert tableio.parse_unit_doc(tableio.serialize_unit_doc(table)) == table
 
 
 CONNECTIVITY = """\

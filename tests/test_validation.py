@@ -164,6 +164,9 @@ def test_mixed_width_header_is_rejected():
     assert [(v.code, v.column, v.message) for v in validate_lct(table)] == \
         [("bad-expr", "a & b", "width mismatch 3 vs 1 for operator '&'")]
     assert validate_lct(_expr_table("a & b", a=3, b=3)) == []
+    table = _expr_table("s ? (a & b) : b", s=1, a=3, b=1)
+    assert [(v.code, v.message) for v in validate_lct(table)] == \
+        [("bad-expr", "width mismatch 3 vs 1 for operator '&'")]
 
 
 _OPERAND = st.sampled_from(["a", "b", "c", "1", "2", "3'd5", "1'b1"])
@@ -175,15 +178,17 @@ def _combine(parts):
         st.tuples(parts, st.sampled_from(sorted(expr._BINARY)), parts)
         .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
         st.lists(parts, min_size=1, max_size=3)
-        .map(lambda ps: "{" + ", ".join(ps) + "}"))
+        .map(lambda ps: "{" + ", ".join(ps) + "}"),
+        st.tuples(parts, parts, parts)
+        .map(lambda t: f"({t[0]} ? {t[1]} : {t[2]})"))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(_OPERAND, _combine, max_leaves=6),
        st.tuples(*[st.integers(1, 3)] * 3))
 def test_header_that_validates_evaluates_at_every_input(header, widths):
-    """Without `?:`, one evaluation at all-zero inputs decides whether
-    operand widths agree at every input."""
+    """One evaluation at all-zero inputs decides whether operand widths
+    agree at every input, also inside either arm of `?:`."""
     table = _expr_table(header, **dict(zip("abc", widths)))
     if "bad-expr" in [v.code for v in validate_lct(table)]:
         return
