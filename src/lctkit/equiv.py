@@ -116,7 +116,7 @@ def _match_ports(a: Lct, b: Lct, aliases: Mapping[str, str]) -> Dict[str, str]:
 
 
 def _rename_table(table: Lct, renames: Mapping[str, str]) -> Lct:
-    def rename_cell(cell, own: Optional[str]):
+    def rename_cell(cell):
         if isinstance(cell, SignalRef):
             return SignalRef(renames.get(cell.name, cell.name))
         return cell
@@ -132,8 +132,7 @@ def _rename_table(table: Lct, renames: Mapping[str, str]) -> Lct:
     results = tuple(renames.get(name, name) for name in table.results)
     rows = tuple(
         CaseRow(row.inputs,
-                tuple(rename_cell(c, n)
-                      for n, c in zip(results, row.outputs)),
+                tuple(rename_cell(c) for c in row.outputs),
                 label=row.label, comment=row.comment)
         for row in table.rows)
     ports = PortMap(tuple(

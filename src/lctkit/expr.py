@@ -87,6 +87,15 @@ class Concat:
     parts: tuple
 
 
+@dataclass(frozen=True)
+class CasePattern:
+    """A `casez` label with wildcard bits, e.g. 3'b0??.  Only the HDL
+    reader makes one, as the right operand of a case arm's `==`; it has
+    no value, so `evaluate` rejects it."""
+    width: int
+    bits: str  # one char per bit, msb first: 0, 1, or ?
+
+
 # One match per token: the whitespace and comments before it, then the
 # token, a stray character (`bad`), or the end of the text.  After the
 # skipped run the next character is never whitespace, so the match
@@ -329,13 +338,15 @@ def render(node) -> str:
                 f" : {render(node.other)})")
     if isinstance(node, Concat):
         return "{" + ", ".join(render(p) for p in node.parts) + "}"
+    if isinstance(node, CasePattern):
+        return f"{node.width}'b{node.bits}"
     raise ExprError(f"cannot render {node!r}")
 
 
 def identifiers(node) -> frozenset:
     if isinstance(node, Ident):
         return frozenset((node.name,))
-    if isinstance(node, Num):
+    if isinstance(node, (Num, CasePattern)):
         return frozenset()
     if isinstance(node, Unary):
         return identifiers(node.arg)
@@ -356,7 +367,7 @@ def rename(node, renames: Mapping[str, str]):
     """The same tree with each identifier mapped through `renames`."""
     if isinstance(node, Ident):
         return Ident(renames.get(node.name, node.name))
-    if isinstance(node, Num):
+    if isinstance(node, (Num, CasePattern)):
         return node
     if isinstance(node, Unary):
         return Unary(node.op, rename(node.arg, renames))

@@ -15,19 +15,11 @@ are kept as appended expression columns rather than failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 from . import expr as ex
-from .hdl import (
-    CasePattern,
-    HAssign,
-    HCase,
-    HIf,
-    HdlModule,
-    HdlProcess,
-    parse_hdl,
-)
+from .hdl import HAssign, HIf, HdlModule, HdlProcess, parse_hdl
 from .model import (
     BitVector,
     CaseRow,
@@ -118,15 +110,50 @@ class _Builder:
         if port is not None and port.direction is not Direction.INPUT:
             raise ExtractError(
                 f"branch condition over non-input signal {name}")
-        idx = self._add_header(SignalHeader(name))
-        if value >= (1 << self.widths[idx]):
-            raise ExtractError(
-                f"condition value {value} exceeds width of {name}")
+        self._add_header(SignalHeader(name))
         return self._constrain(env, name, value)
 
     def _expr_constraint(self, env: _Env, node, value: int) -> bool:
-        idx = self._add_header(ExprHeader(ex.render(node)))
+        try:
+            idx = self._add_header(ExprHeader(ex.render(node)))
+        except ex.ExprError as e:
+            raise ExtractError(
+                f"guard cannot be a condition column: {e}") from None
         return self._constrain(env, self.headers[idx].key, value)
+
+    def _signal_fields(self, node) -> Optional[list]:
+        """(name, width) per part of a signal or a `{...}` of signals,
+        msb first; None for any other expression."""
+        parts = node.parts if isinstance(node, ex.Concat) else (node,)
+        if all(isinstance(part, ex.Ident) for part in parts):
+            return [(part.name, self._signal_width(part.name))
+                    for part in parts]
+        return None
+
+    def _apply_label(self, env: _Env, subject, fields, label) -> bool:
+        """`subject == label`, a number or a wildcard label: one
+        constraint per signal the label does not wildcard."""
+        total = sum(width for _, width in fields)
+        if isinstance(label, ex.Num):
+            if label.value >> total:
+                raise ExtractError(f"condition value {label.value} exceeds "
+                                   f"width of {ex.render(subject)}")
+            bits = f"{label.value:0{total}b}"
+        elif label.width != total:
+            raise ExtractError(
+                f"case label width {label.width} != subject width {total}")
+        else:
+            bits = label.bits
+        for name, width in fields:
+            chunk, bits = bits[:width], bits[width:]
+            if chunk == "?" * width:
+                continue
+            if "?" in chunk:
+                raise ExtractError(
+                    f"partial wildcard over {name} in case label")
+            if not self._signal_constraint(env, name, int(chunk, 2)):
+                return False
+        return True
 
     def _schema_expr_index(self, node) -> Optional[int]:
         if not self.has_expr_header:
@@ -160,14 +187,13 @@ class _Builder:
         if isinstance(node, ex.Binary) and node.op == "&&":
             return (self._apply_condition(env, node.lhs)
                     and self._apply_condition(env, node.rhs))
-        if isinstance(node, ex.Binary) and node.op == "==" and \
-                isinstance(node.lhs, ex.Ident) and isinstance(node.rhs, ex.Num):
-            return self._signal_constraint(env, node.lhs.name,
-                                           node.rhs.value)
-        if isinstance(node, ex.Binary) and node.op == "==" and \
-                isinstance(node.rhs, ex.Ident) and isinstance(node.lhs, ex.Num):
-            return self._signal_constraint(env, node.rhs.name,
-                                           node.lhs.value)
+        if isinstance(node, ex.Binary) and node.op == "==":
+            for subject, label in ((node.lhs, node.rhs),
+                                   (node.rhs, node.lhs)):
+                if isinstance(label, (ex.Num, ex.CasePattern)):
+                    fields = self._signal_fields(subject)
+                    if fields is not None:
+                        return self._apply_label(env, subject, fields, label)
         if isinstance(node, ex.Ident) and self._is_one_bit(node.name):
             return self._signal_constraint(env, node.name, 1)
         if isinstance(node, ex.Unary) and node.op in ("!", "~") and \
@@ -194,65 +220,45 @@ class _Builder:
     def _expand_body(self, env: _Env, body: list) -> List[_Env]:
         envs = [env]
         for stmt in body:
-            envs = self._apply_stmt(envs, stmt)
+            out: List[_Env] = []
+            for env in envs:
+                out.extend(self._expand(env, stmt))
+                if len(out) > MAX_PATHS:
+                    raise ExtractError(f"more than {MAX_PATHS} paths")
+            envs = out
         return envs
 
-    def _apply_stmt(self, envs: List[_Env], stmt) -> List[_Env]:
-        out: List[_Env] = []
-        for env in envs:
-            out.extend(self._expand(env, stmt))
-            if len(out) > MAX_PATHS:
-                raise ExtractError(f"more than {MAX_PATHS} paths")
-        return out
-
     def _expand(self, env: _Env, stmt) -> List[_Env]:
-        if isinstance(stmt, HAssign):
-            return self._expand_assign(env, stmt.lhs, stmt.rhs)
-        if isinstance(stmt, HIf):
-            return self._expand_arms(env, stmt.arms, stmt.default,
-                                     self._apply_condition)
-        if isinstance(stmt, HCase):
-            fields = self._case_fields(stmt.subject)
-            arms = [(pattern, arm.body)
-                    for arm in stmt.arms for pattern in arm.patterns]
-            return self._expand_arms(
-                env, arms, stmt.default,
-                lambda arm_env, pattern:
-                    self._apply_pattern(arm_env, fields, pattern))
-        raise ExtractError(f"unsupported statement {stmt!r}")
-
-    def _expand_arms(self, env: _Env, arms, default: Optional[list],
-                     apply_guard) -> List[_Env]:
-        """Paths through prioritized arms, in priority order: each arm
-        whose guard (a condition or a case label) is feasible, then the
+        """Paths through one statement.  Prioritized arms give, in
+        priority order, each arm whose guard is feasible, then the
         default body or, without one, the bare fall-through.
 
         Only a path that took no arm and assigned nothing stays a
         fall-through, which a clocked process drops as the no-match
         hold.  An always-true arm (1'b1, an all-? label) is not one: it
         still shadows the arms after it."""
+        if isinstance(stmt, HAssign) and isinstance(stmt.rhs, ex.Ternary):
+            # `lhs = c ? t : o` is `if (c) lhs = t; else lhs = o;`.
+            rhs = stmt.rhs
+            stmt = HIf([(rhs.cond, [replace(stmt, rhs=rhs.then)])],
+                       [replace(stmt, rhs=rhs.other)], stmt.line)
+        if isinstance(stmt, HAssign):
+            if stmt.lhs not in self.result_widths:
+                raise ExtractError(
+                    f"assignment to non-schema signal {stmt.lhs}")
+            env.assigns[stmt.lhs] = self._cell(stmt.lhs, stmt.rhs)
+            env.fall_through = False
+            return [env]
+        if not isinstance(stmt, HIf):
+            raise ExtractError(f"unsupported statement {stmt!r}")
         out: List[_Env] = []
-        for guard, body in arms:
+        for guard, body in stmt.arms:
             arm_env = env.clone()
             arm_env.fall_through = False
-            if apply_guard(arm_env, guard):
+            if self._apply_condition(arm_env, guard):
                 out.extend(self._expand_body(arm_env, body))
-        out.extend(self._expand_body(env.clone(), default or []))
+        out.extend(self._expand_body(env.clone(), stmt.default or []))
         return out
-
-    def _expand_assign(self, env: _Env, lhs: str, rhs) -> List[_Env]:
-        if isinstance(rhs, ex.Ternary):
-            then_env = env.clone()
-            branches = []
-            if self._apply_condition(then_env, rhs.cond):
-                branches.extend(self._expand_assign(then_env, lhs, rhs.then))
-            branches.extend(self._expand_assign(env.clone(), lhs, rhs.other))
-            return branches
-        if lhs not in self.result_widths:
-            raise ExtractError(f"assignment to non-schema signal {lhs}")
-        env.assigns[lhs] = self._cell(lhs, rhs)
-        env.fall_through = False
-        return [env]
 
     def _cell(self, lhs: str, rhs):
         width = self.result_widths[lhs]
@@ -273,48 +279,6 @@ class _Builder:
             cell = self.constants[width, value] = Constant(
                 BitVector(width, value))
         return cell
-
-    def _case_fields(self, subject) -> List[Tuple[str, int]]:
-        if isinstance(subject, ex.Ident):
-            return [(subject.name, self._signal_width(subject.name))]
-        if isinstance(subject, ex.Concat):
-            fields = []
-            for part in subject.parts:
-                if not isinstance(part, ex.Ident):
-                    raise ExtractError(
-                        "case subject must be a signal or a concatenation "
-                        "of signals")
-                fields.append((part.name, self._signal_width(part.name)))
-            return fields
-        raise ExtractError(
-            "case subject must be a signal or a concatenation of signals")
-
-    def _apply_pattern(self, env: _Env, fields, pattern) -> bool:
-        total = sum(width for _, width in fields)
-        if isinstance(pattern, ex.Num):
-            bits = f"{pattern.value:0{total}b}"
-            if pattern.value >= (1 << total):
-                raise ExtractError("case label exceeds subject width")
-        elif isinstance(pattern, CasePattern):
-            if pattern.width != total:
-                raise ExtractError(
-                    f"case label width {pattern.width} != subject width "
-                    f"{total}")
-            bits = pattern.bits
-        else:
-            raise ExtractError(f"bad case label {pattern!r}")
-        pos = 0
-        for name, width in fields:
-            chunk = bits[pos:pos + width]
-            pos += width
-            if chunk == "?" * width:
-                continue
-            if "?" in chunk:
-                raise ExtractError(
-                    f"partial wildcard over {name} in case label")
-            if not self._signal_constraint(env, name, int(chunk, 2)):
-                return False
-        return True
 
     # -- table assembly -----------------------------------------------------
 

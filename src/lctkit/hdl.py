@@ -17,18 +17,11 @@ from .model import UNSUPPORTED, Clocking, Direction
 from . import expr as ex
 # The shared tokenizer, bound under the name parse_hdl calls, so that a
 # wrapper on `hdl.tokenize` (perfbench's span) sees every HDL parse.
-from .expr import HdlError, Token, tokenize
+from .expr import CasePattern, HdlError, Token, tokenize
 
 
 # ---------------------------------------------------------------------------
 # AST
-
-@dataclass(frozen=True)
-class CasePattern:
-    """A casez arm label containing wildcard bits, e.g. 3'b0??."""
-    width: int
-    bits: str  # one char per bit, msb first: 0, 1, or ?
-
 
 @dataclass
 class HdlPort:
@@ -47,28 +40,14 @@ class HAssign:
     line: int
 
 
-# Both prioritized forms share one shape: arms in priority order, then a
-# default body (`else` or `default`) taken when no arm matches.
+# Arms tried in priority order, then a default body (`else` or `default`)
+# taken when no arm matches.  A `case` item is one arm per label, guarded
+# by `subject == label`.
 
 @dataclass
 class HIf:
-    arms: List[Tuple[object, list]]  # (condition, body) for if, else if...
-    default: Optional[list]          # the final else body
-    line: int
-
-
-@dataclass
-class HCaseArm:
-    patterns: list
-    body: list
-
-
-@dataclass
-class HCase:
-    subject: object
-    arms: List[HCaseArm]
-    default: Optional[list]  # the default item, wherever it was written
-    wildcard: bool  # casez
+    arms: List[Tuple[object, list]]  # (guard, body) in priority order
+    default: Optional[list]          # the final else or the default item
     line: int
 
 
@@ -304,7 +283,10 @@ class _Parser(ex._Parser):
         self.brackets -= 1
         return HIf(arms, default, tok.line)
 
-    def case_statement(self) -> HCase:
+    def case_statement(self) -> HIf:
+        """The prioritized arms of an `if` chain: one arm per label,
+        `subject == label`, in source order, and the `default` item,
+        wherever it is written, as the default body."""
         tok = self.take()
         if tok.text == "casex":
             raise self.error("unsupported construct 'casex'", tok)
@@ -313,7 +295,7 @@ class _Parser(ex._Parser):
         subject = self.expression()
         self.take(")")
         self.open_bracket(tok)
-        arms: List[HCaseArm] = []
+        arms = []
         default = None
         while not self.at("endcase"):
             if self.peek() is None:
@@ -325,15 +307,17 @@ class _Parser(ex._Parser):
                 self.take(":")
                 default = self.statement()
                 continue
-            patterns = [self.case_label(wildcard)]
+            labels = [self.case_label(wildcard)]
             while self.at(","):
                 self.take(",")
-                patterns.append(self.case_label(wildcard))
+                labels.append(self.case_label(wildcard))
             self.take(":")
-            arms.append(HCaseArm(patterns, self.statement()))
+            body = self.statement()
+            arms.extend((ex.Binary("==", subject, label), body)
+                        for label in labels)
         self.take("endcase")
         self.brackets -= 1
-        return HCase(subject, arms, default, wildcard, tok.line)
+        return HIf(arms, default, tok.line)
 
     def case_label(self, wildcard: bool):
         tok = self.peek()

@@ -200,16 +200,12 @@ class FaultInjectingBackend:
             return self.inner.complete(request)
         if request.direction is TransformDirection.FORWARD:
             mutated = self.fault(request.payload)
-            return self.inner.complete(replace_payload(request, mutated))
+            return self.inner.complete(replace(request, payload=mutated))
         response = self.inner.complete(request)
         table = tableio.parse_unit_doc(response.text)
         return TransformResponse(request.direction,
                                  tableio.serialize_unit_doc(
                                      self.fault(table)))
-
-
-def replace_payload(request: TransformRequest, payload) -> TransformRequest:
-    return TransformRequest(request.direction, request.prompt, payload)
 
 
 class RemoteChatBackend:

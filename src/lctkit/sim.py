@@ -22,7 +22,6 @@ from .model import (
     Clocking,
     Constant,
     DontCare,
-    ExprHeader,
     Lct,
     LctError,
     SignalHeader,
@@ -150,12 +149,13 @@ def assignment_dict(table: Lct, assignment: tuple) -> dict:
 def resolve_cell(table: Lct, result: str, cell,
                  inputs: Optional[Mapping[str, BitVector]] = None):
     """Resolve one output cell to a symbolic value.  SignalRef cells
-    naming their own column hold; references to supplied inputs become
-    known values; other references pass through as tokens."""
+    naming their own column hold, as do don't-cares in a clocked table;
+    references to supplied inputs become known values; other references
+    pass through as tokens."""
     if isinstance(cell, Constant):
         return Known(cell.bv)
     if isinstance(cell, DontCare):
-        return UNSPEC
+        return HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
     if isinstance(cell, SignalRef):
         if cell.name == result:
             return HOLD
@@ -187,14 +187,7 @@ def symbolic_outputs(table: Lct, assignment: tuple,
 
 
 # ---------------------------------------------------------------------------
-# Expression and table evaluation over named inputs
-
-def eval_expr(header_or_tree, inputs: Mapping[str, BitVector]) -> BitVector:
-    """Evaluate an expression condition to a 1-bit value."""
-    tree = header_or_tree.tree if isinstance(header_or_tree, ExprHeader) \
-        else header_or_tree
-    return BitVector(1, expr.truth(tree, inputs))
-
+# Table evaluation over named inputs
 
 def control_assignment(table: Lct, inputs: Mapping[str, BitVector]) -> tuple:
     """Project named inputs onto the table's condition columns."""
@@ -206,7 +199,7 @@ def control_assignment(table: Lct, inputs: Mapping[str, BitVector]) -> tuple:
                 raise SimError(f"missing condition input {header.name}")
             values.append(bv.value)
         else:
-            values.append(eval_expr(header, inputs).value)
+            values.append(expr.truth(header.tree, inputs))
     return tuple(values)
 
 
@@ -226,8 +219,8 @@ def eval_comb(table: Lct, inputs: Mapping[str, BitVector]) -> Dict[str, object]:
 
 def step_clocked(table: Lct, state: SeqState,
                  inputs: Mapping[str, BitVector]) -> SeqState:
-    """Advance a clocked table by one cycle.  Hold cells and unmatched
-    inputs keep the prior register values."""
+    """Advance a clocked table by one cycle.  Hold and don't-care cells
+    and unmatched inputs keep the prior register values."""
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("step_clocked requires a clocked table")
     return _step(table, compile_rows(table), state, inputs)
@@ -250,14 +243,14 @@ def _step(table: Lct, compiled: List[tuple], state: SeqState,
     return SeqState(tuple(regs))
 
 
-def run_trace(table: Lct, stimulus: List[Mapping[str, BitVector]],
-              initial: Optional[SeqState] = None) -> List[SeqState]:
+def run_trace(table: Lct,
+              stimulus: List[Mapping[str, BitVector]]) -> List[SeqState]:
     """Run a clocked table over a stimulus sequence, closing any feedback
     bindings: each cycle's bound condition input comes from the previous
     state's bound result."""
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("run_trace requires a clocked table")
-    state = initial if initial is not None else initial_state(table)
+    state = initial_state(table)
     compiled = compile_rows(table)
     states = []
     for cycle, vector in enumerate(stimulus):

@@ -13,6 +13,7 @@ from lctkit.model import (
     PortMap,
 )
 from .util import (
+    clocked_dont_care_lct,
     load_fixture,
     mutate_output,
     random_disjoint_lct,
@@ -218,3 +219,14 @@ def test_transitivity_on_complete_tables():
         assert equiv.compare(a, b).verdict.equivalent
         assert equiv.compare(b, c).verdict.equivalent
         assert equiv.compare(a, c).verdict.equivalent
+
+
+def test_clocked_dont_care_output_is_a_hold_not_a_free_choice():
+    """A clocked don't-care output holds, as the canonical form spells
+    it, so a constant in its place is a difference."""
+    table = clocked_dont_care_lct()
+    rows = (table.rows[0],
+            CaseRow(table.rows[1].inputs, (Constant(BitVector(2, 2)),)))
+    result = equiv.compare(table, dataclasses.replace(table, rows=rows))
+    assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
+    assert str(result.counterexample) == "at c=1: r = <hold> vs 2"

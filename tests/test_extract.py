@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lctkit import codegen, equiv, extract, hdl
 from lctkit.model import (
@@ -9,6 +10,7 @@ from lctkit.model import (
     DONT_CARE,
     Direction,
     Lct,
+    LctError,
     Port,
     PortMap,
     SignalHeader,
@@ -20,7 +22,12 @@ from lctkit.roundtrip import (
     run_roundtrip,
     schema_of,
 )
-from .util import load_fixture, random_lct
+from .util import (
+    load_fixture,
+    random_disjoint_lct,
+    random_lct,
+    random_passthrough_lct,
+)
 
 
 def _roundtrip(table, style=codegen.STYLE_IF):
@@ -233,3 +240,83 @@ def test_casez_default_applies_only_when_no_item_matches():
     for sel, y in ((0, 7), (1, 1), (2, 7), (3, 7)):
         out = sim.eval_comb(table, {"sel": BitVector(2, sel)})
         assert out["y"] == sim.Known(BitVector(4, y)), sel
+
+
+GENERATORS = {
+    "random": random_lct,
+    "disjoint": lambda seed: random_disjoint_lct(seed, clocked=seed % 2 == 1),
+    "passthrough": random_passthrough_lct,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 10**6))
+def test_if_and_case_hdl_extract_to_the_same_table(kind, seed):
+    """A `case` item is a `subject == label` arm of the node an `if`
+    chain reads into, so both styles give one table, or one error."""
+    table = GENERATORS[kind](seed)
+    assume(all(isinstance(h, SignalHeader) for h in table.conditions))
+
+    def extracted(style):
+        try:
+            return _roundtrip(table, style)
+        except LctError as e:
+            return f"{type(e).__name__}: {e}"
+
+    assert extracted(codegen.STYLE_IF) == extracted(codegen.STYLE_CASE)
+
+
+def _foreign(body: str, conditions=()):
+    """Extract `y` from a combinational module over the 1-bit inputs a,
+    b, c and d, whose body defaults `y` to 0 before `body`."""
+    text = ("module foreign (\n  input wire a,\n  input wire b,\n"
+            "  input wire c,\n  input wire d,\n  output reg y\n);\n"
+            f"always @* begin\n  y = 1'b0;\n  {body}\nend\nendmodule\n")
+    return extract.hdl_text_to_lct(text, list(conditions), ["y"])
+
+
+def _inputs(table):
+    """Per row, its condition cells: a value, or "X"."""
+    return [tuple("X" if cell is DONT_CARE else cell.bv.value
+                  for cell in row.inputs) for row in table.rows]
+
+
+def test_concatenation_equality_guard_gives_signal_columns():
+    table = _foreign("if ({a, b} == 2'd2) y = 1'b1;")
+    assert [h.key for h in table.conditions] == ["a", "b"]
+    assert _inputs(table) == [(1, 0), ("X", "X")]
+
+
+def test_case_over_an_expression_subject_gives_an_expression_column():
+    table = _foreign("case (a & b) 1'b1: y = 1'b1; endcase")
+    assert [h.key for h in table.conditions] == ["((a & b) == 1'd1)"]
+    assert _inputs(table) == [(1,), ("X",)]
+    # A wildcard label has no value, so it cannot be in such a column.
+    with pytest.raises(extract.ExtractError,
+                       match="guard cannot be a condition column"):
+        _foreign("casez (a & b) 1'b?: y = 1'b1; endcase")
+
+
+def test_case_label_expression_gives_an_expression_column():
+    table = _foreign("case (a) b: y = 1'b1; endcase", ["a"])
+    assert [h.key for h in table.conditions] == ["a", "(a == b)"]
+    assert _inputs(table) == [("X", 1), ("X", "X")]
+
+
+@pytest.mark.parametrize("body", ["if (a == 7) y = 1'b1;",
+                                  "case (a) 7: y = 1'b1; endcase"])
+def test_overwide_value_reports_alike_in_if_and_case(body):
+    with pytest.raises(extract.ExtractError,
+                       match="condition value 7 exceeds width of a"):
+        _foreign(body)
+
+
+def test_casez_under_a_schema_with_an_expression_column():
+    """Each label still binds the signals of `{c, d}` when the schema
+    has an expression column, which every guard is first looked up in."""
+    table = _foreign("if (a & b) casez ({c, d}) 2'b1?: y = 1'b1; "
+                     "2'b01: y = 1'b0; default: ; endcase",
+                     ["a & b", "c", "d"])
+    assert [h.key for h in table.conditions] == ["(a & b)", "c", "d"]
+    assert _inputs(table) == [(1, 1, "X"), (1, 0, 1), (1, "X", "X"),
+                              ("X", "X", "X")]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctkit import codegen, hdl
+from lctkit import codegen, expr, hdl
 from lctkit.model import Clocking, Direction
 from .util import load_fixture, reference_tokenize
 
@@ -83,11 +83,12 @@ def test_parse_casez_with_wildcards():
     text = codegen.gen_unit(load_fixture("fsm4"), style=codegen.STYLE_CASE)
     module = hdl.parse_hdl(text)
     case = module.processes[0].body[0]
-    assert isinstance(case, hdl.HCase)
-    assert case.wildcard
-    pattern = case.arms[0].patterns[0]
-    assert isinstance(pattern, hdl.CasePattern)
-    assert pattern.bits == "0????"
+    assert isinstance(case, hdl.HIf)
+    guard, _ = case.arms[0]
+    assert guard.op == "=="
+    assert expr.render(guard.lhs) == "{rst_n, state, cond0, cond1}"
+    assert isinstance(guard.rhs, expr.CasePattern)
+    assert guard.rhs.bits == "0????"
 
 
 def test_casex_rejected():

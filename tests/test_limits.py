@@ -224,3 +224,14 @@ def test_mixed_nesting_never_overflows(constructs):
         _extract(_module("always @* " + body))
     except LctError:
         pass
+
+
+def test_guard_too_deep_for_a_header_is_an_extract_error():
+    """A guard that cannot be split into columns becomes an expression
+    column; past the nesting limit of a header that is an ExtractError.
+    Here, 119 chained `|` render one bracket each."""
+    guard = " | ".join(["a", "b"] * 60)
+    text = _module(f"always @* if ({guard}) y = 1'b1; else y = 1'b0;")
+    with pytest.raises(extract.ExtractError,
+                       match="guard cannot be a condition column"):
+        _extract(text)

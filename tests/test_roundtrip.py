@@ -13,7 +13,7 @@ from lctkit.model import (
     TransformDirection,
     TransformRequest,
 )
-from .util import load_fixture, mutate_output
+from .util import clocked_dont_care_lct, load_fixture, mutate_output
 
 BV = BitVector
 
@@ -331,3 +331,14 @@ def test_garbage_forward_response_attributed_to_forward():
     report = rt.run_roundtrip(load_fixture("mux4"), Garbage(), det())
     assert report.outcome.label is rt.Label.X_FW
     assert report.outcome.evidence.arbiter is A.UNAVAILABLE
+
+
+def test_perfect_roundtrip_of_a_clocked_dont_care_passes_simulation():
+    """Extraction writes a clocked don't-care output back as a hold, and
+    simulation reads both alike, so the perfect loop is `M`, not
+    `M SP`."""
+    suite = [[{"c": BV(1, 0)}, {"c": BV(1, 1)}, {"c": BV(1, 1)}]]
+    report = rt.run_roundtrip(clocked_dont_care_lct(), det(), det(),
+                              sim_suite=suite)
+    assert report.outcome.label is rt.Label.M
+    assert report.outcome.evidence.sim is S.PASS

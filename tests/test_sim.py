@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from lctkit import analysis, sim
 from lctkit.model import BitVector, Clocking, LctError, SignalHeader
-from .util import load_fixture, random_lct, random_passthrough_lct
+from .util import (
+    clocked_dont_care_lct,
+    hold_spelling,
+    load_fixture,
+    random_lct,
+    random_passthrough_lct,
+)
 
 BV = BitVector
 
@@ -226,3 +232,35 @@ def test_run_trace_equals_a_loop_of_step_clocked(kind, seed, cycles,
             return f"{type(e).__name__}: {e}"
 
     assert outcome(sim.run_trace) == outcome(_reference_trace)
+
+
+def test_clocked_dont_care_output_holds():
+    """As codegen, extraction and canonicalization read it: the register
+    keeps its value."""
+    table = clocked_dont_care_lct()
+    assert sim.symbolic_outputs(table, (1,)) == (sim.HOLD,)
+    states = sim.run_trace(table, [{"c": BV(1, 0)}, {"c": BV(1, 1)}])
+    assert [s.get("r") for s in states] == [sim.Known(BV(2, 2))] * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "passthrough"]), st.integers(0, 10**6),
+       st.integers(0, 12), st.integers(0, 10**6))
+def test_run_trace_reads_a_clocked_dont_care_as_a_hold(kind, seed, cycles,
+                                                       stimulus_seed):
+    """The same states, or the same error, with every don't-care output
+    written as a hold."""
+    table = _clocked_table(kind, seed)
+    rng = random.Random(stimulus_seed)
+    fed = {cond for _, cond in table.feedback}
+    stimulus = [{p.name: BV(p.width, rng.randrange(1 << p.width))
+                 for p in table.ports.inputs() if p.name not in fed}
+                for _ in range(cycles)]
+
+    def outcome(t):
+        try:
+            return sim.run_trace(t, stimulus)
+        except LctError as e:
+            return f"{type(e).__name__}: {e}"
+
+    assert outcome(table) == outcome(hold_spelling(table))

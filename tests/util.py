@@ -102,6 +102,17 @@ def random_lct(seed: int, clocked: bool = None,
                rows=tuple(rows), ports=PortMap(tuple(ports)))
 
 
+def clocked_dont_care_lct() -> Lct:
+    """A clocked table whose second row leaves its output `r` a
+    don't-care: `c = 0` loads 2, `c = 1` holds."""
+    return Lct(name="dc_hold", clocking=Clocking.CLOCKED,
+               conditions=(SignalHeader("c"),), results=("r",),
+               rows=(CaseRow((_const(1, 0),), (_const(2, 2),)),
+                     CaseRow((_const(1, 1),), (DONT_CARE,))),
+               ports=PortMap((Port(Direction.INPUT, "c", 1),
+                              Port(Direction.OUTPUT, "r", 2))))
+
+
 def random_disjoint_lct(seed: int, clocked: bool = False) -> Lct:
     """A seeded random table that is complete and non-overlapping: one
     row per control assignment, constant outputs only.  Canonical-form
