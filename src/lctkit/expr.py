@@ -27,10 +27,11 @@ condition iff their renderings are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import List, Mapping, NamedTuple, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from .model import KEYWORDS, BitVector, LctError, parse_literal
 
@@ -97,17 +98,15 @@ class CasePattern:
 
 
 # One match per token: the whitespace and comments before it, then the
-# token, a stray character (`bad`), or the end of the text.  After the
-# skipped run the next character is never whitespace, so the match
-# never backtracks into a comment.  Headers and HDL share these tokens;
-# the parsers decide which of them each may hold.
+# token, a stray character, or the end of the text; only the last three
+# are groups.  After the skipped run the next character is never
+# whitespace, so the match never backtracks into a comment.  Headers and
+# HDL share these tokens; the parsers decide which of them each may hold.
 _TOKEN_RE = re.compile(r"""
-    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
-    (?:(?P<lit>\d+'[bdhBDH][0-9a-fA-F_?zZxX]+)
-    | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-    | (?P<op><=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
-    | (?P<bad>\S)
+    (?:\s+|//[^\n]*|/\*.*?\*/)*
+    (?:(\d+'[bdhBDH][0-9a-fA-F_?zZxX]+|\d+|[A-Za-z_][A-Za-z0-9_$]*
+        |<=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
+    | (\S)
     | \Z)
     """, re.VERBOSE | re.DOTALL)
 
@@ -126,44 +125,36 @@ _BINARY = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
            "<": 6, "<=": 6, ">": 6, ">=": 6}
 
 
-class Token(NamedTuple):
-    kind: str  # ident, lit, num, op
-    text: str
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> List[Token]:
-    tokens = []
-    line = 1
-    col = 1  # of the character after the previous token
-    for skipped, lit, num, ident, op, bad in _TOKEN_RE.findall(text):
-        if "\n" in skipped:
-            line += skipped.count("\n")
-            col = len(skipped) - skipped.rindex("\n")
-        else:
-            col += len(skipped)
-        if lit:
-            tok = Token("lit", lit, line, col)
-        elif num:
-            tok = Token("num", num, line, col)
-        elif ident:
-            tok = Token("ident", ident, line, col)
-        elif op:
-            tok = Token("op", op, line, col)
-        elif bad:
-            raise HdlError(f"unexpected character {bad!r}", line, col)
-        else:  # only whitespace and comments were left
-            break
-        tokens.append(tok)
-        col += len(tok.text)
+def tokenize(text: str) -> List[str]:
+    """The token texts, in order.  A stray character raises HdlError,
+    located by `locate`."""
+    found = _TOKEN_RE.findall(text)
+    tokens = [tok for tok, _ in found]
+    # The first empty text is a stray character or the end of the text.
+    end = tokens.index("")
+    stray = found[end][1]
+    if stray:
+        raise HdlError(f"unexpected character {stray!r}",
+                       *locate(text, end))
+    del tokens[end:]
     return tokens
 
 
+def locate(text: str, index: int) -> Tuple[int, int]:
+    """The 1-based (line, column) at which the index-th token of the
+    text, or the stray character in its place, starts.  The text is
+    scanned again, so only an error should ask."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
+    start = match.start(match.lastindex)
+    return (text.count("\n", 0, start) + 1,
+            start - text.rfind("\n", 0, start))
+
+
 class _Parser:
-    """Recursive descent over a token list.  The HDL parser extends it
-    with statements, overriding `error` (to locate errors).  Reserved
-    words are never identifiers.
+    """Recursive descent over a list of token texts, which it ends with
+    one empty text: the end of input.  The HDL parser extends it with
+    statements, overriding `error` (to locate errors).  Reserved words
+    are never identifiers.
 
     Nesting is bounded, so no input can exhaust the interpreter stack:
     at most MAX_DEPTH brackets (also `begin` and the bodies of `if` and
@@ -172,8 +163,8 @@ class _Parser:
     canonical rendering brackets every unary and ternary node: `~~a`
     renders as `(~(~a))`, which must parse again."""
 
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, tokens: List[str]):
+        self.tokens = tokens + [""]
         self.i = 0
         self.brackets = 0
         self.operators = 0
@@ -181,51 +172,46 @@ class _Parser:
         # kept, so each occurrence raises at its own token.
         self.literals = {}
 
-    def error(self, message: str, tok=None) -> LctError:
+    def error(self, message: str, at: Optional[int] = None) -> LctError:
+        """The error for token index `at` (default: the next token)."""
         return ExprError(message)
 
-    def is_ident(self, tok) -> bool:
-        return tok.kind == "ident" and tok.text not in KEYWORDS
+    def is_ident(self, tok: str) -> bool:
+        """A token's kind is its first character: a letter or `_` only
+        starts an identifier, a digit a number or literal."""
+        return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS
 
-    def peek(self):
-        try:
-            return self.tokens[self.i]
-        except IndexError:
-            return None
+    def peek(self) -> str:
+        return self.tokens[self.i]
 
     def at(self, text: str) -> bool:
-        try:
-            return self.tokens[self.i].text == text
-        except IndexError:
-            return False
+        return self.tokens[self.i] == text
 
-    def take(self, text=None):
-        try:
-            tok = self.tokens[self.i]
-        except IndexError:
-            raise self.error("unexpected end of input") from None
-        if text is not None and tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}", tok)
+    def take(self, text=None) -> str:
+        tok = self.tokens[self.i]
+        if not tok:
+            raise self.error("unexpected end of input")
+        if text is not None and tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}")
         self.i += 1
         return tok
 
-    def open_bracket(self, tok):
+    def open_bracket(self, at: int):
         self.brackets += 1
         if self.brackets > MAX_DEPTH:
-            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", at)
 
-    def open_operator(self, tok):
+    def open_operator(self, at: int):
         self.operators += 1
         if self.operators > MAX_DEPTH:
-            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
+            raise self.error(f"nesting deeper than {MAX_DEPTH} levels", at)
 
     def expression(self):
         cond = self.binary()
-        tok = self.peek()
-        if tok is None or tok.text != "?":
+        if self.tokens[self.i] != "?":
             return cond
+        self.open_operator(self.i)
         self.i += 1
-        self.open_operator(tok)
         then = self.expression()
         self.take(":")
         other = self.expression()
@@ -238,8 +224,8 @@ class _Parser:
         operands = [self.unary()]
         pending = []
         while True:
-            tok = self.peek()
-            level = _BINARY.get(tok.text) if tok is not None else None
+            tok = self.tokens[self.i]
+            level = _BINARY.get(tok)
             while pending and (level is None
                                or _BINARY[pending[-1]] >= level):
                 rhs = operands.pop()
@@ -247,29 +233,29 @@ class _Parser:
             if level is None:
                 return operands[0]
             self.i += 1
-            pending.append(tok.text)
+            pending.append(tok)
             operands.append(self.unary())
 
     def unary(self):
-        tok = self.peek()
-        if tok is None or tok.text not in ("~", "!"):
+        tok = self.tokens[self.i]
+        if tok != "~" and tok != "!":
             return self.primary()
+        self.open_operator(self.i)
         self.i += 1
-        self.open_operator(tok)
-        node = Unary(tok.text, self.unary())
+        node = Unary(tok, self.unary())
         self.operators -= 1
         return node
 
     def primary(self):
         tok = self.take()
-        if tok.text == "(":
-            self.open_bracket(tok)
+        if tok == "(":
+            self.open_bracket(self.i - 1)
             node = self.expression()
             self.take(")")
             self.brackets -= 1
             return node
-        if tok.text == "{":
-            self.open_bracket(tok)
+        if tok == "{":
+            self.open_bracket(self.i - 1)
             parts = [self.expression()]
             while self.at(","):
                 self.i += 1
@@ -277,23 +263,23 @@ class _Parser:
             self.take("}")
             self.brackets -= 1
             return Concat(tuple(parts))
-        if tok.kind == "lit":
-            num = self.literals.get(tok.text)
+        if tok[0].isdigit():
+            if "'" not in tok:
+                return Num(int(tok), None)
+            num = self.literals.get(tok)
             if num is None:
                 # Verilog allows upper-case bases: 8'HFF reads as 8'hff.
-                width, _, digits = tok.text.partition("'")
+                width, _, digits = tok.partition("'")
                 try:
                     bv = parse_literal(
                         f"{width}'{digits[0].lower()}{digits[1:]}")
                 except LctError as e:
-                    raise self.error(str(e), tok)
-                num = self.literals[tok.text] = Num(bv.value, bv.width)
+                    raise self.error(str(e), self.i - 1)
+                num = self.literals[tok] = Num(bv.value, bv.width)
             return num
-        if tok.kind == "num":
-            return Num(int(tok.text), None)
         if self.is_ident(tok):
-            return Ident(tok.text)
-        raise self.error(f"unexpected token {tok.text!r}", tok)
+            return Ident(tok)
+        raise self.error(f"unexpected token {tok!r}", self.i - 1)
 
 
 def parse_expr(text: str):
@@ -305,7 +291,7 @@ def parse_expr(text: str):
         node = parser.expression()
     except LctError as e:
         raise ExprError(f"in expression {text!r}: {e}")
-    if parser.i != len(parser.tokens):
+    if parser.peek():
         raise ExprError(f"trailing tokens in expression {text!r}")
     return node
 

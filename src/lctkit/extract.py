@@ -241,7 +241,7 @@ class _Builder:
             # `lhs = c ? t : o` is `if (c) lhs = t; else lhs = o;`.
             rhs = stmt.rhs
             stmt = HIf([(rhs.cond, [replace(stmt, rhs=rhs.then)])],
-                       [replace(stmt, rhs=rhs.other)], stmt.line)
+                       [replace(stmt, rhs=rhs.other)])
         if isinstance(stmt, HAssign):
             if stmt.lhs not in self.result_widths:
                 raise ExtractError(
@@ -332,8 +332,7 @@ def select_process(module: HdlModule,
     processes = list(module.processes)
     if module.assigns:
         processes.append(HdlProcess(Clocking.COMBINATIONAL, [], [],
-                                    list(module.assigns),
-                                    module.assigns[0].line))
+                                    list(module.assigns)))
     if not processes:
         raise ExtractError(f"module {module.name} has no processes")
     if process_index is None:

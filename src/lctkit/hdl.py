@@ -17,7 +17,7 @@ from .model import UNSUPPORTED, Clocking, Direction
 from . import expr as ex
 # The shared tokenizer, bound under the name parse_hdl calls, so that a
 # wrapper on `hdl.tokenize` (perfbench's span) sees every HDL parse.
-from .expr import CasePattern, HdlError, Token, tokenize
+from .expr import CasePattern, HdlError, locate, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +29,6 @@ class HdlPort:
     name: str
     width: int
     is_reg: bool
-    line: int
 
 
 @dataclass
@@ -37,7 +36,6 @@ class HAssign:
     lhs: str
     rhs: object
     nonblocking: bool
-    line: int
 
 
 # Arms tried in priority order, then a default body (`else` or `default`)
@@ -48,7 +46,6 @@ class HAssign:
 class HIf:
     arms: List[Tuple[object, list]]  # (guard, body) in priority order
     default: Optional[list]          # the final else or the default item
-    line: int
 
 
 @dataclass
@@ -57,7 +54,6 @@ class HdlProcess:
     clocks: List[str]
     resets: List[str]  # negedge/extra-edge signals (async reset style)
     body: list
-    line: int
 
 
 @dataclass
@@ -79,28 +75,34 @@ class HdlModule:
 # Parser
 
 class _Parser(ex._Parser):
-    """The statement layer over the shared expression grammar."""
+    """The statement layer over the shared expression grammar, over the
+    tokens of `text`."""
 
-    def error(self, message: str, tok: Optional[Token] = None) -> HdlError:
-        if tok is None:  # parse_hdl never reads an empty token list
-            tok = self.tokens[min(self.i, len(self.tokens) - 1)]
-        return HdlError(message, tok.line, tok.col)
+    def __init__(self, tokens: List[str], text: str):
+        super().__init__(tokens)
+        self.text = text
 
-    def take_ident(self) -> Token:
+    def error(self, message: str, at: Optional[int] = None) -> HdlError:
+        # Past the end, at the last token: parse_hdl reads no empty list.
+        at = min(self.i if at is None else at, len(self.tokens) - 2)
+        return HdlError(message, *locate(self.text, at))
+
+    def take_ident(self) -> str:
         tok = self.take()
         if not self.is_ident(tok):
-            raise self.error(f"expected identifier, found {tok.text!r}", tok)
+            raise self.error(f"expected identifier, found {tok!r}",
+                             self.i - 1)
         return tok
 
-    def check_supported(self, tok: Token):
-        if tok.text in UNSUPPORTED:
-            raise self.error(f"unsupported construct {tok.text!r}", tok)
+    def check_supported(self, tok: str):  # the next token
+        if tok in UNSUPPORTED:
+            raise self.error(f"unsupported construct {tok!r}")
 
     # -- module structure ---------------------------------------------------
 
     def module(self) -> HdlModule:
         self.take("module")
-        name = self.take_ident().text
+        name = self.take_ident()
         module = HdlModule(name=name, ports=[])
         self.take("(")
         if not self.at(")"):
@@ -114,59 +116,59 @@ class _Parser(ex._Parser):
         self.take(";")
         while not self.at("endmodule"):
             tok = self.peek()
-            if tok is None:
+            if not tok:
                 raise self.error("missing endmodule")
             self.check_supported(tok)
-            if tok.text in ("wire", "reg", "integer"):
+            if tok in ("wire", "reg", "integer"):
                 self.net_decl(module)
-            elif tok.text == "assign":
+            elif tok == "assign":
                 self.cont_assign(module)
-            elif tok.text == "always":
+            elif tok == "always":
                 module.processes.append(self.always_block())
             else:
-                raise self.error(f"unsupported module item {tok.text!r}", tok)
+                raise self.error(f"unsupported module item {tok!r}")
         self.take("endmodule")
         return module
 
     def port_decl(self, module: HdlModule):
         tok = self.take()
         try:
-            direction = Direction(tok.text)
+            direction = Direction(tok)
         except ValueError:
-            raise self.error(f"expected port direction, found {tok.text!r}",
-                             tok)
+            raise self.error(f"expected port direction, found {tok!r}",
+                             self.i - 1)
         is_reg = False
-        if self.peek() and self.peek().text in ("wire", "reg"):
-            is_reg = self.take().text == "reg"
+        if self.peek() in ("wire", "reg"):
+            is_reg = self.take() == "reg"
         width = self.opt_range()
-        name = self.take_ident()
-        module.ports.append(HdlPort(direction, name.text, width, is_reg,
-                                    name.line))
+        module.ports.append(HdlPort(direction, self.take_ident(), width,
+                                    is_reg))
 
     def opt_range(self) -> int:
         if not self.at("["):
             return 1
-        tok = self.take("[")
+        start = self.i
+        self.take("[")
         msb = self.range_bound()
         self.take(":")
         lsb = self.range_bound()
         self.take("]")
         if lsb != 0 or msb < 0:
             raise self.error(f"only [N:0] ranges are supported, got "
-                             f"[{msb}:{lsb}]", tok)
+                             f"[{msb}:{lsb}]", start)
         return msb + 1
 
     def range_bound(self) -> int:
         tok = self.take()
-        if tok.kind != "num":
-            raise self.error(f"expected a number, found {tok.text!r}", tok)
-        return int(tok.text)
+        if not tok.isdigit():
+            raise self.error(f"expected a number, found {tok!r}", self.i - 1)
+        return int(tok)
 
     def net_decl(self, module: HdlModule):
         self.take()  # wire / reg / integer
         width = self.opt_range()
         while True:
-            name = self.take_ident().text
+            name = self.take_ident()
             if module.port(name) is None:
                 module.nets[name] = width
             if self.at(","):
@@ -176,15 +178,16 @@ class _Parser(ex._Parser):
         self.take(";")
 
     def cont_assign(self, module: HdlModule):
-        tok = self.take("assign")
-        lhs = self.take_ident().text
+        self.take("assign")
+        lhs = self.take_ident()
         self.take("=")
         rhs = self.expression()
         self.take(";")
-        module.assigns.append(HAssign(lhs, rhs, False, tok.line))
+        module.assigns.append(HAssign(lhs, rhs, False))
 
     def always_block(self) -> HdlProcess:
-        tok = self.take("always")
+        start = self.i
+        self.take("always")
         self.take("@")
         clocks: List[str] = []
         resets: List[str] = []
@@ -200,36 +203,36 @@ class _Parser(ex._Parser):
             else:
                 while True:
                     item = self.peek()
-                    if item is None:
+                    if not item:
                         raise self.error("unexpected end of input")
-                    if item.text == "posedge":
+                    if item == "posedge":
                         self.take()
-                        clocks.append(self.take_ident().text)
-                    elif item.text == "negedge":
+                        clocks.append(self.take_ident())
+                    elif item == "negedge":
                         self.take()
-                        resets.append(self.take_ident().text)
+                        resets.append(self.take_ident())
                     else:
                         self.take_ident()
                         combinational = True
-                    if self.peek() and self.peek().text in (",", "or"):
+                    if self.peek() in (",", "or"):
                         self.take()
                     else:
                         break
             self.take(")")
         if clocks and combinational:
-            raise self.error("mixed edge and level sensitivity", tok)
+            raise self.error("mixed edge and level sensitivity", start)
         kind = Clocking.CLOCKED if clocks else Clocking.COMBINATIONAL
-        body = self.statement_block()
-        return HdlProcess(kind, clocks, resets, body, tok.line)
+        return HdlProcess(kind, clocks, resets, self.statement_block())
 
     # -- statements ---------------------------------------------------------
 
     def statement_block(self) -> list:
         if self.at("begin"):
-            self.open_bracket(self.take("begin"))
+            self.take("begin")
+            self.open_bracket(self.i - 1)
             stmts = []
             while not self.at("end"):
-                if self.peek() is None:
+                if not self.peek():
                     raise self.error("missing end")
                 stmts.extend(self.statement())
             self.take("end")
@@ -239,33 +242,34 @@ class _Parser(ex._Parser):
 
     def statement(self) -> list:
         tok = self.peek()
-        if tok is None:
+        if not tok:
             raise self.error("unexpected end of input in statement")
         self.check_supported(tok)
-        if tok.text == ";":
+        if tok == ";":
             self.take(";")
             return []
-        if tok.text == "if":
+        if tok == "if":
             return [self.if_statement()]
-        if tok.text in ("case", "casez", "casex"):
+        if tok in ("case", "casez", "casex"):
             return [self.case_statement()]
-        if tok.text == "begin":
+        if tok == "begin":
             return self.statement_block()
         if self.is_ident(tok):
-            name = self.take_ident()
+            self.take()
             op = self.take()
-            if op.text not in ("=", "<="):
-                raise self.error(f"expected assignment, found {op.text!r}", op)
+            if op != "=" and op != "<=":
+                raise self.error(f"expected assignment, found {op!r}",
+                                 self.i - 1)
             rhs = self.expression()
             self.take(";")
-            return [HAssign(name.text, rhs, op.text == "<=", name.line)]
-        raise self.error(f"unsupported statement {tok.text!r}", tok)
+            return [HAssign(tok, rhs, op == "<=")]
+        raise self.error(f"unsupported statement {tok!r}")
 
     def if_statement(self) -> HIf:
         """One arm per `if` / `else if`, read in a loop: a chain of any
         length nests one level."""
-        tok = self.take("if")
-        self.open_bracket(tok)
+        self.take("if")
+        self.open_bracket(self.i - 1)
         arms = []
         default = None
         while True:
@@ -281,29 +285,30 @@ class _Parser(ex._Parser):
                 break
             self.take("if")
         self.brackets -= 1
-        return HIf(arms, default, tok.line)
+        return HIf(arms, default)
 
     def case_statement(self) -> HIf:
         """The prioritized arms of an `if` chain: one arm per label,
         `subject == label`, in source order, and the `default` item,
         wherever it is written, as the default body."""
+        start = self.i
         tok = self.take()
-        if tok.text == "casex":
-            raise self.error("unsupported construct 'casex'", tok)
-        wildcard = tok.text == "casez"
+        if tok == "casex":
+            raise self.error("unsupported construct 'casex'", start)
+        wildcard = tok == "casez"
         self.take("(")
         subject = self.expression()
         self.take(")")
-        self.open_bracket(tok)
+        self.open_bracket(start)
         arms = []
         default = None
         while not self.at("endcase"):
-            if self.peek() is None:
+            if not self.peek():
                 raise self.error("missing endcase")
             if self.at("default"):
-                item = self.take("default")
                 if default is not None:
-                    raise self.error("second default item in case", item)
+                    raise self.error("second default item in case")
+                self.take("default")
                 self.take(":")
                 default = self.statement()
                 continue
@@ -317,24 +322,22 @@ class _Parser(ex._Parser):
                         for label in labels)
         self.take("endcase")
         self.brackets -= 1
-        return HIf(arms, default, tok.line)
+        return HIf(arms, default)
 
     def case_label(self, wildcard: bool):
         tok = self.peek()
-        if (tok is not None and tok.kind == "lit"
-                and re.search(r"[?zZxX]", tok.text)):
-            self.take()
-            m = re.match(r"(\d+)'[bB]([01?zZxX_]+)\Z", tok.text)
+        # Only a literal both starts with a digit and holds one of these.
+        if tok[:1].isdigit() and re.search(r"[?zZxX]", tok):
+            m = re.match(r"(\d+)'[bB]([01?zZxX_]+)\Z", tok)
             if not m or not wildcard:
-                raise self.error(f"bad case label {tok.text!r}", tok)
+                raise self.error(f"bad case label {tok!r}")
             width = int(m.group(1))
             bits = m.group(2).replace("_", "").lower().replace("z", "?")
             if "x" in bits:
-                raise self.error(
-                    f"x bits are not supported in {tok.text!r}", tok)
+                raise self.error(f"x bits are not supported in {tok!r}")
             if len(bits) != width:
-                raise self.error(
-                    f"case label width mismatch in {tok.text!r}", tok)
+                raise self.error(f"case label width mismatch in {tok!r}")
+            self.take()
             return CasePattern(width, bits)
         return self.expression()
 
@@ -344,4 +347,4 @@ def parse_hdl(text: str) -> HdlModule:
     tokens = tokenize(text)
     if not tokens:
         raise HdlError("empty input", 1, 1)
-    return _Parser(tokens).module()
+    return _Parser(tokens, text).module()

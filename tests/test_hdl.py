@@ -222,8 +222,8 @@ def _token_ends(text):
     starts = [0]
     for line in text.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
-    return [starts[tok.line - 1] + tok.col - 1 + len(tok.text)
-            for tok in hdl.tokenize(text)]
+    return [starts[line - 1] + col - 1 + len(token)
+            for _kind, token, line, col in reference_tokenize(text)]
 
 
 @pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
@@ -265,6 +265,82 @@ def test_errors_at_end_of_input_are_located(text, where):
     assert (err.value.line, err.value.col) == where
 
 
+CASEZ = """\
+module pick (
+  input wire [1:0] s,
+  output reg y
+);
+always @* begin
+  casez (s)
+    2'b1?: y = 1'b1;
+    default: y = 1'b0;
+  endcase
+end
+endmodule
+"""
+
+
+# One error site each, in the middle of a multi-line module: the error
+# is located at the token (or character) at fault.
+@pytest.mark.parametrize("text, message, where", [
+    (CLOCKED.replace("if (rst_n", "if rst_n"),
+     "expected '(', found 'rst_n'", (7, 6)),
+    (CLOCKED.replace("posedge clk", "posedge 3"),
+     "expected identifier, found '3'", (6, 18)),
+    (CLOCKED.replace("  input wire rst_n,", "  wire rst_n,"),
+     "expected port direction, found 'wire'", (3, 3)),
+    (CLOCKED.replace("    q <= 2'd0;", "    while (rst_n) q <= 2'd0;"),
+     "unsupported construct 'while'", (8, 5)),
+    (CLOCKED.replace("always @(posedge clk)",
+                     "wire w;\ninitial begin end\nalways @(posedge clk)"),
+     "unsupported construct 'initial'", (7, 1)),
+    (CLOCKED.replace("always @(posedge clk)",
+                     "tick t0 ();\nalways @(posedge clk)"),
+     "unsupported module item 'tick'", (6, 1)),
+    (CASEZ.replace("casez", "case"), "bad case label \"2'b1?\"", (7, 5)),
+    (CASEZ.replace("2'b1?", "2'h?"), "bad case label \"2'h?\"", (7, 5)),
+    (CASEZ.replace("2'b1?", "2'b1x"),
+     "x bits are not supported in \"2'b1x\"", (7, 5)),
+    (CASEZ.replace("2'b1?", "3'b1?"),
+     "case label width mismatch in \"3'b1?\"", (7, 5)),
+    (CASEZ.replace("casez", "casex"), "unsupported construct 'casex'",
+     (6, 3)),
+    (CASEZ.replace("    default: y = 1'b0;",
+                   "    default: y = 1'b0;\n    default: y = 1'b1;"),
+     "second default item in case", (9, 5)),
+    (CLOCKED.replace("@(posedge clk)", "@(posedge clk or rst_n)"),
+     "mixed edge and level sensitivity", (6, 1)),
+    (CLOCKED.replace("    q <= 2'd3;",
+                     "    /* a comment\n       over lines */ q <= $2'd3;"),
+     "unexpected character '$'", (11, 27)),
+    (CLOCKED.replace("    q <= 2'd3;", "    q == 2'd3;"),
+     "expected assignment, found '=='", (10, 7)),
+    (CLOCKED.replace("    q <= 2'd3;", "    2'd3 <= q;"),
+     "unsupported statement \"2'd3\"", (10, 5)),
+    (CLOCKED.replace("    q <= 2'd3;", "    q <= );"),
+     "unexpected token ')'", (10, 10)),
+    (CLOCKED.replace("rst_n == 1'b0", "(" * 101 + "rst_n" + ")" * 101),
+     "nesting deeper than 100 levels", (7, 105)),
+    (CLOCKED.replace("rst_n == 1'b0", "~" * 101 + "rst_n"),
+     "nesting deeper than 100 levels", (7, 107)),
+    (CLOCKED.replace("  if (rst_n", "begin " * 99 + "if (rst_n")
+     .replace("end\nendmodule", "end" + " end" * 99 + "\nendmodule"),
+     "nesting deeper than 100 levels", (7, 595)),
+    (CASEZ.replace("  casez (s)", "begin " * 99 + "casez (s)")
+     .replace("  endcase", "endcase" + " end" * 99),
+     "nesting deeper than 100 levels", (6, 595)),
+    (CASEZ.replace("  casez (s)", "begin " * 100 + "casez (s)")
+     .replace("  endcase", "endcase" + " end" * 100),
+     "nesting deeper than 100 levels", (6, 595)),
+])
+def test_errors_inside_a_module_are_located(text, message, where):
+    with pytest.raises(hdl.HdlError) as err:
+        hdl.parse_hdl(text)
+    assert str(err.value) == \
+        f"{message} (line {where[0]}, column {where[1]})"
+    assert (err.value.line, err.value.col) == where
+
+
 # Random token streams for the differential test of the tokenizer:
 # tokens of every kind, whitespace, comments (including an unterminated
 # one) and characters outside the subset, concatenated with no
@@ -286,7 +362,7 @@ _PIECES = st.one_of(
 
 def _tokens_or_error(tokenize, text):
     try:
-        return [tuple(tok) for tok in tokenize(text)]
+        return tokenize(text)
     except hdl.HdlError as e:
         return str(e), e.line, e.col
 
@@ -294,11 +370,21 @@ def _tokens_or_error(tokenize, text):
 @settings(max_examples=300)
 @given(st.lists(_PIECES, max_size=30).map("".join))
 def test_tokenize_matches_reference(text):
-    assert _tokens_or_error(hdl.tokenize, text) == \
-        _tokens_or_error(reference_tokenize, text)
+    def reference_texts(text):
+        return [token for _kind, token, _line, _col
+                in reference_tokenize(text)]
+    tokens = _tokens_or_error(hdl.tokenize, text)
+    assert tokens == _tokens_or_error(reference_texts, text)
+    if isinstance(tokens, list):
+        # Where an error would locate each token.
+        assert [expr.locate(text, i) for i in range(len(tokens))] == \
+            [(line, col) for _kind, _token, line, col
+             in reference_tokenize(text)]
 
 
-def test_tokens_keep_their_fields():
-    tok = hdl.tokenize("module m")[1]
-    assert (tok.kind, tok.text, tok.line, tok.col) == ("ident", "m", 1, 8)
-    assert tok == ("ident", "m", 1, 8)
+def test_tokens_are_their_texts():
+    assert hdl.tokenize("module m") == ["module", "m"]
+
+
+def test_locate_gives_a_tokens_line_and_column():
+    assert expr.locate("module m", 1) == (1, 8)

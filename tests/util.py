@@ -373,7 +373,8 @@ _REFERENCE_HDL_TOKEN_RE = re.compile(r"""
 
 
 def reference_tokenize(text: str) -> list:
-    """``hdl.tokenize`` as (kind, text, line, col) tuples."""
+    """The tokens of ``hdl.tokenize`` as (kind, text, line, col) tuples,
+    where ``expr.locate`` places them."""
     tokens = []
     pos = 0
     line = 1
