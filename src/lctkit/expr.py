@@ -1,7 +1,8 @@
 """
 Expression trees, and the one lexer and expression grammar that condition
 headers and the HDL subset share: `parse_expr` reads a header, and the
-HDL parser extends `_Parser` over its own token list.
+HDL parser extends `_Parser` over its own token list.  A token is its
+text; `locate` finds its line and column, for an error only.
 
 Grammar (loosest to tightest binding):
 

@@ -27,7 +27,6 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-TRACED_PREFIX = "hdl."
 
 
 def run(checkout, workload, seed, seconds, trace):
@@ -41,11 +40,6 @@ def run(checkout, workload, seed, seconds, trace):
     if not result["correct"] or result["failed"]:
         sys.exit(f"{checkout}: {workload} run is not correct")
     return result["metrics"]
-
-
-def git(checkout, *args):
-    return subprocess.run(["git", "-C", checkout, *args], check=True,
-                          capture_output=True, text=True).stdout.strip()
 
 
 def summary(values):
@@ -93,7 +87,7 @@ def main(argv=None):
                      args.seconds, 1)
         entry["traced"][side] = {name: m["value"]
                                  for name, m in traced.items()
-                                 if name.startswith(TRACED_PREFIX)}
+                                 if name.startswith("hdl.")}
 
     doc = {}
     if os.path.exists(args.out):
@@ -101,8 +95,9 @@ def main(argv=None):
             doc = json.load(f)
     doc["command"] = ("python3 perfbench/run.py --workload <w> --seed <s> "
                       "--seconds <t> --trace <0|1>")
-    doc["sha"] = {side: git(checkouts[side], "rev-parse", "HEAD")
-                  for side in SIDES}
+    doc["sha"] = {side: subprocess.run(
+        ["git", "-C", checkouts[side], "rev-parse", "HEAD"], check=True,
+        capture_output=True, text=True).stdout.strip() for side in SIDES}
     doc["workloads"] = [w for w in doc.get("workloads", [])
                         if (w["workload"], w["seed"])
                         != (args.workload, args.seed)] + [entry]
