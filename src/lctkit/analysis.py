@@ -87,25 +87,14 @@ def match_sets(table: Lct, rows: Optional[Sequence[CaseRow]] = None,
                enum_limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[tuple]:
     """Yield ``(assignment, m)`` in enumeration order, where bit i of
     ``m`` is set when row i (of ``rows``, by default the table's own)
-    matches: the lowest set bit is the first-match row.  Each column
-    keeps a bitset of rows per required value plus one of the rows that
-    accept any value, so an assignment costs one AND per column (the
-    bit-vector scheme of first-match packet classification)."""
+    matches: the lowest set bit is the first-match row.  An assignment
+    costs one AND per column over ``sim.column_bitsets``."""
     size = sim.control_space_size(table)
     if size > enum_limit:
         raise EnumLimitError(
             f"control space of {size} assignments exceeds limit {enum_limit}")
     rows = table.rows if rows is None else rows
-    columns = []
-    for c in range(len(table.conditions)):
-        exact, wild = {}, 0
-        for i, row in enumerate(rows):
-            cell = row.inputs[c]
-            if isinstance(cell, Constant):
-                exact[cell.bv.value] = exact.get(cell.bv.value, 0) | 1 << i
-            else:
-                wild |= 1 << i
-        columns.append(({v: bits | wild for v, bits in exact.items()}, wild))
+    columns = sim.column_bitsets(table, rows)
     full = (1 << len(rows)) - 1
     for assignment in sim.enumerate_assignments(table):
         m = full

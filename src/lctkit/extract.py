@@ -268,7 +268,10 @@ class _Builder:
                     f"value {rhs.value} exceeds width of {lhs}")
             return self._constant(width, rhs.value)
         if isinstance(rhs, ex.Ident):
-            return SignalRef(rhs.name)
+            try:
+                return SignalRef(rhs.name)
+            except LctError as e:  # an HDL name the table model rejects
+                raise ExtractError(str(e)) from None
         raise ExtractError(
             f"assignment to {lhs} is not a constant or signal "
             f"(found {ex.render(rhs)})")

@@ -451,11 +451,8 @@ def _simulate(original: Lct, extracted: Optional[Lct],
     try:
         for case in sim_suite:
             if original.clocking is Clocking.CLOCKED:
-                got_a = sim.run_trace(aligned_orig, case)
-                got_b = sim.run_trace(aligned_ext, case)
-                states_a = [dict(s.registers) for s in got_a]
-                states_b = [dict(s.registers) for s in got_b]
-                if states_a != states_b:
+                if sim.run_trace(aligned_orig, case) != \
+                        sim.run_trace(aligned_ext, case):
                     return SimVerdict.FAIL
             else:
                 if sim.eval_comb(aligned_orig, case) != \

@@ -3,22 +3,28 @@ Reference interpreter for LCTs.
 
 First-match semantics: the earliest row whose condition cells all match
 the inputs determines the outputs.  Control inputs resolve to concrete
-values; data inputs pass through as opaque tokens.  This module is the
-brute-force oracle: it scans the rows one by one.  ``analysis`` and
-``equiv`` find matching rows with row bitsets instead
-(``analysis.match_sets``) and are tested against it; ``equiv.compare``
-takes every counterexample from ``symbolic_outputs``.
+values; data inputs pass through as opaque tokens.
+
+``symbolic_outputs`` is the brute-force oracle: it scans the rows one by
+one (``compile_rows``, ``first_match``).  ``equiv.compare`` takes every
+counterexample from it, and the bitset walks of ``analysis`` and
+``equiv`` (``analysis.match_sets``) are tested against it.
+``eval_comb``, ``step_clocked`` and ``run_trace`` find their row with a
+kernel built once per table instance: the row bitsets of
+``column_bitsets``, one AND per condition column, and the lowest set
+bit, whose output cells are resolved in advance.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from . import expr
 from .model import (
     BitVector,
+    CaseRow,
     Clocking,
     Constant,
     DontCare,
@@ -136,6 +142,28 @@ def first_match(compiled: List[tuple], assignment: tuple) -> Optional[int]:
     return None
 
 
+def column_bitsets(table: Lct,
+                   rows: Optional[Sequence[CaseRow]] = None) -> List[tuple]:
+    """Per condition column, ``(by_value, wild)``: bit i of ``wild`` is
+    set when row i (of ``rows``, by default the table's own) accepts any
+    value there, and ``by_value`` maps each value some row requires to
+    the rows that accept it.  ANDing ``by_value.get(value, wild)`` over
+    the columns leaves the rows that match an assignment (the bit-vector
+    scheme of first-match packet classification)."""
+    rows = table.rows if rows is None else rows
+    columns = []
+    for c in range(len(table.conditions)):
+        exact, wild = {}, 0
+        for i, row in enumerate(rows):
+            cell = row.inputs[c]
+            if isinstance(cell, Constant):
+                exact[cell.bv.value] = exact.get(cell.bv.value, 0) | 1 << i
+            else:
+                wild |= 1 << i
+        columns.append(({v: bits | wild for v, bits in exact.items()}, wild))
+    return columns
+
+
 def enumerate_assignments(table: Lct) -> Iterable[tuple]:
     widths = [w for _, w in control_columns(table)]
     return itertools.product(*(range(1 << w) for w in widths))
@@ -189,32 +217,104 @@ def symbolic_outputs(table: Lct, assignment: tuple,
 # ---------------------------------------------------------------------------
 # Table evaluation over named inputs
 
-def control_assignment(table: Lct, inputs: Mapping[str, BitVector]) -> tuple:
-    """Project named inputs onto the table's condition columns."""
-    values = []
-    for header in table.conditions:
-        if isinstance(header, SignalHeader):
-            bv = inputs.get(header.name)
-            if bv is None:
-                raise SimError(f"missing condition input {header.name}")
-            values.append(bv.value)
-        else:
-            values.append(expr.truth(header.tree, inputs))
-    return tuple(values)
+class _Kernel:
+    """First-match evaluation of one table.  ``columns`` holds, per
+    condition column, its header, its input name (``None`` for an
+    expression header) and its ``column_bitsets``.  ``outputs`` holds,
+    per row and then for no match (``first_row`` -1), a pair: the row's
+    ``(result, value, read)`` cells, with ``value`` as ``resolve_cell``
+    gives it without inputs and ``read`` the input that a pass-through
+    reads when that input is supplied; and the text of the ``SimError``
+    for a bad output cell, or None.  That error is raised only when the
+    row matches, after the cells before it."""
+
+    __slots__ = ("columns", "full", "outputs")
+
+    def __init__(self, table: Lct):
+        self.columns = [
+            (header, header.name if isinstance(header, SignalHeader) else None,
+             by_value, wild)
+            for header, (by_value, wild) in zip(table.conditions,
+                                                column_bitsets(table))]
+        self.full = (1 << len(table.rows)) - 1
+        fallback = HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
+        self.outputs = [_resolved_cells(table, row) for row in table.rows]
+        self.outputs.append(
+            (tuple((name, fallback, None) for name in table.results), None))
+
+    def first_row(self, inputs: Mapping[str, BitVector]) -> int:
+        """The first-match row at ``inputs``, or -1.  Every column is
+        read in order, so the first missing input or failing expression
+        raises even when an earlier column matches no row."""
+        m = self.full
+        for header, name, by_value, wild in self.columns:
+            if name is None:
+                value = expr.truth(header.tree, inputs)
+            else:
+                bv = inputs.get(name)
+                if bv is None:
+                    raise SimError(f"missing condition input {name}")
+                value = bv.value
+            m &= by_value.get(value, wild)
+        return (m & -m).bit_length() - 1
+
+    def comb(self, inputs: Mapping[str, BitVector]) -> Dict[str, object]:
+        cells, error = self.outputs[self.first_row(inputs)]
+        out = {}
+        for name, value, read in cells:
+            if read is not None and read in inputs:
+                value = Known(inputs[read])
+            out[name] = value
+        if error is not None:
+            raise SimError(error)
+        return out
+
+    def step(self, state: SeqState,
+             inputs: Mapping[str, BitVector]) -> SeqState:
+        index = self.first_row(inputs)
+        if index < 0:
+            return state
+        cells, error = self.outputs[index]
+        regs = []
+        for name, value, read in cells:
+            if read is not None and read in inputs:
+                value = Known(inputs[read])
+            elif value is HOLD:
+                value = state.get(name)
+            regs.append((name, value))
+        if error is not None:
+            raise SimError(error)
+        return SeqState(tuple(regs))
+
+
+def _resolved_cells(table: Lct, row: CaseRow) -> tuple:
+    cells = []
+    for name, cell in zip(table.results, row.outputs):
+        try:
+            value = resolve_cell(table, name, cell)
+        except SimError as e:
+            return tuple(cells), str(e)
+        cells.append((name, value,
+                      cell.name if isinstance(value, Token) else None))
+    return tuple(cells), None
+
+
+def _kernel(table: Lct) -> _Kernel:
+    """The table's kernel, built on first use and kept in the instance's
+    ``__dict__`` as ``functools.cached_property`` keeps a value: it is
+    freed with the table, and a ``dataclasses.replace``d table, being a
+    new instance, builds its own."""
+    kernel = table.__dict__.get("_sim_kernel")
+    if kernel is None:
+        kernel = table.__dict__["_sim_kernel"] = _Kernel(table)
+    return kernel
 
 
 def eval_comb(table: Lct, inputs: Mapping[str, BitVector]) -> Dict[str, object]:
     """Evaluate a combinational table for one input vector."""
     if table.clocking is not Clocking.COMBINATIONAL:
         raise SimError("eval_comb requires a combinational table")
-    assignment = control_assignment(table, inputs)
-    compiled = compile_rows(table)
-    index = first_match(compiled, assignment)
-    if index is None:
-        return {name: UNSPEC for name in table.results}
-    row = table.rows[index]
-    return {name: resolve_cell(table, name, cell, inputs)
-            for name, cell in zip(table.results, row.outputs)}
+    return _kernel(table).comb(inputs)
 
 
 def step_clocked(table: Lct, state: SeqState,
@@ -223,24 +323,7 @@ def step_clocked(table: Lct, state: SeqState,
     and unmatched inputs keep the prior register values."""
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("step_clocked requires a clocked table")
-    return _step(table, compile_rows(table), state, inputs)
-
-
-def _step(table: Lct, compiled: List[tuple], state: SeqState,
-          inputs: Mapping[str, BitVector]) -> SeqState:
-    """``step_clocked`` over rows already compiled by ``compile_rows``."""
-    assignment = control_assignment(table, inputs)
-    index = first_match(compiled, assignment)
-    if index is None:
-        return state
-    row = table.rows[index]
-    regs = []
-    for name, cell in zip(table.results, row.outputs):
-        value = resolve_cell(table, name, cell, inputs)
-        if value is HOLD:
-            value = state.get(name)
-        regs.append((name, value))
-    return SeqState(tuple(regs))
+    return _kernel(table).step(state, inputs)
 
 
 def run_trace(table: Lct,
@@ -251,20 +334,22 @@ def run_trace(table: Lct,
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("run_trace requires a clocked table")
     state = initial_state(table)
-    compiled = compile_rows(table)
+    step = _kernel(table).step
     states = []
     for cycle, vector in enumerate(stimulus):
-        inputs = dict(vector)
-        for result, cond in table.feedback:
-            if cond in inputs:
-                continue
-            value = state.get(result)
-            if not isinstance(value, Known):
-                raise SimError(
-                    f"cycle {cycle}: feedback {result} -> {cond} is not a "
-                    f"known value ({value})")
-            inputs[cond] = value.bv
-        state = _step(table, compiled, state, inputs)
+        inputs = vector
+        if table.feedback:
+            inputs = dict(vector)
+            for result, cond in table.feedback:
+                if cond in inputs:
+                    continue
+                value = state.get(result)
+                if not isinstance(value, Known):
+                    raise SimError(
+                        f"cycle {cycle}: feedback {result} -> {cond} is not "
+                        f"a known value ({value})")
+                inputs[cond] = value.bv
+        state = step(state, inputs)
         states.append(state)
     return states
 

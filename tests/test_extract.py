@@ -168,6 +168,18 @@ endmodule
         extract.hdl_text_to_lct(text, ["a"], ["missing"])
 
 
+def test_hdl_name_the_table_model_rejects_is_an_extract_error():
+    """The reader accepts ``data1$`` as an identifier; a table cell may
+    not name it, so extraction fails with its own error class."""
+    table = load_fixture("mux4")
+    text = codegen.gen_unit(table)
+    assert text.count("data_out = data1;") == 1
+    text = text.replace("data_out = data1;", "data_out = data1$ ;")
+    with pytest.raises(extract.ExtractError,
+                       match=r"bad signal reference: 'data1\$'"):
+        extract.hdl_text_to_lct(text, *schema_of(table), name=table.name)
+
+
 def test_multiple_processes_need_explicit_selection():
     text = """\
 module two (

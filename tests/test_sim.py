@@ -6,13 +6,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lctkit import analysis, sim
-from lctkit.model import BitVector, Clocking, LctError, SignalHeader
+from lctkit.model import (
+    DONT_CARE,
+    BitVector,
+    CaseRow,
+    Clocking,
+    Constant,
+    Direction,
+    Lct,
+    LctError,
+    Port,
+    PortMap,
+    SignalHeader,
+    SignalRef,
+)
 from .util import (
     clocked_dont_care_lct,
     hold_spelling,
     load_fixture,
     random_lct,
     random_passthrough_lct,
+    reference_eval_comb,
+    reference_run_trace,
+    reference_step_clocked,
 )
 
 BV = BitVector
@@ -264,3 +280,164 @@ def test_run_trace_reads_a_clocked_dont_care_as_a_hold(kind, seed, cycles,
             return f"{type(e).__name__}: {e}"
 
     assert outcome(table) == outcome(hold_spelling(table))
+
+
+# --- eval_comb, step_clocked and run_trace against a row scan ---------------
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except LctError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _comb_table(kind, seed):
+    if kind == "random":
+        return random_lct(seed, clocked=False, max_control_bits=6)
+    return dataclasses.replace(random_passthrough_lct(seed),
+                               clocking=Clocking.COMBINATIONAL)
+
+
+def _token_feedback_lct(seed):
+    """A clocked table whose register ``s`` feeds condition ``state``
+    back and may pass data input ``d`` through: a cycle that leaves
+    ``d`` out leaves a token in ``s``, which the next cycle cannot feed
+    back."""
+    rng = random.Random(seed)
+
+    def condition(width):
+        if rng.random() < 0.3:
+            return DONT_CARE
+        return Constant(BV(width, rng.randrange(1 << width)))
+
+    def output():
+        return rng.choice([Constant(BV(2, rng.randrange(4))), SignalRef("d"),
+                           SignalRef("s"), DONT_CARE])
+
+    rows = tuple(CaseRow((condition(2), condition(1)), (output(),))
+                 for _ in range(rng.randint(1, 6)))
+    ports = PortMap((Port(Direction.INPUT, "state", 2),
+                     Port(Direction.INPUT, "c", 1),
+                     Port(Direction.INPUT, "d", 2),
+                     Port(Direction.OUTPUT, "s", 2)))
+    return Lct(name="token_fb", clocking=Clocking.CLOCKED,
+               conditions=(SignalHeader("state"), SignalHeader("c")),
+               results=("s",), rows=rows, ports=ports,
+               feedback=(("s", "state"),))
+
+
+def _with_bad_cell(table, rng):
+    """The table with one output cell that ``resolve_cell`` rejects, so
+    that only a vector matching its row raises ``bad output cell``."""
+    i = rng.randrange(len(table.rows))
+    j = rng.randrange(len(table.results))
+    row = table.rows[i]
+    bad = CaseRow(row.inputs, row.outputs[:j] + ("bogus",) + row.outputs[j + 1:])
+    return dataclasses.replace(
+        table, rows=table.rows[:i] + (bad,) + table.rows[i + 1:])
+
+
+def _vectors(table, rng, count, fed=()):
+    """Random vectors over the table's inputs, less ``fed``; about one in
+    seven leaves one input out: a condition, an expression operand, or a
+    data input that a pass-through then keeps as a token."""
+    ports = [p for p in table.ports.inputs() if p.name not in fed]
+    vectors = []
+    for _ in range(count):
+        vector = {p.name: BV(p.width, rng.randrange(1 << p.width))
+                  for p in ports}
+        if vector and rng.random() < 0.15:
+            del vector[rng.choice(sorted(vector))]
+        vectors.append(vector)
+    return vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "passthrough"]), st.integers(0, 10**6),
+       st.integers(0, 10**6), st.booleans())
+def test_eval_comb_equals_a_row_scan(kind, seed, vector_seed, bad_cell):
+    """The same outputs or the same error per vector, the table's kernel
+    reused from the first vector on; a clocked entry point refuses the
+    table alike."""
+    rng = random.Random(vector_seed)
+    table = _comb_table(kind, seed)
+    if bad_cell:
+        table = _with_bad_cell(table, rng)
+    for vector in _vectors(table, rng, 24):
+        assert _outcome(sim.eval_comb, table, vector) == \
+            _outcome(reference_eval_comb, table, vector)
+    assert _outcome(sim.run_trace, table, []) == \
+        _outcome(reference_run_trace, table, [])
+
+
+def _clocked_kind(kind, seed):
+    return _token_feedback_lct(seed) if kind == "token" \
+        else _clocked_table(kind, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "passthrough", "fsm", "token"]),
+       st.integers(0, 10**6), st.integers(0, 10**6), st.booleans())
+def test_step_clocked_equals_a_row_scan(kind, seed, vector_seed, bad_cell):
+    """The same next state or the same error per step, from the state
+    the steps reached and from a state with no registers, where a hold
+    raises ``no register named`` (before a bad cell later in its row)."""
+    rng = random.Random(vector_seed)
+    table = _clocked_kind(kind, seed)
+    if bad_cell:
+        table = _with_bad_cell(table, rng)
+    state, empty = sim.initial_state(table), sim.SeqState(())
+    for vector in _vectors(table, rng, 16):
+        got = _outcome(sim.step_clocked, table, state, vector)
+        assert got == _outcome(reference_step_clocked, table, state, vector)
+        assert _outcome(sim.step_clocked, table, empty, vector) == \
+            _outcome(reference_step_clocked, table, empty, vector)
+        if isinstance(got, sim.SeqState):
+            state = got
+    assert _outcome(sim.eval_comb, table, {}) == \
+        _outcome(reference_eval_comb, table, {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["random", "passthrough", "fsm", "token"]),
+       st.integers(0, 10**6), st.integers(0, 12), st.integers(0, 10**6),
+       st.booleans())
+def test_run_trace_equals_a_row_scan(kind, seed, cycles, stimulus_seed,
+                                     bad_cell):
+    """The same states or the same error on every prefix of the
+    stimulus, so that an error comes at the same cycle: a missing
+    input, a feedback value that is not known, or a bad output cell."""
+    rng = random.Random(stimulus_seed)
+    table = _clocked_kind(kind, seed)
+    if bad_cell:
+        table = _with_bad_cell(table, rng)
+    fed = {cond for _, cond in table.feedback}
+    stimulus = _vectors(table, rng, cycles, fed)
+    for end in range(cycles + 1):
+        assert _outcome(sim.run_trace, table, stimulus[:end]) == \
+            _outcome(reference_run_trace, table, stimulus[:end])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_a_replaced_table_never_reuses_its_source_kernel(seed, vector_seed):
+    """``dataclasses.replace`` with other rows or another clocking gives
+    a table that builds its own kernel and evaluates as a row scan of
+    its own rows does."""
+    rng = random.Random(vector_seed)
+    table = _comb_table("passthrough", seed)
+    vectors = _vectors(table, rng, 8)
+    for vector in vectors:
+        _outcome(sim.eval_comb, table, vector)
+    kernel = sim._kernel(table)
+    assert sim._kernel(table) is kernel
+    reordered = dataclasses.replace(table, rows=table.rows[::-1])
+    clocked = dataclasses.replace(table, clocking=Clocking.CLOCKED)
+    for other in (reordered, clocked):
+        assert sim._kernel(other) is not kernel
+    state = sim.initial_state(clocked)
+    for vector in vectors:
+        assert _outcome(sim.eval_comb, reordered, vector) == \
+            _outcome(reference_eval_comb, reordered, vector)
+        assert _outcome(sim.step_clocked, clocked, state, vector) == \
+            _outcome(reference_step_clocked, clocked, state, vector)

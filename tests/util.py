@@ -1,6 +1,7 @@
 """Shared test helpers: fixture loading, seeded random table generators,
 a row-by-row reference for the checks that ``analysis`` and ``equiv``
-compute from match-set bitsets, and a reference HDL tokenizer."""
+compute from match-set bitsets and for ``sim``'s evaluation entry
+points, and a reference HDL tokenizer."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from lctkit.model import (
     SignalHeader,
     SignalRef,
 )
-from lctkit import analysis, equiv, sim, tableio
+from lctkit import analysis, equiv, expr, sim, tableio
 from lctkit.hdl import HdlError
 
 TABLES_DIR = os.path.join(os.path.dirname(__file__), "tables")
@@ -250,6 +251,71 @@ def reference_conflicts(table: Lct) -> list:
                 conflicts.append(
                     (a, b, sim.assignment_dict(table, assignment)))
     return conflicts
+
+
+def _reference_row(table: Lct, inputs) -> int:
+    """The first-match row at named inputs, or None: the inputs projected
+    onto the condition columns in order, then one ``sim.first_match``
+    scan over ``sim.compile_rows``."""
+    assignment = []
+    for header in table.conditions:
+        if isinstance(header, SignalHeader):
+            bv = inputs.get(header.name)
+            if bv is None:
+                raise sim.SimError(f"missing condition input {header.name}")
+            assignment.append(bv.value)
+        else:
+            assignment.append(expr.truth(header.tree, inputs))
+    return sim.first_match(sim.compile_rows(table), tuple(assignment))
+
+
+def reference_eval_comb(table: Lct, inputs) -> dict:
+    """``sim.eval_comb`` by a row scan and ``sim.resolve_cell``."""
+    if table.clocking is not Clocking.COMBINATIONAL:
+        raise sim.SimError("eval_comb requires a combinational table")
+    index = _reference_row(table, inputs)
+    if index is None:
+        return {name: sim.UNSPEC for name in table.results}
+    return {name: sim.resolve_cell(table, name, cell, inputs)
+            for name, cell in zip(table.results, table.rows[index].outputs)}
+
+
+def reference_step_clocked(table: Lct, state, inputs):
+    """``sim.step_clocked`` by a row scan and ``sim.resolve_cell``."""
+    if table.clocking is not Clocking.CLOCKED:
+        raise sim.SimError("step_clocked requires a clocked table")
+    index = _reference_row(table, inputs)
+    if index is None:
+        return state
+    regs = []
+    for name, cell in zip(table.results, table.rows[index].outputs):
+        value = sim.resolve_cell(table, name, cell, inputs)
+        if value is sim.HOLD:
+            value = state.get(name)
+        regs.append((name, value))
+    return sim.SeqState(tuple(regs))
+
+
+def reference_run_trace(table: Lct, stimulus) -> list:
+    """``sim.run_trace`` as ``reference_step_clocked`` per cycle, each
+    fed-back condition read from the previous state unless supplied."""
+    if table.clocking is not Clocking.CLOCKED:
+        raise sim.SimError("run_trace requires a clocked table")
+    state = sim.initial_state(table)
+    states = []
+    for cycle, vector in enumerate(stimulus):
+        inputs = dict(vector)
+        for result, cond in table.feedback:
+            if cond not in inputs:
+                value = state.get(result)
+                if not isinstance(value, sim.Known):
+                    raise sim.SimError(
+                        f"cycle {cycle}: feedback {result} -> {cond} is not "
+                        f"a known value ({value})")
+                inputs[cond] = value.bv
+        state = reference_step_clocked(table, state, inputs)
+        states.append(state)
+    return states
 
 
 def _all_hold(table: Lct, row: CaseRow) -> bool:

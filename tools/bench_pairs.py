@@ -12,9 +12,10 @@ parent first in odd pairs and the change first in even ones, so that a
 drift of the host's speed falls on both sides alike.  Then each side
 runs once with ``--trace 1``.  The file keeps, per workload, seed and
 side, the median and quartiles of every end-to-end metric over the
-pairs, the pairs the change won on each metric, and the traced ``hdl.*``
-figures.  Running the command again for another workload or seed adds
-to the file; the same workload and seed are replaced.
+pairs, the pairs the change won on each metric, and every per-layer
+figure of the traced run.  Running the command again for another
+workload or seed adds to the file; the same workload and seed are
+replaced.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def main(argv=None):
                      args.seconds, 1)
         entry["traced"][side] = {name: m["value"]
                                  for name, m in traced.items()
-                                 if name.startswith("hdl.")}
+                                 if name not in entry["end_to_end"]}
 
     doc = {}
     if os.path.exists(args.out):
