@@ -11,8 +11,8 @@ column over row bitsets.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
@@ -110,14 +110,6 @@ def first_row(m: int) -> int:
 
 def _several(m: int) -> bool:
     return m & (m - 1) != 0
-
-
-def _first_rows(sets) -> int:
-    """The rows that are first match somewhere, as a bitset."""
-    claimed = 0
-    for m in sets:
-        claimed |= m & -m
-    return claimed
 
 
 def row_outputs(table: Lct) -> List[tuple]:
@@ -225,8 +217,23 @@ def _cell_sort_key(cell):
     return (2, 0, cell.name)
 
 
+def _row_sort_key(row: CaseRow) -> tuple:
+    return tuple(map(_cell_sort_key, row.inputs))
+
+
+def picker(order: Sequence[int]):
+    """A function from a tuple to the tuple of its items at ``order``."""
+    if len(order) == 1:
+        index = order[0]
+        return lambda items: (items[index],)
+    return operator.itemgetter(*order) if order else lambda items: ()
+
+
 def _all_hold(table: Lct, row: CaseRow) -> bool:
-    return all(isinstance(cell, SignalRef) and cell.name == name
+    """Whether every output of a clocked row holds: a don't-care, or a
+    reference to its own column."""
+    return all(isinstance(cell, DontCare)
+               or isinstance(cell, SignalRef) and cell.name == name
                for name, cell in zip(table.results, row.outputs))
 
 
@@ -238,16 +245,21 @@ def _prune(table: Lct, enum_limit: int) -> tuple:
         sets = {m for _, m in match_sets(table, enum_limit=enum_limit)}
     except EnumLimitError:
         return (1 << len(table.rows)) - 1, False
-    keep = _first_rows(sets)
+    keep = 0  # the rows that are first match somewhere
+    for m in sets:
+        keep |= m & -m
     if table.clocking is Clocking.CLOCKED:
         # A pure-hold row can go unless a later kept row overlaps it
         # where it matches first: the assignments it claims become
-        # unmatched, which also holds every register.
-        blocked = _first_rows(m & keep for m in sets if _several(m & keep))
-        for i, row in enumerate(table.rows):
-            if keep >> i & 1 and not blocked >> i & 1 \
-                    and _all_hold(table, row):
-                keep ^= 1 << i
+        # unmatched, which also holds every register.  Rows are decided
+        # from the last one up, so that a row overlapped only by hold
+        # rows that go goes too, and canonicalizing again drops nothing.
+        for i in reversed(range(len(table.rows))):
+            bit = 1 << i
+            if keep & bit and _all_hold(table, table.rows[i]) and not any(
+                    _several(k) and k & -k == bit
+                    for k in (m & keep for m in sets)):
+                keep ^= bit
     # Sorting overlapping rows could conflate tables that differ only in
     # priority, so decide from the kept rows (keeps the form stable
     # under re-canonicalization).
@@ -265,46 +277,42 @@ def canonicalize(table: Lct,
 
     Rows are left in priority order when any two rows overlap: sorting
     them could conflate tables that differ only in overlap priority.
+    Each kept row is built once, its cells picked in sorted column order.
     """
-    if table.clocking is Clocking.CLOCKED:
-        # A clocked don't-care output leaves the register alone, which is
-        # exactly a hold; normalize to the hold spelling.
-        rows = tuple(
-            CaseRow(row.inputs,
-                    tuple(SignalRef(name) if isinstance(cell, DontCare)
-                          else cell
-                          for name, cell in zip(table.results, row.outputs)),
-                    label=row.label, comment=row.comment)
-            for row in table.rows)
-        table = dataclasses.replace(table, rows=rows)
-
     keep, sort_rows = _prune(table, enum_limit)
-    rows = [row for i, row in enumerate(table.rows) if keep >> i & 1]
 
     cond_order = sorted(range(len(table.conditions)),
                         key=lambda i: table.conditions[i].key)
     res_order = sorted(range(len(table.results)),
                        key=lambda i: table.results[i])
+    pick_inputs, pick_outputs = picker(cond_order), picker(res_order)
 
     # A key re-read as header text is the header with its canonical text.
-    conditions = [condition_header(table.conditions[i].key)
-                  for i in cond_order]
-    results = tuple(table.results[i] for i in res_order)
+    conditions = tuple(condition_header(table.conditions[i].key)
+                       for i in cond_order)
+    results = pick_outputs(table.results)
+    # A clocked don't-care output leaves the register alone, which is
+    # exactly a hold; normalize to the hold spelling.
+    holds = tuple(map(SignalRef, results)) \
+        if table.clocking is Clocking.CLOCKED else None
 
-    new_rows = []
-    for row in rows:
-        inputs = tuple(row.inputs[i] for i in cond_order)
-        outputs = tuple(row.outputs[i] for i in res_order)
-        new_rows.append(CaseRow(inputs, outputs))
+    rows = []
+    for i, row in enumerate(table.rows):
+        if not keep >> i & 1:
+            continue
+        outputs = pick_outputs(row.outputs)
+        if holds and DontCare in map(type, outputs):
+            outputs = tuple(hold if type(cell) is DontCare else cell
+                            for cell, hold in zip(outputs, holds))
+        rows.append(CaseRow(pick_inputs(row.inputs), outputs))
     if sort_rows:
-        new_rows.sort(
-            key=lambda r: tuple(_cell_sort_key(c) for c in r.inputs))
+        rows.sort(key=_row_sort_key)
 
     ports = tuple(sorted(table.ports.entries,
                          key=lambda p: (p.direction.value, p.name)))
     return Lct(name=table.name, clocking=table.clocking,
-               conditions=tuple(conditions), results=results,
-               rows=tuple(new_rows), ports=PortMap(ports), feedback=())
+               conditions=conditions, results=results,
+               rows=tuple(rows), ports=PortMap(ports), feedback=())
 
 
 # ---------------------------------------------------------------------------

@@ -115,36 +115,6 @@ def _match_ports(a: Lct, b: Lct, aliases: Mapping[str, str]) -> Dict[str, str]:
     return renames
 
 
-def _rename_table(table: Lct, renames: Mapping[str, str]) -> Lct:
-    def rename_cell(cell):
-        if isinstance(cell, SignalRef):
-            return SignalRef(renames.get(cell.name, cell.name))
-        return cell
-
-    conditions = []
-    for header in table.conditions:
-        if isinstance(header, SignalHeader):
-            conditions.append(
-                SignalHeader(renames.get(header.name, header.name)))
-        else:
-            conditions.append(
-                ExprHeader(ex.render(ex.rename(header.tree, renames))))
-    results = tuple(renames.get(name, name) for name in table.results)
-    rows = tuple(
-        CaseRow(row.inputs,
-                tuple(rename_cell(c) for c in row.outputs),
-                label=row.label, comment=row.comment)
-        for row in table.rows)
-    ports = PortMap(tuple(
-        Port(p.direction, renames.get(p.name, p.name), p.width)
-        for p in table.ports.entries))
-    feedback = tuple((renames.get(r, r), renames.get(c, c))
-                     for r, c in table.feedback)
-    return dataclasses.replace(table, conditions=tuple(conditions),
-                               results=results, rows=rows, ports=ports,
-                               feedback=feedback)
-
-
 def _column_order(a_keys, b_keys, kind: str) -> List[int]:
     """The index in b_keys of each of a_keys, in a's order."""
     b_index = {key: i for i, key in enumerate(b_keys)}
@@ -161,29 +131,57 @@ def _column_order(a_keys, b_keys, kind: str) -> List[int]:
     return order
 
 
+def _aligned(a: Lct, b: Lct, renames: Mapping[str, str]) -> Lct:
+    """b renamed by ``renames`` (a name in b to one in a) with its
+    columns in a's order; b itself when neither changes anything."""
+    same_names = all(old == new for old, new in renames.items())
+    conditions, results = b.conditions, b.results
+    if not same_names:
+        conditions = tuple(
+            SignalHeader(renames.get(h.name, h.name))
+            if isinstance(h, SignalHeader)
+            else ExprHeader(ex.render(ex.rename(h.tree, renames)))
+            for h in conditions)
+        results = tuple(renames.get(name, name) for name in results)
+    cond_order = _column_order([h.key for h in a.conditions],
+                               [h.key for h in conditions], "condition")
+    res_order = _column_order(a.results, results, "result")
+    if same_names and cond_order == list(range(len(conditions))) \
+            and res_order == list(range(len(results))):
+        return b
+
+    pick_inputs = analysis.picker(cond_order)
+    pick_outputs = analysis.picker(res_order)
+    if same_names:
+        outputs = pick_outputs
+        ports, feedback = b.ports, b.feedback
+    else:
+        def outputs(cells):
+            return tuple(SignalRef(renames.get(c.name, c.name))
+                         if isinstance(c, SignalRef) else c
+                         for c in pick_outputs(cells))
+        ports = PortMap(tuple(
+            Port(p.direction, renames.get(p.name, p.name), p.width)
+            for p in b.ports.entries))
+        feedback = tuple((renames.get(r, r), renames.get(c, c))
+                         for r, c in b.feedback)
+    rows = tuple(CaseRow(pick_inputs(row.inputs), outputs(row.outputs),
+                         label=row.label, comment=row.comment)
+                 for row in b.rows)
+    return dataclasses.replace(
+        b, conditions=pick_inputs(conditions), results=pick_outputs(results),
+        rows=rows, ports=ports, feedback=feedback)
+
+
 def align(a: Lct, b: Lct,
           aliases: Optional[Mapping[str, str]] = None) -> Tuple[Lct, Lct]:
     """Rename b into a's namespace (exact names, then aliases, then
-    case-insensitive matches) and reorder its columns to a's order."""
-    renames = _match_ports(a, b, aliases or {})
-    renamed = _rename_table(b, renames)
-
-    cond_order = _column_order([h.key for h in a.conditions],
-                               [h.key for h in renamed.conditions],
-                               "condition")
-    res_order = _column_order(a.results, renamed.results, "result")
-
-    rows = tuple(
-        CaseRow(tuple(row.inputs[i] for i in cond_order),
-                tuple(row.outputs[i] for i in res_order),
-                label=row.label, comment=row.comment)
-        for row in renamed.rows)
-    reordered = dataclasses.replace(
-        renamed,
-        conditions=tuple(renamed.conditions[i] for i in cond_order),
-        results=tuple(renamed.results[i] for i in res_order),
-        rows=rows)
-    return a, reordered
+    case-insensitive matches) and reorder its columns to a's order.
+    Each row of b is built once, renamed and reordered in one pass.
+    When every port of b keeps its name and its condition and result
+    columns are already in a's order, b comes back unchanged: the same
+    object, expression headers spelled as b spells them."""
+    return a, _aligned(a, b, _match_ports(a, b, aliases or {}))
 
 
 def _cell_value(cell):
@@ -224,8 +222,12 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
         raise CompareError(
             f"clocking mismatch: {a.clocking.value} vs {b.clocking.value}")
     normalizations = []
-    a, b = align(a, b, aliases)
-    if aliases:
+    aliases = aliases or {}
+    renames = _match_ports(a, b, aliases)
+    b = _aligned(a, b, renames)
+    # An alias decided a pairing when it names the port of b that a
+    # differently named port of a took: it is tried before case folding.
+    if any(aliases.get(new) == old != new for old, new in renames.items()):
         normalizations.append("alias-renaming")
     normalizations.append("canonicalization")
 
@@ -244,7 +246,7 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
     # equal values, so a row pair that agrees once agrees everywhere.
     # Any other pair is settled by the oracle at the assignment itself.
     outputs_a, outputs_b = analysis.row_outputs(a), analysis.row_outputs(b)
-    compiled_a, compiled_b = sim.compile_rows(a), sim.compile_rows(b)
+    compiled = None
     low = (1 << len(a.rows)) - 1
     agreeing = set()
     for assignment, m in analysis.match_sets(a, a.rows + b.rows, enum_limit):
@@ -255,8 +257,10 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
         if all(map(_values_agree, outputs_a[pair[0]], outputs_b[pair[1]])):
             agreeing.add(pair)
             continue
-        outs_a = sim.symbolic_outputs(a, assignment, compiled_a)
-        outs_b = sim.symbolic_outputs(b, assignment, compiled_b)
+        if compiled is None:
+            compiled = sim.compile_rows(a), sim.compile_rows(b)
+        outs_a = sim.symbolic_outputs(a, assignment, compiled[0])
+        outs_b = sim.symbolic_outputs(b, assignment, compiled[1])
         for name, va, vb in zip(a.results, outs_a, outs_b):
             if not _values_agree(va, vb):
                 counterexample = Counterexample(

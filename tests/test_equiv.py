@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctkit import analysis, equiv, tableio
 from lctkit.model import (
@@ -13,11 +14,16 @@ from lctkit.model import (
     PortMap,
 )
 from .util import (
+    SEEDS,
+    TABLES,
     clocked_dont_care_lct,
     load_fixture,
     mutate_output,
+    permute_columns,
     random_disjoint_lct,
     random_lct,
+    reference_align,
+    rename_table,
 )
 
 
@@ -167,7 +173,7 @@ def test_enum_limit_respected():
 def _renamed_regmux2():
     table = load_fixture("regmux2")
     renames = {"rst_n": "RESETN", "data_out": "DOUT"}
-    return equiv._rename_table(table, renames), renames
+    return rename_table(table, renames), renames
 
 
 def test_alias_alignment():
@@ -181,7 +187,7 @@ def test_alias_alignment():
 
 def test_case_fold_alignment_without_aliases():
     table = load_fixture("regmux2")
-    folded = equiv._rename_table(table, {"rst_n": "RST_N"})
+    folded = rename_table(table, {"rst_n": "RST_N"})
     assert equiv.compare(table, folded).verdict.equivalent
 
 
@@ -200,6 +206,64 @@ def test_width_mismatch_raises_align_error():
     other = dataclasses.replace(table, ports=bad_ports, rows=())
     with pytest.raises(equiv.AlignError):
         equiv.align(table, other)
+
+
+def test_alias_that_pairs_no_ports_is_not_a_normalization():
+    table = load_fixture("mux4")
+    for aliases in ({"select_typo": "nope"}, {"select": "select"}):
+        result = equiv.compare(table, table, aliases=aliases)
+        assert result.verdict is equiv.Verdict.TEXTUALLY_IDENTICAL
+        assert result.normalizations == ["canonicalization"]
+
+
+def _align_variant(table, kind, rng):
+    """A second table for ``align(table, b, aliases)``, and the aliases.
+    Renamed ports also rename the identifiers of expression headers."""
+    names = [p.name for p in table.ports.entries]
+    if kind == "same":
+        return table, None
+    if kind == "permute":
+        return permute_columns(table, rng), None
+    if kind == "fold":
+        renames = {n: n.upper() for n in names if rng.random() < 0.7}
+        return permute_columns(rename_table(table, renames), rng), None
+    if kind == "alias":
+        renames = {n: f"{n}_b" for n in names if rng.random() < 0.7}
+        other = rename_table(table, renames)
+        return (permute_columns(other, rng) if rng.random() < 0.5 else other,
+                renames)
+    # A result column missing from b, an alias map that leaves one
+    # renamed port unpaired, or one that is not bijective: align raises.
+    if rng.random() < 0.3:
+        rows = tuple(dataclasses.replace(row, outputs=row.outputs[1:])
+                     for row in table.rows)
+        return dataclasses.replace(table, results=table.results[1:],
+                                   rows=rows), None
+    name = rng.choice(names)
+    renames = {n: f"{n}_b" for n in names}
+    aliases = {n: renames[n] for n in names if n != name}
+    if rng.random() < 0.5:
+        aliases[name] = aliases.get(names[0], renames[names[-1]])
+    return rename_table(table, renames), aliases
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLES, st.sampled_from(["same", "permute", "fold", "alias",
+                                      "broken"]), SEEDS)
+def test_align_matches_reference(table, kind, seed):
+    other, aliases = _align_variant(table, kind, random.Random(seed))
+    try:
+        expected = reference_align(table, other, aliases)[1]
+    except equiv.AlignError as e:
+        with pytest.raises(equiv.AlignError) as raised:
+            equiv.align(table, other, aliases)
+        assert str(raised.value) == str(e)
+        return
+    a, aligned = equiv.align(table, other, aliases)
+    assert a is table
+    assert aligned == expected
+    if kind == "same":
+        assert aligned is other
 
 
 def test_parse_aliases_grammar():

@@ -11,16 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lctkit import analysis, equiv, sim
 from lctkit.model import Clocking, DONT_CARE, SignalHeader, SignalRef
 from . import util
-
-SEEDS = st.integers(0, 10 ** 6)
-
-TABLES = st.one_of(
-    SEEDS.map(util.random_lct),
-    st.builds(util.random_disjoint_lct, SEEDS, st.booleans()),
-    SEEDS.map(util.random_passthrough_lct),
-    st.builds(analysis.generate_fsm, st.sampled_from([2, 4, 8]),
-              st.integers(1, 3), st.integers(0, 2), SEEDS),
-)
+from .util import SEEDS, TABLES
 
 
 def test_walk_yields_every_matching_row_in_enumeration_order():

@@ -29,7 +29,12 @@ from lctkit.model import (
     SignalRef,
     validate_lct,
 )
-from .util import random_disjoint_lct, random_lct, random_passthrough_lct
+from .util import (
+    permute_columns,
+    random_disjoint_lct,
+    random_lct,
+    random_passthrough_lct,
+)
 
 
 def _const(width, value):
@@ -209,17 +214,6 @@ def _own_tables(seed):
                                 rng.randint(0, 2), seed)
 
 
-def _permuted(table: Lct, rng: random.Random) -> Lct:
-    cond = rng.sample(range(len(table.conditions)), len(table.conditions))
-    res = rng.sample(range(len(table.results)), len(table.results))
-    rows = tuple(CaseRow(tuple(row.inputs[i] for i in cond),
-                         tuple(row.outputs[i] for i in res))
-                 for row in table.rows)
-    return dataclasses.replace(
-        table, conditions=tuple(table.conditions[i] for i in cond),
-        results=tuple(table.results[i] for i in res), rows=rows)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_own_output_validates(seed):
@@ -228,7 +222,7 @@ def test_own_output_validates(seed):
         assert validate_lct(table) == []
         outputs = {
             "canonicalize": analysis.canonicalize(table),
-            "align": equiv.align(table, _permuted(table, rng))[1],
+            "align": equiv.align(table, permute_columns(table, rng))[1],
             "extract": extract.hdl_text_to_lct(
                 codegen.gen_unit(table, codegen.STYLE_IF),
                 *rt.schema_of(table)),

@@ -1,7 +1,8 @@
-"""Shared test helpers: fixture loading, seeded random table generators,
-a row-by-row reference for the checks that ``analysis`` and ``equiv``
-compute from match-set bitsets and for ``sim``'s evaluation entry
-points, and a reference HDL tokenizer."""
+"""Shared test helpers: fixture loading, seeded random table generators
+and the hypothesis strategy over them, a row-by-row reference for the
+checks that ``analysis`` and ``equiv`` compute from match-set bitsets
+and for ``sim``'s evaluation entry points, a two-pass reference for
+``equiv.align``, and a reference HDL tokenizer."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import itertools
 import os
 import random
 import re
+
+from hypothesis import strategies as st
 
 from lctkit.model import (
     BitVector,
@@ -177,6 +180,18 @@ def mutate_output(table: Lct, rng: random.Random):
             row_idx, table.results[col_idx])
 
 
+def permute_columns(table: Lct, rng: random.Random) -> Lct:
+    """``table`` with its condition and result columns shuffled."""
+    cond = rng.sample(range(len(table.conditions)), len(table.conditions))
+    res = rng.sample(range(len(table.results)), len(table.results))
+    rows = tuple(dataclasses.replace(
+        row, inputs=tuple(row.inputs[i] for i in cond),
+        outputs=tuple(row.outputs[i] for i in res)) for row in table.rows)
+    return dataclasses.replace(
+        table, conditions=tuple(table.conditions[i] for i in cond),
+        results=tuple(table.results[i] for i in res), rows=rows)
+
+
 def random_passthrough_lct(seed: int) -> Lct:
     """A ``random_lct`` with one more result, ``p``, as wide as the first
     condition column, whose cells mostly pass that condition signal
@@ -205,6 +220,19 @@ def random_passthrough_lct(seed: int) -> Lct:
     return dataclasses.replace(table, name=f"pass_{seed}",
                                results=table.results + ("p",), rows=rows,
                                ports=ports)
+
+
+SEEDS = st.integers(0, 10 ** 6)
+
+# Random tables with overlaps, complete disjoint tables, pass-through
+# tables and FSMs with feedback.
+TABLES = st.one_of(
+    SEEDS.map(random_lct),
+    st.builds(random_disjoint_lct, SEEDS, st.booleans()),
+    SEEDS.map(random_passthrough_lct),
+    st.builds(analysis.generate_fsm, st.sampled_from([2, 4, 8]),
+              st.integers(1, 3), st.integers(0, 2), SEEDS),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +352,21 @@ def _all_hold(table: Lct, row: CaseRow) -> bool:
 
 
 def reference_droppable_hold_rows(table: Lct) -> set:
-    """Pure-hold rows that no later row overlaps where they match
-    first."""
+    """Pure-hold rows that no later row still kept overlaps where they
+    match first, decided from the last row up."""
     compiled = sim.compile_rows(table)
-    blocked = set()
-    for assignment in sim.enumerate_assignments(table):
-        matching = _matching(compiled, assignment)
-        if len(matching) > 1:
-            blocked.add(matching[0])
-    return {i for i, row in enumerate(table.rows)
-            if _all_hold(table, row)} - blocked
+    dropped = set()
+    for i in reversed(range(len(table.rows))):
+        if not _all_hold(table, table.rows[i]):
+            continue
+        for assignment in sim.enumerate_assignments(table):
+            matching = [j for j in _matching(compiled, assignment)
+                        if j not in dropped]
+            if len(matching) > 1 and matching[0] == i:
+                break
+        else:
+            dropped.add(i)
+    return dropped
 
 
 def _cell_sort_key(cell):
@@ -391,6 +424,55 @@ def reference_canonicalize(table: Lct) -> Lct:
                rows=tuple(rows), ports=PortMap(ports), feedback=())
 
 
+def rename_table(table: Lct, renames) -> Lct:
+    """``table`` with every port, column, cell reference, expression
+    identifier and feedback name mapped through ``renames``."""
+    def rename_cell(cell):
+        if isinstance(cell, SignalRef):
+            return SignalRef(renames.get(cell.name, cell.name))
+        return cell
+
+    conditions = tuple(
+        SignalHeader(renames.get(h.name, h.name))
+        if isinstance(h, SignalHeader)
+        else ExprHeader(expr.render(expr.rename(h.tree, renames)))
+        for h in table.conditions)
+    rows = tuple(
+        CaseRow(row.inputs, tuple(rename_cell(c) for c in row.outputs),
+                label=row.label, comment=row.comment)
+        for row in table.rows)
+    ports = PortMap(tuple(Port(p.direction, renames.get(p.name, p.name),
+                               p.width)
+                          for p in table.ports.entries))
+    return dataclasses.replace(
+        table, conditions=conditions,
+        results=tuple(renames.get(name, name) for name in table.results),
+        rows=rows, ports=ports,
+        feedback=tuple((renames.get(r, r), renames.get(c, c))
+                       for r, c in table.feedback))
+
+
+def reference_align(a: Lct, b: Lct, aliases=None):
+    """``equiv.align`` as two passes over every row of ``b``: rename it
+    into a's namespace, then reorder its columns to a's order."""
+    renames = equiv._match_ports(a, b, aliases or {})
+    renamed = rename_table(b, renames)
+    cond_order = equiv._column_order(
+        [h.key for h in a.conditions],
+        [h.key for h in renamed.conditions], "condition")
+    res_order = equiv._column_order(a.results, renamed.results, "result")
+    rows = tuple(
+        CaseRow(tuple(row.inputs[i] for i in cond_order),
+                tuple(row.outputs[i] for i in res_order),
+                label=row.label, comment=row.comment)
+        for row in renamed.rows)
+    return a, dataclasses.replace(
+        renamed,
+        conditions=tuple(renamed.conditions[i] for i in cond_order),
+        results=tuple(renamed.results[i] for i in res_order),
+        rows=rows)
+
+
 def canonical_text(canonical: Lct) -> str:
     return tableio.serialize_unit_doc(
         dataclasses.replace(canonical, name="unit"))
@@ -409,7 +491,7 @@ def reference_compare(a: Lct, b: Lct):
     """(verdict, counterexample) of ``equiv.compare`` without aliases:
     textual identity of the reference canonical forms, then every
     assignment in order through ``sim.symbolic_outputs``."""
-    a, b = equiv.align(a, b)
+    a, b = reference_align(a, b)
     if canonical_text(reference_canonicalize(a)) == \
             canonical_text(reference_canonicalize(b)):
         return equiv.Verdict.TEXTUALLY_IDENTICAL, None
