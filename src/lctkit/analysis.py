@@ -5,12 +5,14 @@ don't-care expansion, canonicalization, and synthetic FSM generation.
 All enumeration respects first-match row priority and is bounded by an
 explicit assignment limit.  The checks, canonicalization and
 ``equiv.compare`` share one walk over the control space, ``match_sets``,
-which finds the rows matching an assignment with one AND per condition
-column over row bitsets.
+which multiplies the row bitsets of the trailing condition columns out
+into a block once: an assignment then costs one AND inside its block,
+plus one per leading column per block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -37,6 +39,7 @@ from .model import (
 from . import sim
 
 DEFAULT_ENUM_LIMIT = 1 << 20
+_BLOCK = 1 << 12  # match_sets folds trailing columns up to this many masks
 
 
 class EnumLimitError(LctError):
@@ -87,20 +90,29 @@ def match_sets(table: Lct, rows: Optional[Sequence[CaseRow]] = None,
                enum_limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[tuple]:
     """Yield ``(assignment, m)`` in enumeration order, where bit i of
     ``m`` is set when row i (of ``rows``, by default the table's own)
-    matches: the lowest set bit is the first-match row.  An assignment
-    costs one AND per column over ``sim.column_bitsets``."""
+    matches: the lowest set bit is the first-match row.  The trailing
+    columns' row bitsets (``sim.column_bitsets``) are multiplied out
+    once into a block of at most ``_BLOCK`` masks, or the last column's
+    own if wider: an assignment costs one AND in its block, plus one per
+    leading column per block.  Memory holds one block plus one mask
+    list per column, never the whole space."""
     size = sim.control_space_size(table)
     if size > enum_limit:
         raise EnumLimitError(
             f"control space of {size} assignments exceeds limit {enum_limit}")
     rows = table.rows if rows is None else rows
-    columns = sim.column_bitsets(table, rows)
     full = (1 << len(rows)) - 1
-    for assignment in sim.enumerate_assignments(table):
-        m = full
-        for (by_value, wild), value in zip(columns, assignment):
-            m &= by_value.get(value, wild)
-        yield assignment, m
+    values = [[by_value.get(v, wild) for v in range(1 << width)]
+              for (by_value, wild), (_, width) in zip(
+                  sim.column_bitsets(table, rows), sim.control_columns(table))]
+    block = values.pop() if values else [full]
+    while values and len(block) * len(values[-1]) <= _BLOCK:
+        block = [a & b for a in values.pop() for b in block]
+    assignments = sim.enumerate_assignments(table)
+    for prefix in itertools.product(*values):
+        mask = functools.reduce(operator.and_, prefix, full)
+        yield from zip(itertools.islice(assignments, len(block)),
+                       [mask & m for m in block])
 
 
 def first_row(m: int) -> int:

@@ -243,6 +243,8 @@ class RemoteChatBackend:
         }
         last_error = None
         for attempt in range(self.retries):
+            if attempt:  # back off between attempts, not after the last
+                time.sleep(min(2 ** (attempt - 1), 30))
             try:
                 response = self._post(payload)
                 response.raise_for_status()
@@ -251,7 +253,6 @@ class RemoteChatBackend:
                 return TransformResponse(request.direction, text)
             except Exception as e:  # noqa: BLE001 - retry any transport error
                 last_error = e
-                time.sleep(min(2 ** attempt, 30))
         raise BackendError(
             f"{self.name}: {self.retries} attempts failed: {last_error}")
 

@@ -6,10 +6,13 @@
 import dataclasses
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lctkit import analysis, equiv, sim
-from lctkit.model import Clocking, DONT_CARE, SignalHeader, SignalRef
+from lctkit.model import (BitVector, CaseRow, Clocking, Constant, DONT_CARE,
+                          Direction, Lct, Port, PortMap, SignalHeader,
+                          SignalRef)
 from . import util
 from .util import SEEDS, TABLES
 
@@ -96,3 +99,85 @@ def test_compare_matches_reference_in_both_orders(table, kind, seed):
         result = equiv.compare(a, b)
         assert (result.verdict, result.counterexample) == \
             util.reference_compare(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries.  `match_sets` multiplies the trailing columns out into
+# blocks of at most `analysis._BLOCK` masks; every `TABLES` example fits in
+# one block of the real size, so these shrink it until walks cross blocks.
+
+def _reference_match_sets(table):
+    compiled = sim.compile_rows(table)
+    return [(assignment, sum(1 << i for i, constraints in enumerate(compiled)
+                             if sim.row_matches(constraints, assignment)))
+            for assignment in sim.enumerate_assignments(table)]
+
+
+def _reference_kept_rows(table):
+    shadowed = set(util.reference_shadowed(table))
+    pruned = [i for i in range(len(table.rows)) if i not in shadowed]
+    dropped = set()
+    if table.clocking is Clocking.CLOCKED:
+        dropped = {pruned[j] for j in util.reference_droppable_hold_rows(
+            dataclasses.replace(table,
+                                rows=tuple(table.rows[i] for i in pruned)))}
+    return [i for i in pruned if i not in dropped]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 16])
+@settings(max_examples=40, deadline=None)
+@given(TABLES, st.sampled_from(["mutate", "reverse", "expand", "drop",
+                                "rewrite"]), SEEDS)
+def test_small_blocks_match_reference(block, table, kind, seed):
+    other = _variant(table, kind, random.Random(seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK", block)
+        assert list(analysis.match_sets(table)) == \
+            _reference_match_sets(table)
+        assert analysis.check_completeness(table).uncovered == \
+            util.reference_uncovered(table)
+        overlap = analysis.check_overlap(table)
+        assert overlap.shadowed_rows == util.reference_shadowed(table)
+        assert overlap.conflicts == util.reference_conflicts(table)
+        spelled = util.hold_spelling(table)
+        keep, _ = analysis._prune(spelled, analysis.DEFAULT_ENUM_LIMIT)
+        assert [i for i in range(len(spelled.rows)) if keep >> i & 1] == \
+            _reference_kept_rows(spelled)
+        if other is not None:
+            for a, b in ((table, other), (other, table)):
+                result = equiv.compare(a, b)
+                assert (result.verdict, result.counterexample) == \
+                    util.reference_compare(a, b)
+
+
+def test_a_column_wider_than_a_block_is_its_own_block():
+    width = 13
+    assert 1 << width > analysis._BLOCK
+    table = Lct(
+        name="wide", clocking=Clocking.COMBINATIONAL,
+        conditions=(SignalHeader("sel"),), results=("y",),
+        rows=tuple(CaseRow((Constant(BitVector(width, value)),),
+                           (Constant(BitVector(1, value & 1)),))
+                   for value in (5, 4095, 4096, 8000, 4096)),
+        ports=PortMap((Port(Direction.INPUT, "sel", width),
+                       Port(Direction.OUTPUT, "y", 1))))
+    assert list(analysis.match_sets(table)) == \
+        _reference_match_sets(table)
+    assert analysis.check_completeness(table).uncovered == \
+        util.reference_uncovered(table)
+    assert analysis.check_overlap(table).shadowed_rows == [4]
+
+
+def test_counterexample_past_the_first_block():
+    table = analysis.generate_fsm(16, 9, 2, seed=5)
+    # Dropping the first transition row leaves rst_n=1 state=0 cond0=1
+    # unmatched, half-way through the space.
+    faulted = dataclasses.replace(table, rows=table.rows[:2] + table.rows[3:])
+    assert sim.control_space_size(table) == 1 << 14
+    result = equiv.compare(table, faulted)
+    assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
+    assignment = tuple(result.counterexample.assignment.values())
+    index = list(sim.enumerate_assignments(table)).index(assignment)
+    assert index >= analysis._BLOCK
+    assert (result.verdict, result.counterexample) == \
+        util.reference_compare(table, faulted)

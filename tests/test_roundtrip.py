@@ -292,12 +292,15 @@ def test_remote_backend_retries_then_succeeds(monkeypatch):
 
 
 def test_remote_backend_gives_up_after_retries(monkeypatch):
-    monkeypatch.setattr(rt.time, "sleep", lambda s: None)
+    sleeps = []
+    monkeypatch.setattr(rt.time, "sleep", sleeps.append)
     session = _FakeSession([_FakeResponse({}, status=500)] * 3)
     backend = rt.RemoteChatBackend("http://unit.test", "m", retries=3,
                                    session=session)
     with pytest.raises(rt.BackendError):
         backend.complete(TransformRequest(TransformDirection.FORWARD, "p"))
+    # Backs off between attempts only: none after the last one.
+    assert sleeps == [1, 2]
 
 
 def test_roundtrip_through_fenced_remote_responses():

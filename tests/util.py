@@ -495,9 +495,10 @@ def reference_compare(a: Lct, b: Lct):
     if canonical_text(reference_canonicalize(a)) == \
             canonical_text(reference_canonicalize(b)):
         return equiv.Verdict.TEXTUALLY_IDENTICAL, None
+    compiled_a, compiled_b = sim.compile_rows(a), sim.compile_rows(b)
     for assignment in sim.enumerate_assignments(a):
-        outs_a = sim.symbolic_outputs(a, assignment)
-        outs_b = sim.symbolic_outputs(b, assignment)
+        outs_a = sim.symbolic_outputs(a, assignment, compiled_a)
+        outs_b = sim.symbolic_outputs(b, assignment, compiled_b)
         for name, va, vb in zip(a.results, outs_a, outs_b):
             if isinstance(va, sim.Unspecified) or \
                     isinstance(vb, sim.Unspecified) or va == vb:

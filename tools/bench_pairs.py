@@ -13,9 +13,10 @@ drift of the host's speed falls on both sides alike.  Then each side
 runs once with ``--trace 1``.  The file keeps, per workload, seed and
 side, the median and quartiles of every end-to-end metric over the
 pairs, the pairs the change won on each metric, and every per-layer
-figure of the traced run.  Running the command again for another
-workload or seed adds to the file; the same workload and seed are
-replaced.
+figure of the traced run, and the commit of each checkout, marked dirty
+when the checkout has uncommitted changes to tracked files.  Running the
+command again for another workload or seed adds to the file; the same
+workload and seed are replaced.
 """
 
 from __future__ import annotations
@@ -43,6 +44,19 @@ def run(checkout, workload, seed, seconds, trace):
     return result["metrics"]
 
 
+def checkout_state(checkout):
+    """The commit a checkout is at, with ``"dirty": true`` when its
+    tracked files differ from that commit: then the commit is not what
+    was measured."""
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], check=True,
+                              capture_output=True, text=True).stdout.strip()
+    state = {"sha": git("rev-parse", "HEAD")}
+    if git("status", "--porcelain", "--untracked-files=no"):
+        state["dirty"] = True
+    return state
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -60,6 +74,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
 
+    states = {side: checkout_state(checkouts[side]) for side in SIDES}
     runs = {side: [] for side in SIDES}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -72,6 +87,7 @@ def main(argv=None):
 
     entry = {"workload": args.workload, "seed": args.seed,
              "seconds": args.seconds, "pairs": args.pairs,
+             "checkouts": states,
              "end_to_end": {}, "change_wins": {}, "traced": {}}
     for name, metric in runs["parent"][0].items():
         higher = name == "ops_per_s"  # every other metric: lower wins
@@ -96,9 +112,7 @@ def main(argv=None):
             doc = json.load(f)
     doc["command"] = ("python3 perfbench/run.py --workload <w> --seed <s> "
                       "--seconds <t> --trace <0|1>")
-    doc["sha"] = {side: subprocess.run(
-        ["git", "-C", checkouts[side], "rev-parse", "HEAD"], check=True,
-        capture_output=True, text=True).stdout.strip() for side in SIDES}
+    doc.pop("sha", None)  # each entry names the checkouts it measured
     doc["workloads"] = [w for w in doc.get("workloads", [])
                         if (w["workload"], w["seed"])
                         != (args.workload, args.seed)] + [entry]
