@@ -3,7 +3,9 @@ Command-line front end.
 
 Exit codes: 0 on success (tables valid, equivalent, or round trip
 matched); 1 when the tools found something (coverage gaps, semantic
-differences, transform faults); 2 on usage, I/O, or backend errors.
+differences, transform faults); 2 on usage, I/O, or backend errors, and
+when a round trip's status is ``error``: a stage failed in a backend or in
+lctkit, not in a transform; ``lct roundtrip`` and ``lct report`` show it.
 """
 
 from __future__ import annotations
@@ -174,12 +176,11 @@ def cmd_roundtrip(args) -> int:
                                  enum_limit=args.enum_limit)
     status = EXIT_OK
     for report in reports:
-        if args.records:
-            print(f"{report.unit}\t{report.outcome.label.value}")
-        else:
-            print(report.render())
-        if report.outcome.label is not roundtrip.Label.M:
-            status = max(status, EXIT_FINDINGS)
+        label = report.outcome.label.value if report.outcome else "error"
+        print(f"{report.unit}\t{label}" if args.records else report.render())
+        if label != "M":
+            status = max(status, EXIT_ERROR if label == "error"
+                         else EXIT_FINDINGS)
     return status
 
 
@@ -194,7 +195,7 @@ def cmd_report(args) -> int:
             if "=" in line:
                 key, value = line.split("=", 1)
                 fields[key] = value
-        label = fields.get("label", "?")
+        label = "error" if "error" in fields else fields.get("label", "?")
         tallies[label] = tallies.get(label, 0) + 1
         records.append((fields.get("unit", os.path.basename(root)), label))
     if not records:
@@ -208,8 +209,9 @@ def cmd_report(args) -> int:
             count = tallies[label]
             print(f"{label:8s} {count:5d}  {100.0 * count / total:6.2f}%")
         print(f"{'total':8s} {total:5d}")
-    mismatches = sum(c for label, c in tallies.items() if label != "M")
-    return EXIT_FINDINGS if mismatches else EXIT_OK
+    if "error" in tallies:
+        return EXIT_ERROR
+    return EXIT_FINDINGS if set(tallies) - {"M"} else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -382,7 +382,7 @@ def classify_outcome(evidence: Evidence) -> Outcome:
 @dataclass
 class RoundTripReport:
     unit: str
-    outcome: Outcome
+    outcome: Optional[Outcome]
     forward_backend: str
     inverse_backend: str
     timings: dict = field(default_factory=dict)
@@ -390,14 +390,18 @@ class RoundTripReport:
     counterexample: Optional[equiv.Counterexample] = None
     notes: List[str] = field(default_factory=list)
     run_dir: Optional[str] = None
+    error: Optional[str] = None  # "<stage>: <Type>: <message>", no outcome
 
     def render(self) -> str:
-        lines = [f"unit {self.unit}: {self.outcome.label.value}",
+        status = self.outcome.label.value if self.outcome else "error"
+        lines = [f"unit {self.unit}: {status}",
                  f"  forward: {self.forward_backend}",
                  f"  inverse: {self.inverse_backend}"]
+        if self.error:
+            lines.append(f"  error: {self.error}")
         if self.counterexample:
             lines.append(f"  counterexample: {self.counterexample}")
-        if self.outcome.caveat:
+        if self.outcome and self.outcome.caveat:
             lines.append(f"  caveat: {self.outcome.caveat}")
         for note in self.notes:
             lines.append(f"  note: {note}")
@@ -441,135 +445,128 @@ def _simulate(original: Lct, extracted: Optional[Lct],
               sim_suite) -> SimVerdict:
     if not sim_suite or extracted is None:
         return SimVerdict.UNAVAILABLE
-    try:
-        aligned_orig, aligned_ext = equiv.align(original, extracted)
-    except equiv.AlignError:
-        return SimVerdict.FAIL
+    aligned_orig, aligned_ext = equiv.align(original, extracted)
     if aligned_orig.feedback and not aligned_ext.feedback:
         # Extraction does not recover feedback bindings; reuse the
         # original's so traces can close the loop on both sides.
         aligned_ext = replace(aligned_ext, feedback=aligned_orig.feedback)
+    run = sim.run_trace if original.clocking is Clocking.CLOCKED \
+        else sim.eval_comb
+    if all(run(aligned_orig, case) == run(aligned_ext, case)
+           for case in sim_suite):
+        return SimVerdict.PASS
+    return SimVerdict.FAIL
+
+
+def _stage(report: RoundTripReport, name: str, run: Callable[[], object]):
+    """Run one stage, timed into ``timings[<name>_s]``, unless the round
+    trip has failed.  The one exception boundary of a round trip: an
+    ``LctError`` after ``forward`` is a finding, noted ``<name>: <message>``,
+    and the stage gives None; any other failure, or a ``BackendError``,
+    is the round trip's ``error``."""
+    if report.error is not None:
+        return None
+    started = time.monotonic()
     try:
-        for case in sim_suite:
-            if original.clocking is Clocking.CLOCKED:
-                if sim.run_trace(aligned_orig, case) != \
-                        sim.run_trace(aligned_ext, case):
-                    return SimVerdict.FAIL
-            else:
-                if sim.eval_comb(aligned_orig, case) != \
-                        sim.eval_comb(aligned_ext, case):
-                    return SimVerdict.FAIL
-    except LctError:
-        return SimVerdict.FAIL
-    return SimVerdict.PASS
+        return run()
+    except Exception as e:  # noqa: BLE001 - one unit's failure is its result
+        if name == "forward" or not isinstance(e, LctError) \
+                or isinstance(e, BackendError):
+            report.error = f"{name}: {type(e).__name__}: {e}"
+        else:
+            report.notes.append(f"{name}: {e}")
+    finally:
+        report.timings[f"{name}_s"] = time.monotonic() - started
 
 
 def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
                   run_dir: Optional[str] = None,
                   enum_limit: int = analysis.DEFAULT_ENUM_LIMIT, *,
                   _dir_name: Optional[str] = None) -> RoundTripReport:
-    """Execute the closed loop for one unit: forward transform, inverse
-    transform, alignment + comparison, optional simulation, and outcome
-    classification.  All intermediate artifacts are persisted when a run
-    directory is given, under ``<run_dir>/<unit name>`` (``run_many``
-    passes ``_dir_name`` to keep units of one name apart)."""
-    timings = {}
-    digests = {}
-    notes = []
+    """Run the closed loop for one unit in five stages (forward, arbiter,
+    inverse, compare, simulate) and classify the outcome.  Artifacts, up
+    to a failure if any, persist under ``<run_dir>/<unit name>`` when a
+    run directory is given (``run_many`` passes ``_dir_name`` to keep
+    units of one name apart)."""
+    report = RoundTripReport(unit.name, None, fwd.name, inv.name)
     artifacts = {}
-
-    started = time.monotonic()
-    fwd_req = build_forward_prompt(unit)
-    artifacts["forward_prompt.txt"] = fwd_req.prompt
-    fwd_resp = fwd.complete(fwd_req)
-    artifacts["forward_response.txt"] = fwd_resp.text
-    hdl_text = extract_code_block(fwd_resp.text)
-    artifacts[f"{unit.name}.v"] = hdl_text
-    timings["forward_s"] = time.monotonic() - started
-
-    # Deterministic arbiter: re-extract the forward HDL ourselves.
-    started = time.monotonic()
     schema = schema_of(unit)
     arb_table = None
-    arb_result = None
-    arbiter = ArbiterVerdict.UNAVAILABLE
-    counterexample = None
-    try:
+
+    def forward():
+        request = build_forward_prompt(unit)
+        artifacts["forward_prompt.txt"] = request.prompt
+        response = fwd.complete(request).text
+        artifacts["forward_response.txt"] = response
+        artifacts[f"{unit.name}.v"] = extract_code_block(response)
+        return artifacts[f"{unit.name}.v"]
+
+    def arbiter():
+        # Re-extract the forward HDL deterministically.  The inverse and
+        # the simulation use the extraction even if the comparison fails.
+        nonlocal arb_table
         arb_table = extract.hdl_text_to_lct(hdl_text, *schema)
-        arb_result = equiv.compare(unit, arb_table, enum_limit=enum_limit)
-        if arb_result.verdict.equivalent:
-            arbiter = ArbiterVerdict.FORWARD_MATCHES
-        else:
-            arbiter = ArbiterVerdict.FORWARD_DIFFERS
-            counterexample = arb_result.counterexample
-    except LctError as e:
-        notes.append(f"arbiter: {e}")
-    timings["arbiter_s"] = time.monotonic() - started
+        return equiv.compare(unit, arb_table, enum_limit=enum_limit)
 
-    started = time.monotonic()
-    inv_req = build_inverse_prompt(hdl_text, schema)
-    inv_req.payload.arbiter_table = arb_table
-    artifacts["inverse_prompt.txt"] = inv_req.prompt
-    reconstructed = None
-    try:
-        inv_resp = inv.complete(inv_req)
-        artifacts["inverse_response.txt"] = inv_resp.text
-        reconstructed = tableio.parse_unit_doc(
-            extract_code_block(inv_resp.text))
-        artifacts["reconstructed.unit"] = \
-            tableio._render_unit_doc(reconstructed)
-    except LctError as e:
-        notes.append(f"no reconstruction: {e}")
-        artifacts.setdefault("inverse_response.txt", f"<error> {e}\n")
-    timings["inverse_s"] = time.monotonic() - started
+    def inverse():
+        request = build_inverse_prompt(hdl_text, schema)
+        request.payload.arbiter_table = arb_table
+        artifacts["inverse_prompt.txt"] = request.prompt
+        response = inv.complete(request).text
+        artifacts["inverse_response.txt"] = response
+        table = tableio.parse_unit_doc(extract_code_block(response))
+        artifacts["reconstructed.unit"] = tableio._render_unit_doc(table)
+        return table
 
-    started = time.monotonic()
-    textual = False
-    semantic = None
-    if reconstructed is not None:
-        try:
-            if arb_result is not None and reconstructed == arb_table:
-                # compare is a pure function: same inputs, same result.
-                result = arb_result
-            else:
-                # Align first: a misaligned table is reported as such
-                # even when its clocking differs too.
-                equiv.align(unit, reconstructed)
-                result = equiv.compare(unit, reconstructed,
-                                       enum_limit=enum_limit)
-            textual = result.verdict is equiv.Verdict.TEXTUALLY_IDENTICAL
-            semantic = result.verdict
-            if counterexample is None:
-                counterexample = result.counterexample
-        except equiv.AlignError as e:
-            notes.append(f"alignment failed: {e}")
-        except equiv.CompareError as e:
-            notes.append(f"comparison failed: {e}")
-    sim_verdict = _simulate(unit, arb_table, sim_suite)
-    timings["compare_s"] = time.monotonic() - started
+    def compare():
+        if reconstructed is None:
+            return None
+        if arb_result is not None and reconstructed == arb_table:
+            return arb_result  # compare is a pure function
+        # Align first: a misaligned table is reported as such even when
+        # its clocking differs too.
+        equiv.align(unit, reconstructed)
+        return equiv.compare(unit, reconstructed, enum_limit=enum_limit)
 
-    evidence = Evidence(textual, semantic, sim_verdict, arbiter)
-    outcome = classify_outcome(evidence)
-    artifacts[VERDICT] = _verdict_record(unit, outcome, counterexample)
-    run_path = _persist(run_dir, _dir_name or unit.name, artifacts, digests)
+    hdl_text = _stage(report, "forward", forward)
+    arb_result = _stage(report, "arbiter", arbiter)
+    reconstructed = _stage(report, "inverse", inverse)
+    if reconstructed is None and report.error is None:
+        # The inverse's finding, just noted, stands in for a response.
+        error = report.notes[-1].partition(": ")[2]
+        artifacts.setdefault("inverse_response.txt", f"<error> {error}\n")
+    result = _stage(report, "compare", compare)
+    sim_verdict = _stage(report, "simulate",
+                         lambda: _simulate(unit, arb_table, sim_suite))
 
-    return RoundTripReport(unit=unit.name, outcome=outcome,
-                           forward_backend=fwd.name,
-                           inverse_backend=inv.name, timings=timings,
-                           digests=digests, counterexample=counterexample,
-                           notes=notes, run_dir=run_path)
+    if report.error is None:
+        arbiter = ArbiterVerdict.UNAVAILABLE if arb_result is None else \
+            ArbiterVerdict.FORWARD_MATCHES if arb_result.verdict.equivalent \
+            else ArbiterVerdict.FORWARD_DIFFERS
+        report.counterexample = (arb_result and arb_result.counterexample) \
+            or (result and result.counterexample)
+        semantic = result and result.verdict
+        report.outcome = classify_outcome(Evidence(
+            semantic is equiv.Verdict.TEXTUALLY_IDENTICAL, semantic,
+            sim_verdict or SimVerdict.FAIL, arbiter))
+    artifacts[VERDICT] = _verdict_record(report)
+    report.run_dir = _persist(run_dir, _dir_name or unit.name, artifacts,
+                              report.digests)
+    return report
 
 
-def _verdict_record(unit: Lct, outcome: Outcome,
-                    counterexample) -> str:
-    lines = [f"unit={unit.name}",
+def _verdict_record(report: RoundTripReport) -> str:
+    outcome = report.outcome
+    if outcome is None:
+        return f"unit={report.unit}\nerror={report.error}\n"
+    lines = [f"unit={report.unit}",
              f"label={outcome.label.value}",
              f"textual={'match' if outcome.evidence.textual_match else 'mismatch'}",
              f"semantic={outcome.evidence.semantic.value if outcome.evidence.semantic else 'unavailable'}",
              f"sim={outcome.evidence.sim.value}",
              f"arbiter={outcome.evidence.arbiter.value}"]
-    if counterexample:
-        lines.append(f"counterexample={counterexample}")
+    if report.counterexample:
+        lines.append(f"counterexample={report.counterexample}")
     if outcome.caveat:
         lines.append(f"caveat={outcome.caveat}")
     return "\n".join(lines) + "\n"

@@ -229,3 +229,53 @@ def test_check_too_deeply_nested_header_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(path))
     assert code == cli.EXIT_ERROR
     assert "error:" in err and "nesting" in err
+
+
+_EXPR_UNIT = """\
+unit exprq
+clocking combinational
+inputs 1
+outputs 1
+port input a 1
+port input b 1
+port output q 1
+table exprq.csv
+---
+a & b,q
+0,0
+1,1
+"""
+
+
+def _errored_batch(tmp_path, capsys, *flags):
+    """Round-trip mux4 and an expression-header unit in the case style,
+    which refuses expression headers: the second unit errors."""
+    path = tmp_path / "exprq.unit"
+    path.write_text(_EXPR_UNIT)
+    return run(capsys, "roundtrip", "--style", "case", "--run-dir",
+               str(tmp_path / "run"), *flags, fixture_path("mux4"),
+               str(path))
+
+
+def test_roundtrip_reports_every_unit_and_exits_two_on_error(tmp_path,
+                                                             capsys):
+    code, out, _ = _errored_batch(tmp_path, capsys)
+    assert code == cli.EXIT_ERROR
+    assert "unit mux4: M\n" in out
+    assert "unit exprq: error\n" in out
+    assert "  error: forward: CodegenError: case style requires" in out
+    code, out, _ = _errored_batch(tmp_path, capsys, "--records")
+    assert code == cli.EXIT_ERROR
+    assert out == "mux4\tM\nexprq\terror\n"
+
+
+def test_report_tallies_errors_and_exits_two(tmp_path, capsys):
+    _errored_batch(tmp_path, capsys)
+    code, out, _ = run(capsys, "report", str(tmp_path / "run"))
+    assert code == cli.EXIT_ERROR
+    assert out.splitlines() == ["M            1   50.00%",
+                                "error        1   50.00%",
+                                "total        2"]
+    code, out, _ = run(capsys, "report", "--records", str(tmp_path / "run"))
+    assert code == cli.EXIT_ERROR
+    assert out == "exprq\terror\nmux4\tM\n"

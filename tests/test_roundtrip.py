@@ -6,13 +6,15 @@ import random
 
 import pytest
 
-from lctkit import analysis, codegen, equiv, roundtrip as rt, tableio
+from lctkit import (analysis, codegen, equiv, extract, roundtrip as rt,
+                    tableio)
 from lctkit.model import (
     BitVector,
     Constant,
     TransformDirection,
     TransformRequest,
 )
+from .test_validation import _expr_table, _x_passthrough
 from .util import clocked_dont_care_lct, load_fixture, mutate_output
 
 BV = BitVector
@@ -155,6 +157,72 @@ def test_run_many_preserves_order():
     reports = rt.run_many(units, det(), det(), workers=3)
     assert [r.unit for r in reports] == ["mux4", "regmux2", "fsm4"]
     assert all(r.outcome.label is rt.Label.M for r in reports)
+
+
+class _Scripted:
+    """The deterministic case-style pair, except that the forward request
+    of unit `fwdboom` and the inverse request of unit `invboom` fail."""
+    name = "scripted"
+
+    def __init__(self):
+        self.inner = rt.DeterministicBackend(codegen.STYLE_CASE)
+
+    def complete(self, request):
+        if request.direction is TransformDirection.FORWARD:
+            if request.payload.name == "fwdboom":
+                raise RuntimeError("forward backend crashed")
+        elif "module invboom (" in request.payload.hdl_text:
+            raise rt.BackendError("inverse backend gave up")
+        return self.inner.complete(request)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_units_are_errors_and_the_batch_goes_on(monkeypatch,
+                                                       tmp_path, workers):
+    """A failure that is neither transform's, in any stage, is that
+    unit's `error` report, persisted like any other."""
+    extract_table = extract.hdl_text_to_lct
+
+    def hdl_text_to_lct(hdl_text, *schema):
+        if "module arbboom (" in hdl_text:
+            raise KeyError("arbiter crashed")
+        return extract_table(hdl_text, *schema)
+    monkeypatch.setattr(extract, "hdl_text_to_lct", hdl_text_to_lct)
+
+    good = load_fixture("mux4")
+    failing = {
+        # Case style refuses expression headers: CodegenError.
+        "exprcase": (dataclasses.replace(_expr_table("a & b", a=1, b=1),
+                                         name="exprcase"),
+                     "forward: CodegenError: "),
+        # The forward prompt does not serialize an invalid table.
+        "xpass": (_x_passthrough(), "forward: LctError: "),
+        "fwdboom": (dataclasses.replace(good, name="fwdboom"),
+                    "forward: RuntimeError: "),
+        "invboom": (dataclasses.replace(good, name="invboom"),
+                    "inverse: BackendError: "),
+        "arbboom": (dataclasses.replace(good, name="arbboom"),
+                    "arbiter: KeyError: "),
+    }
+    units = [good] + [unit for unit, _ in failing.values()]
+    backend = _Scripted()
+    reports = rt.run_many(units, backend, backend, run_dir=str(tmp_path),
+                          workers=workers)
+    assert [r.unit for r in reports] == [u.name for u in units]
+    assert reports[0].outcome.label is rt.Label.M
+    assert reports[0].error is None
+    for report in reports[1:]:
+        prefix = failing[report.unit][1]
+        assert report.outcome is None
+        assert report.error.startswith(prefix), report.error
+        assert f"unit {report.unit}: error\n" in report.render()
+        with open(os.path.join(tmp_path, report.unit, "verdict.txt"),
+                  encoding="utf-8") as f:
+            assert f.read() == f"unit={report.unit}\nerror={report.error}\n"
+    # The record holds the artifacts made before the failure.
+    assert set(_read_run_dir(str(tmp_path / "invboom"))) == {
+        "forward_prompt.txt", "forward_response.txt", "invboom.v",
+        "inverse_prompt.txt", "verdict.txt"}
 
 
 # --- fault corpus ------------------------------------------------------------

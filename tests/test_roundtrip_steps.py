@@ -95,7 +95,7 @@ def test_forward_hdl_that_does_not_extract_is_noted_twice(hdl_text, error):
     report = rt.run_roundtrip(_fsm(), _FixedForward(hdl_text),
                               rt.DeterministicBackend())
     assert report.notes == [f"arbiter: {error}",
-                            f"no reconstruction: {error}"]
+                            f"inverse: {error}"]
     assert report.outcome.label is rt.Label.X_FW
 
 
