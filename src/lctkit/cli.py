@@ -69,7 +69,6 @@ def cmd_check(args) -> int:
         overlap = analysis.check_overlap(table, args.enum_limit)
         report.shadowed_rows = overlap.shadowed_rows
         report.conflicts = overlap.conflicts
-        report.warnings.extend(overlap.warnings)
         print(f"== {table.name} ({path})")
         print(report.render())
         if report.uncovered:
@@ -171,9 +170,12 @@ def _make_backend(args):
 def cmd_roundtrip(args) -> int:
     fwd, inv = _make_backend(args)
     units = [load_table(path) for path in args.unit]
-    reports = roundtrip.run_many(units, fwd, inv, run_dir=args.run_dir,
-                                 workers=args.workers,
-                                 enum_limit=args.enum_limit)
+    try:
+        reports = roundtrip.run_many(units, fwd, inv, run_dir=args.run_dir,
+                                     workers=args.workers,
+                                     enum_limit=args.enum_limit)
+    except OSError as e:  # an unusable run directory
+        raise CliError(str(e))
     status = EXIT_OK
     for report in reports:
         label = report.outcome.label.value if report.outcome else "error"

@@ -18,7 +18,6 @@ from .model import (
     Constant,
     DontCare,
     Direction,
-    ExprHeader,
     Lct,
     LctError,
     NetContext,
@@ -72,8 +71,8 @@ def _guard_terms(table: Lct, row) -> List[str]:
         if isinstance(header, SignalHeader):
             terms.append(f"({header.name} == {cell.bv.binary()})")
         else:
-            # With the process's `begin` and the `if`, this wrapping is
-            # what expr.GUARD_DEPTH counts.
+            # With the process's `begin` and the `if`, this wrapping
+            # opens the 4 levels expr.GUARD_DEPTH counts.
             text = header.canonical
             terms.append(f"({text})" if cell.bv.value else f"(!({text}))")
     return terms
@@ -111,11 +110,6 @@ def generate(table: Lct, style: str = STYLE_IF,
                            "; ".join(str(v) for v in violations))
     if style not in (STYLE_IF, STYLE_CASE):
         raise CodegenError(f"unknown style {style!r}")
-    if style == STYLE_CASE and any(isinstance(h, ExprHeader)
-                                   for h in table.conditions):
-        raise CodegenError(
-            "case style requires pure signal condition headers; "
-            "use the if style for expression conditions")
 
     notes: List[str] = []
     clocked = table.clocking is Clocking.CLOCKED
@@ -185,7 +179,11 @@ def _if_chain(table: Lct, assign_op: str) -> List[str]:
 
 
 def _casez(table: Lct, assign_op: str) -> List[str]:
-    names = [h.name for h in table.conditions]
+    # An expression column is one bit of the subject, its truth value.
+    # With the process's `begin` and the `{`, its `(... != 0)` opens 3
+    # of the levels expr.GUARD_DEPTH counts.
+    names = [h.name if isinstance(h, SignalHeader) else f"({h.canonical} != 0)"
+             for h in table.conditions]
     widths = [table.condition_width(h) for h in table.conditions]
     subject = names[0] if len(names) == 1 else "{" + ", ".join(names) + "}"
     total = sum(widths)

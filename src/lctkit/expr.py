@@ -116,9 +116,11 @@ _TOKEN_RE = re.compile(r"""
 MAX_DEPTH = 100
 
 # The most brackets or prefix operators codegen opens around a header's
-# canonical text in an `if` guard: the process's `begin`, the `if`, and
-# `(...)` or `(!(...))`.  In canonical text every operator has its own
-# bracket, so this one budget bounds both (see check_guard).
+# canonical text: in an `if` guard, the process's `begin`, the `if`, and
+# `(...)` or `(!(...))`; in a `casez` subject, which opens fewer, `begin`,
+# `{` and `(... != 0)`.  In canonical text every operator has its own
+# bracket, so this one budget bounds brackets and operators alike (see
+# check_guard).
 GUARD_DEPTH = 4
 
 # Binary operators by binding strength, loosest first.
@@ -299,7 +301,8 @@ def parse_expr(text: str):
 
 def check_guard(canonical: str):
     """Raise ExprError unless a header's canonical text parses inside
-    what codegen opens around it in an `if` guard."""
+    what codegen opens around it in an `if` guard, the deeper of its
+    two places."""
     parser = _Parser(tokenize(canonical))
     parser.brackets = parser.operators = GUARD_DEPTH
     try:

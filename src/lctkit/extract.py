@@ -97,42 +97,42 @@ class _Builder:
 
     # -- constraint handling ------------------------------------------------
 
-    def _constrain(self, env: _Env, key: str, value: int) -> bool:
-        """Record key=value; returns False if the path becomes infeasible."""
-        old = env.constraints.get(key)
-        if old is not None:
-            return old == value
-        env.constraints[key] = value
-        return True
-
-    def _signal_constraint(self, env: _Env, name: str, value: int) -> bool:
-        port = self.ports.get(name)
-        if port is not None and port.direction is not Direction.INPUT:
-            raise ExtractError(
-                f"branch condition over non-input signal {name}")
-        self._add_header(SignalHeader(name))
-        return self._constrain(env, name, value)
-
-    def _expr_constraint(self, env: _Env, node, value: int) -> bool:
+    def _column(self, env: _Env, header, value: int) -> bool:
+        """Constrain a condition column, added if new, to `value`;
+        returns False if the path becomes infeasible."""
+        if isinstance(header, SignalHeader):
+            port = self.ports.get(header.name)
+            if port is not None and port.direction is not Direction.INPUT:
+                raise ExtractError(
+                    f"branch condition over non-input signal {header.name}")
         try:
-            idx = self._add_header(ExprHeader(ex.render(node)))
+            self._add_header(header)
         except ex.ExprError as e:
             raise ExtractError(
                 f"guard cannot be a condition column: {e}") from None
-        return self._constrain(env, self.headers[idx].key, value)
+        return env.constraints.setdefault(header.key, value) == value
 
-    def _signal_fields(self, node) -> Optional[list]:
-        """(name, width) per part of a signal or a `{...}` of signals,
-        msb first; None for any other expression."""
+    def _label_fields(self, node) -> Optional[list]:
+        """(header, width) per part of an equality's subject, msb first:
+        a signal, or `(e != 0)` for a schema expression column `e`, alone
+        or in a `{...}`; None for any other expression."""
         parts = node.parts if isinstance(node, ex.Concat) else (node,)
-        if all(isinstance(part, ex.Ident) for part in parts):
-            return [(part.name, self._signal_width(part.name))
-                    for part in parts]
-        return None
+        headers = []
+        for part in parts:
+            if isinstance(part, ex.Ident):
+                headers.append(SignalHeader(part.name))
+            elif isinstance(part, ex.Binary) and part.op == "!=" and \
+                    part.rhs == ex.Num(0, None) and \
+                    (header := self._schema_expr(part.lhs)) is not None:
+                headers.append(header)
+            else:
+                return None
+        return [(h, 1 if isinstance(h, ExprHeader)
+                 else self._signal_width(h.name)) for h in headers]
 
     def _apply_label(self, env: _Env, subject, fields, label) -> bool:
         """`subject == label`, a number or a wildcard label: one
-        constraint per signal the label does not wildcard."""
+        constraint per column the label does not wildcard."""
         total = sum(width for _, width in fields)
         if isinstance(label, ex.Num):
             if label.value >> total:
@@ -144,23 +144,24 @@ class _Builder:
                 f"case label width {label.width} != subject width {total}")
         else:
             bits = label.bits
-        for name, width in fields:
+        for header, width in fields:
             chunk, bits = bits[:width], bits[width:]
             if chunk == "?" * width:
                 continue
             if "?" in chunk:
                 raise ExtractError(
-                    f"partial wildcard over {name} in case label")
-            if not self._signal_constraint(env, name, int(chunk, 2)):
+                    f"partial wildcard over {header.key} in case label")
+            if not self._column(env, header, int(chunk, 2)):
                 return False
         return True
 
-    def _schema_expr_index(self, node) -> Optional[int]:
+    def _schema_expr(self, node) -> Optional[ExprHeader]:
+        """The schema expression column a node renders to, if any."""
         if not self.has_expr_header:
             return None
         idx = self.key_index.get(ex.render(node))
         if idx is not None and isinstance(self.headers[idx], ExprHeader):
-            return idx
+            return self.headers[idx]
         return None
 
     def _apply_condition(self, env: _Env, node) -> bool:
@@ -170,9 +171,9 @@ class _Builder:
         A guard that matches a schema expression column verbatim binds
         that column rather than being decomposed further, so tables with
         expression conditions reconstruct onto their own columns."""
-        idx = self._schema_expr_index(node)
-        if idx is not None:
-            return self._constrain(env, self.headers[idx].key, 1)
+        header = self._schema_expr(node)
+        if header is not None:
+            return self._column(env, header, 1)
         # `~~x` and `{x}` are `x`.  Folding them keeps a guard nested to
         # the reader's limit in these within what validate_lct allows.
         if isinstance(node, ex.Concat) and len(node.parts) == 1:
@@ -181,9 +182,9 @@ class _Builder:
                 isinstance(node.arg, ex.Unary) and node.arg.op == "~":
             return self._apply_condition(env, node.arg.arg)
         if isinstance(node, ex.Unary) and node.op == "!":
-            idx = self._schema_expr_index(node.arg)
-            if idx is not None:
-                return self._constrain(env, self.headers[idx].key, 0)
+            header = self._schema_expr(node.arg)
+            if header is not None:
+                return self._column(env, header, 0)
         if isinstance(node, ex.Binary) and node.op == "&&":
             return (self._apply_condition(env, node.lhs)
                     and self._apply_condition(env, node.rhs))
@@ -191,20 +192,20 @@ class _Builder:
             for subject, label in ((node.lhs, node.rhs),
                                    (node.rhs, node.lhs)):
                 if isinstance(label, (ex.Num, ex.CasePattern)):
-                    fields = self._signal_fields(subject)
+                    fields = self._label_fields(subject)
                     if fields is not None:
                         return self._apply_label(env, subject, fields, label)
         if isinstance(node, ex.Ident) and self._is_one_bit(node.name):
-            return self._signal_constraint(env, node.name, 1)
+            return self._column(env, SignalHeader(node.name), 1)
         if isinstance(node, ex.Unary) and node.op in ("!", "~") and \
                 isinstance(node.arg, ex.Ident) and \
                 self._is_one_bit(node.arg.name):
-            return self._signal_constraint(env, node.arg.name, 0)
+            return self._column(env, SignalHeader(node.arg.name), 0)
         if isinstance(node, ex.Num):
             return node.value != 0  # constant guard: 1'b1 keeps the path
         if isinstance(node, ex.Unary) and node.op == "!":
-            return self._expr_constraint(env, node.arg, 0)
-        return self._expr_constraint(env, node, 1)
+            return self._column(env, ExprHeader(ex.render(node.arg)), 0)
+        return self._column(env, ExprHeader(ex.render(node)), 1)
 
     def _is_one_bit(self, name: str) -> bool:
         try:

@@ -487,7 +487,8 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
     inverse, compare, simulate) and classify the outcome.  Artifacts, up
     to a failure if any, persist under ``<run_dir>/<unit name>`` when a
     run directory is given (``run_many`` passes ``_dir_name`` to keep
-    units of one name apart)."""
+    units of one name apart); failing to write them is the unit's
+    ``error``."""
     report = RoundTripReport(unit.name, None, fwd.name, inv.name)
     artifacts = {}
     schema = schema_of(unit)
@@ -550,8 +551,16 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
             semantic is equiv.Verdict.TEXTUALLY_IDENTICAL, semantic,
             sim_verdict or SimVerdict.FAIL, arbiter))
     artifacts[VERDICT] = _verdict_record(report)
-    report.run_dir = _persist(run_dir, _dir_name or unit.name, artifacts,
-                              report.digests)
+    try:
+        report.run_dir = _persist(run_dir, _dir_name or unit.name, artifacts,
+                                  report.digests)
+    except OSError as e:
+        failure = f"persist: {type(e).__name__}: {e}"
+        if report.error is None:
+            report.error = failure
+            report.outcome = report.counterexample = None
+        else:  # keep the failure that ended the round trip
+            report.notes.append(failure)
     return report
 
 
@@ -580,7 +589,10 @@ def run_many(units: Sequence[Lct], fwd, inv, sim_suites=None,
     sequential and reports come back in input order.  A unit persists to
     ``<run_dir>/<name>``, or to ``<run_dir>/<name>-<n>`` when it is the
     n-th unit of that name (n >= 2); a name is an identifier, so that
-    never meets another unit's directory."""
+    never meets another unit's directory.  The run directory is made
+    first, so an unusable one raises ``OSError`` before any unit runs."""
+    if run_dir is not None:
+        os.makedirs(run_dir, exist_ok=True)
     sim_suites = sim_suites or {}
     seen = Counter()
     dir_names = []

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from lctkit import cli, tableio
+from lctkit import cli, codegen, tableio
 from .util import TABLES_DIR, load_fixture
 
 
@@ -51,6 +51,23 @@ X,X,1
     code, out, _ = run(capsys, "check", "--strict-overlap", str(path))
     assert code == 1
     assert "overlap" in out
+    path.write_text(doc.replace("1,X,0\nX,X,1\n", "X,X,1\n1,X,0\n"))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "check", "--strict-overlap", str(path))
+    assert code == 1
+    assert "shadowed: row 1\n" in out
+
+
+def test_roundtrip_into_an_unusable_run_directory_exits_two(tmp_path,
+                                                            capsys):
+    run_dir = tmp_path / "run"
+    run_dir.write_text("")
+    code, out, err = run(capsys, "roundtrip", "--run-dir", str(run_dir),
+                         fixture_path("mux4"))
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == f"error: [Errno 17] File exists: '{run_dir}'\n"
 
 
 def test_check_rejects_bad_file(tmp_path, capsys):
@@ -247,9 +264,21 @@ a & b,q
 """
 
 
+@pytest.fixture
+def exprq_codegen_fails(monkeypatch):
+    """codegen raises on unit exprq."""
+    gen_unit = codegen.gen_unit
+
+    def failing_gen_unit(table, *args):
+        if table.name == "exprq":
+            raise RuntimeError("codegen crashed")
+        return gen_unit(table, *args)
+    monkeypatch.setattr(codegen, "gen_unit", failing_gen_unit)
+
+
 def _errored_batch(tmp_path, capsys, *flags):
-    """Round-trip mux4 and an expression-header unit in the case style,
-    which refuses expression headers: the second unit errors."""
+    """Round-trip mux4 and an expression-header unit in the case style;
+    under `exprq_codegen_fails` the second unit errors."""
     path = tmp_path / "exprq.unit"
     path.write_text(_EXPR_UNIT)
     return run(capsys, "roundtrip", "--style", "case", "--run-dir",
@@ -257,19 +286,20 @@ def _errored_batch(tmp_path, capsys, *flags):
                str(path))
 
 
-def test_roundtrip_reports_every_unit_and_exits_two_on_error(tmp_path,
-                                                             capsys):
+def test_roundtrip_reports_every_unit_and_exits_two_on_error(
+        tmp_path, capsys, exprq_codegen_fails):
     code, out, _ = _errored_batch(tmp_path, capsys)
     assert code == cli.EXIT_ERROR
     assert "unit mux4: M\n" in out
     assert "unit exprq: error\n" in out
-    assert "  error: forward: CodegenError: case style requires" in out
+    assert "  error: forward: RuntimeError: codegen crashed" in out
     code, out, _ = _errored_batch(tmp_path, capsys, "--records")
     assert code == cli.EXIT_ERROR
     assert out == "mux4\tM\nexprq\terror\n"
 
 
-def test_report_tallies_errors_and_exits_two(tmp_path, capsys):
+def test_report_tallies_errors_and_exits_two(tmp_path, capsys,
+                                             exprq_codegen_fails):
     _errored_batch(tmp_path, capsys)
     code, out, _ = run(capsys, "report", str(tmp_path / "run"))
     assert code == cli.EXIT_ERROR

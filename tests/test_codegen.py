@@ -1,6 +1,6 @@
 import pytest
 
-from lctkit import codegen, tableio
+from lctkit import codegen, extract, tableio
 from lctkit.model import (
     BitVector,
     CaseRow,
@@ -14,6 +14,7 @@ from lctkit.model import (
     PortMap,
     SignalHeader,
 )
+from lctkit.roundtrip import schema_of
 from .util import load_fixture
 
 
@@ -64,17 +65,33 @@ def test_case_style_uses_casez_with_wildcards():
     assert "default: ;" in text
 
 
-def test_case_style_rejects_expression_headers():
-    ports = PortMap((Port(Direction.INPUT, "a", 1),
-                     Port(Direction.INPUT, "b", 1),
+def test_case_style_writes_expression_columns_as_truth_values():
+    """An expression column is one bit of the `casez` subject, its truth
+    value, and extracts to the table the `if` style gives."""
+    ports = PortMap((Port(Direction.INPUT, "c0", 2),
+                     Port(Direction.INPUT, "ea", 1),
+                     Port(Direction.INPUT, "eb", 1),
                      Port(Direction.OUTPUT, "q", 1)))
     table = Lct(name="t", clocking=Clocking.COMBINATIONAL,
-                conditions=(ExprHeader("a & b"),), results=("q",),
-                rows=(CaseRow((Constant(BitVector(1, 1)),),
-                              (Constant(BitVector(1, 1)),)),),
+                conditions=(SignalHeader("c0"), ExprHeader("ea && !eb")),
+                results=("q",),
+                rows=(CaseRow((Constant(BitVector(2, 1)),
+                               Constant(BitVector(1, 1))),
+                              (Constant(BitVector(1, 1)),)),
+                      CaseRow((DONT_CARE, Constant(BitVector(1, 0))),
+                              (Constant(BitVector(1, 0)),))),
                 ports=ports)
-    with pytest.raises(codegen.CodegenError):
-        codegen.gen_unit(table, style=codegen.STYLE_CASE)
+    text = codegen.gen_unit(table, style=codegen.STYLE_CASE)
+    assert "  casez ({c0, ((ea && (!eb)) != 0)})\n" in text
+    assert "    3'b011: begin\n" in text
+    assert "    3'b??0: begin\n" in text
+    schema = schema_of(table)
+    by_case = extract.hdl_text_to_lct(text, *schema)
+    assert by_case == extract.hdl_text_to_lct(codegen.gen_unit(table),
+                                              *schema)
+    assert by_case.conditions == table.conditions
+    # The table's rows, then the combinational default's.
+    assert by_case.rows[:2] == table.rows
 
 
 def test_expression_header_guards_in_if_style():

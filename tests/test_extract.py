@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lctkit import codegen, equiv, extract, hdl
 from lctkit.model import (
@@ -267,7 +267,6 @@ def test_if_and_case_hdl_extract_to_the_same_table(kind, seed):
     """A `case` item is a `subject == label` arm of the node an `if`
     chain reads into, so both styles give one table, or one error."""
     table = GENERATORS[kind](seed)
-    assume(all(isinstance(h, SignalHeader) for h in table.conditions))
 
     def extracted(style):
         try:
@@ -332,3 +331,60 @@ def test_casez_under_a_schema_with_an_expression_column():
     assert [h.key for h in table.conditions] == ["(a & b)", "c", "d"]
     assert _inputs(table) == [(1, 1, "X"), (1, 0, 1), (1, "X", "X"),
                               ("X", "X", "X")]
+
+
+def _outputs(table):
+    """Per row, the value of `y`."""
+    return [row.outputs[0].bv.value for row in table.rows]
+
+
+def test_negated_guard_off_the_schema_gives_an_expression_column_at_0():
+    table = _foreign("if (!(a & b)) y = 1'b1;")
+    assert [h.key for h in table.conditions] == ["(a & b)"]
+    assert _inputs(table) == [(0,), ("X",)]
+    assert _outputs(table) == [1, 0]
+
+
+def test_case_item_with_several_labels_gives_one_row_per_label():
+    table = _foreign("case ({a, b}) 2'd0, 2'd3: y = 1'b1; endcase")
+    assert [h.key for h in table.conditions] == ["a", "b"]
+    assert _inputs(table) == [(0, 0), (1, 1), ("X", "X")]
+    assert _outputs(table) == [1, 1, 0]
+
+
+def test_casez_subject_truth_value_binds_its_schema_column():
+    """`(e != 0)` in a subject is the schema column `e`.  Off the schema
+    it is no column, and a wildcard label over it is an error."""
+    body = "casez ({c, ((a & b) != 0)}) 2'b?1: y = 1'b1; endcase"
+    table = _foreign(body, ["c", "a & b"])
+    assert [h.key for h in table.conditions] == ["c", "(a & b)"]
+    assert _inputs(table) == [("X", 1), ("X", "X")]
+    assert _outputs(table) == [1, 0]
+    with pytest.raises(extract.ExtractError,
+                       match="guard cannot be a condition column"):
+        _foreign(body, ["c"])
+
+
+_NETS = """\
+module nets (
+  input wire a,
+  output reg y
+);
+wire n0, n1;
+always @(*) begin
+  y = 1'b0;
+  if (a) y = 1'b1;
+end
+endmodule
+"""
+
+
+def test_net_list_and_star_sensitivity_read_back():
+    """`wire n0, n1;` declares both nets, and `always @(*)` is a
+    combinational process."""
+    module = hdl.parse_hdl(_NETS)
+    assert module.nets == {"n0": 1, "n1": 1}
+    table = extract.hdl_to_lct(module, ["a"], ["y"])
+    assert table.clocking is Clocking.COMBINATIONAL
+    assert _inputs(table) == [(1,), ("X",)]
+    assert _outputs(table) == [1, 0]

@@ -190,11 +190,10 @@ def test_failing_units_are_errors_and_the_batch_goes_on(monkeypatch,
     monkeypatch.setattr(extract, "hdl_text_to_lct", hdl_text_to_lct)
 
     good = load_fixture("mux4")
+    # The case style writes expression columns too.
+    exprcase = dataclasses.replace(_expr_table("a & b", a=1, b=1),
+                                   name="exprcase")
     failing = {
-        # Case style refuses expression headers: CodegenError.
-        "exprcase": (dataclasses.replace(_expr_table("a & b", a=1, b=1),
-                                         name="exprcase"),
-                     "forward: CodegenError: "),
         # The forward prompt does not serialize an invalid table.
         "xpass": (_x_passthrough(), "forward: LctError: "),
         "fwdboom": (dataclasses.replace(good, name="fwdboom"),
@@ -204,14 +203,15 @@ def test_failing_units_are_errors_and_the_batch_goes_on(monkeypatch,
         "arbboom": (dataclasses.replace(good, name="arbboom"),
                     "arbiter: KeyError: "),
     }
-    units = [good] + [unit for unit, _ in failing.values()]
+    units = [good, exprcase] + [unit for unit, _ in failing.values()]
     backend = _Scripted()
     reports = rt.run_many(units, backend, backend, run_dir=str(tmp_path),
                           workers=workers)
     assert [r.unit for r in reports] == [u.name for u in units]
-    assert reports[0].outcome.label is rt.Label.M
-    assert reports[0].error is None
-    for report in reports[1:]:
+    for report in reports[:2]:
+        assert report.outcome.label is rt.Label.M
+        assert report.error is None
+    for report in reports[2:]:
         prefix = failing[report.unit][1]
         assert report.outcome is None
         assert report.error.startswith(prefix), report.error
@@ -223,6 +223,50 @@ def test_failing_units_are_errors_and_the_batch_goes_on(monkeypatch,
     assert set(_read_run_dir(str(tmp_path / "invboom"))) == {
         "forward_prompt.txt", "forward_response.txt", "invboom.v",
         "inverse_prompt.txt", "verdict.txt"}
+
+
+class _Counting:
+    """The deterministic pair, counting its requests."""
+    name = "counting"
+
+    def __init__(self):
+        self.inner = det()
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return self.inner.complete(request)
+
+
+def test_unusable_run_directory_fails_before_any_unit_runs(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.write_text("")
+    backend = _Counting()
+    with pytest.raises(FileExistsError):
+        rt.run_many([load_fixture("mux4")] * 2, backend, backend,
+                    run_dir=str(run_dir))
+    assert backend.calls == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_unit_that_cannot_persist_errors_and_the_batch_goes_on(tmp_path,
+                                                                 workers):
+    """A unit that errored already keeps its error and notes the failed
+    write."""
+    (tmp_path / "mux4").write_text("")
+    (tmp_path / "xpass").write_text("")
+    units = [load_fixture("mux4"), _x_passthrough(), load_fixture("regmux2")]
+    reports = rt.run_many(units, det(), det(), run_dir=str(tmp_path),
+                          workers=workers)
+    assert reports[0].outcome is None
+    assert reports[0].error.startswith("persist: NotADirectoryError: ")
+    assert reports[0].run_dir is None
+    assert "unit mux4: error\n" in reports[0].render()
+    assert reports[1].error.startswith("forward: LctError: ")
+    assert reports[1].notes[-1].startswith("persist: NotADirectoryError: ")
+    assert reports[2].outcome.label is rt.Label.M
+    assert "label=M" in \
+        _read_run_dir(reports[2].run_dir)["verdict.txt"].splitlines()
 
 
 # --- fault corpus ------------------------------------------------------------
@@ -251,6 +295,8 @@ def test_inverse_fault_labelled_x_inv():
     report = rt.run_roundtrip(orig, det(), backend)
     assert report.outcome.label is rt.Label.X_INV
     assert report.outcome.evidence.arbiter is A.FORWARD_MATCHES
+    assert "  counterexample: at rst_n=1 state=0 cond0=1 cond1=0: " \
+        "next_state = 3 vs 0" in report.render().splitlines()
 
 
 def test_forward_fault_missed_by_simulation_is_x_fw_ns():
@@ -402,6 +448,9 @@ def test_garbage_forward_response_attributed_to_forward():
     report = rt.run_roundtrip(load_fixture("mux4"), Garbage(), det())
     assert report.outcome.label is rt.Label.X_FW
     assert report.outcome.evidence.arbiter is A.UNAVAILABLE
+    error = "expected 'module', found 'not' (line 1, column 1)"
+    assert report.render().splitlines()[-2:] == [
+        f"  note: arbiter: {error}", f"  note: inverse: {error}"]
 
 
 def test_perfect_roundtrip_of_a_clocked_dont_care_passes_simulation():

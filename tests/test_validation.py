@@ -130,12 +130,14 @@ def _expr_table(header: str, **widths) -> Lct:
                PortMap(tuple(ports)))
 
 
-def test_header_nested_past_the_guard_budget_is_rejected():
+@pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
+def test_header_nested_past_the_guard_budget_is_rejected(style):
     """The budget is exact: 96 levels still round-trip through codegen's
-    `if` guard, and 97 no longer validate."""
+    `if` guard, and through its `casez` subject, and 97 no longer
+    validate."""
     deepest = _expr_table("~" * 96 + "a")
     assert validate_lct(deepest) == []
-    backend = rt.DeterministicBackend(codegen.STYLE_IF)
+    backend = rt.DeterministicBackend(style)
     assert rt.run_roundtrip(deepest, backend, backend).outcome.label is \
         rt.Label.M
     violations = validate_lct(_expr_table("~" * 97 + "a"))
@@ -153,9 +155,10 @@ def test_nested_header_fails_validation_or_round_trips(construct, n):
     table = _expr_table(header)
     if validate_lct(table):
         return
-    backend = rt.DeterministicBackend(codegen.STYLE_IF)
-    report = rt.run_roundtrip(table, backend, backend)
-    assert report.outcome.label is rt.Label.M, report.notes
+    for style in (codegen.STYLE_IF, codegen.STYLE_CASE):
+        backend = rt.DeterministicBackend(style)
+        report = rt.run_roundtrip(table, backend, backend)
+        assert report.outcome.label is rt.Label.M, (style, report.notes)
 
 
 def test_dollar_identifier_is_no_port():
