@@ -7,13 +7,17 @@ explicit assignment limit.  The checks, canonicalization and
 ``equiv.compare`` share one walk over the control space, ``match_sets``,
 which multiplies the row bitsets of the trailing condition columns out
 into a block once: an assignment then costs one AND inside its block,
-plus one per leading column per block.
+plus one per leading column per block.  Past the walk, each cell costs
+little: canonicalization keeps a row that needs no change as it is, one
+code per cell (``cell_codes``) orders the rows and keys ``equiv``'s
+textual check, and ``row_outputs`` resolves each constant once a call.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -120,17 +124,23 @@ def first_row(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-def _several(m: int) -> bool:
-    return m & (m - 1) != 0
-
-
 def row_outputs(table: Lct) -> List[tuple]:
     """Per row, its symbolic outputs with every signal reference that is
     not a hold read as a token; last, the outputs when no row matches,
-    which ``first_row`` of an empty match set (-1) finds."""
+    which ``first_row`` of an empty match set (-1) finds.  The values
+    are ``sim.resolve_cell``'s, with each distinct constant resolved
+    once per call: its rows share one ``sim.Known``."""
     fallback = sim.HOLD if table.clocking is Clocking.CLOCKED else sim.UNSPEC
-    return [tuple(sim.resolve_cell(table, name, cell)
-                  for name, cell in zip(table.results, row.outputs))
+    known = {}  # (width, value) -> its one sim.Known
+
+    def value(name, cell):
+        if type(cell) is Constant:
+            key = cell.bv.width, cell.bv.value
+            return known.get(key) or known.setdefault(key, sim.Known(cell.bv))
+        if type(cell) is DontCare:
+            return fallback
+        return sim.resolve_cell(table, name, cell)
+    return [tuple(map(value, table.results, row.outputs))
             for row in table.rows] + [(fallback,) * len(table.results)]
 
 
@@ -164,7 +174,7 @@ def check_overlap(table: Lct,
     for assignment, m in match_sets(table, enum_limit=enum_limit):
         claimed |= m & -m
         # A repeated match set has no pair left to report.
-        if not _several(m) or m in seen_sets:
+        if not m & (m - 1) or m in seen_sets:
             continue
         seen_sets.add(m)
         matching = [i for i in range(m.bit_length()) if m >> i & 1]
@@ -221,16 +231,14 @@ def expand_dont_cares(table: Lct, columns: Optional[Sequence[str]] = None,
 # ---------------------------------------------------------------------------
 # Canonical form
 
-def _cell_sort_key(cell):
-    if isinstance(cell, Constant):
-        return (0, cell.bv.value, "")
-    if isinstance(cell, DontCare):
-        return (1, 0, "")
-    return (2, 0, cell.name)
-
-
-def _row_sort_key(row: CaseRow) -> tuple:
-    return tuple(map(_cell_sort_key, row.inputs))
+def cell_codes(cells) -> tuple:
+    """One code per cell, equal exactly when the cells print alike and,
+    for input cells, in canonical row order: a constant's value, then
+    X (infinity, past every value), then a signal by its name (an input
+    cell holds one only in an unvalidated table)."""
+    return tuple([cell.bv.value if type(cell) is Constant
+                  else math.inf if type(cell) is DontCare else cell.name
+                  for cell in cells])
 
 
 def picker(order: Sequence[int]):
@@ -239,14 +247,6 @@ def picker(order: Sequence[int]):
         index = order[0]
         return lambda items: (items[index],)
     return operator.itemgetter(*order) if order else lambda items: ()
-
-
-def _all_hold(table: Lct, row: CaseRow) -> bool:
-    """Whether every output of a clocked row holds: a don't-care, or a
-    reference to its own column."""
-    return all(isinstance(cell, DontCare)
-               or isinstance(cell, SignalRef) and cell.name == name
-               for name, cell in zip(table.results, row.outputs))
 
 
 def _prune(table: Lct, enum_limit: int) -> tuple:
@@ -261,21 +261,28 @@ def _prune(table: Lct, enum_limit: int) -> tuple:
     for m in sets:
         keep |= m & -m
     if table.clocking is Clocking.CLOCKED:
-        # A pure-hold row can go unless a later kept row overlaps it
+        # A pure-hold row, whose every output is a don't-care or its own
+        # column's reference, can go unless a later kept row overlaps it
         # where it matches first: the assignments it claims become
         # unmatched, which also holds every register.  Rows are decided
         # from the last one up, so that a row overlapped only by hold
         # rows that go goes too, and canonicalizing again drops nothing.
-        for i in reversed(range(len(table.rows))):
-            bit = 1 << i
-            if keep & bit and _all_hold(table, table.rows[i]) and not any(
-                    _several(k) and k & -k == bit
-                    for k in (m & keep for m in sets)):
+        holds = keep
+        for name, cells in zip(table.results,
+                               zip(*[row.outputs for row in table.rows])):
+            holds &= sum(1 << i for i, cell in enumerate(cells)
+                         if type(cell) is DontCare or type(cell) is SignalRef
+                         and cell.name == name)
+        while holds:
+            bit = 1 << holds.bit_length() - 1
+            holds ^= bit
+            if not any(k & (k - 1) and k & -k == bit
+                       for k in (m & keep for m in sets)):
                 keep ^= bit
     # Sorting overlapping rows could conflate tables that differ only in
     # priority, so decide from the kept rows (keeps the form stable
     # under re-canonicalization).
-    return keep, not any(_several(m & keep) for m in sets)
+    return keep, not any(k & (k - 1) for k in (m & keep for m in sets))
 
 
 def canonicalize(table: Lct,
@@ -288,8 +295,12 @@ def canonicalize(table: Lct,
     one canonical form.
 
     Rows are left in priority order when any two rows overlap: sorting
-    them could conflate tables that differ only in overlap priority.
-    Each kept row is built once, its cells picked in sorted column order.
+    them could conflate tables that differ only in overlap priority, and
+    are otherwise sorted by their input cells' ``cell_codes``.  A kept
+    row that needs no change is the table's own row object: its columns
+    are in key order already, and it has no label, no comment and no
+    clocked don't-care output.  Any other kept row is built once, its
+    cells picked in sorted column order.
     """
     keep, sort_rows = _prune(table, enum_limit)
 
@@ -298,6 +309,8 @@ def canonicalize(table: Lct,
     res_order = sorted(range(len(table.results)),
                        key=lambda i: table.results[i])
     pick_inputs, pick_outputs = picker(cond_order), picker(res_order)
+    in_order = cond_order == sorted(cond_order) and \
+        res_order == sorted(res_order)
 
     # A key re-read as header text is the header with its canonical text.
     conditions = tuple(condition_header(table.conditions[i].key)
@@ -312,13 +325,21 @@ def canonicalize(table: Lct,
     for i, row in enumerate(table.rows):
         if not keep >> i & 1:
             continue
-        outputs = pick_outputs(row.outputs)
-        if holds and DontCare in map(type, outputs):
-            outputs = tuple(hold if type(cell) is DontCare else cell
-                            for cell, hold in zip(outputs, holds))
-        rows.append(CaseRow(pick_inputs(row.inputs), outputs))
+        spell = holds and DontCare in map(type, row.outputs)
+        if spell or not in_order or row.label is not None \
+                or row.comment is not None:
+            outputs = pick_outputs(row.outputs)
+            if spell:
+                outputs = tuple(hold if type(cell) is DontCare else cell
+                                for cell, hold in zip(outputs, holds))
+            row = CaseRow(pick_inputs(row.inputs), outputs)
+        rows.append(row)
     if sort_rows:
-        rows.sort(key=_row_sort_key)
+        try:
+            rows.sort(key=lambda row: cell_codes(row.inputs))
+        except TypeError:  # a signal beside a number in one column
+            rows.sort(key=lambda row: tuple(
+                (type(code) is str, code) for code in cell_codes(row.inputs)))
 
     ports = tuple(sorted(table.ports.entries,
                          key=lambda p: (p.direction.value, p.name)))

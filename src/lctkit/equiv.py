@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from . import analysis, expr as ex, sim
 from .model import (
     CaseRow,
-    Constant,
     ExprHeader,
     Lct,
     LctError,
@@ -184,19 +183,16 @@ def align(a: Lct, b: Lct,
     return a, _aligned(a, b, _match_ports(a, b, aliases or {}))
 
 
-def _cell_value(cell):
-    return cell.bv.value if isinstance(cell, Constant) else cell
-
-
 def _canonical_key(table: Lct, enum_limit: int) -> tuple:
     """What the canonical form's serialization shows, name excluded:
-    clocking, ports, column headers, and each cell with constants by
-    value (an expression column may hold 1'd1 or 2'd1 alike)."""
+    clocking, ports, column headers, and each cell by its
+    ``analysis.cell_codes`` code, a constant by its value (an expression
+    column may hold 1'd1 or 2'd1 alike)."""
     c = analysis.canonicalize(table, enum_limit)
     return (c.clocking, c.ports, tuple(h.text for h in c.conditions),
             c.results,
-            tuple((tuple(map(_cell_value, row.inputs)),
-                   tuple(map(_cell_value, row.outputs))) for row in c.rows))
+            tuple((analysis.cell_codes(row.inputs),
+                   analysis.cell_codes(row.outputs)) for row in c.rows))
 
 
 def textual_match(a: Lct, b: Lct,
