@@ -187,6 +187,8 @@ def _casez(table: Lct, assign_op: str) -> List[str]:
     widths = [table.condition_width(h) for h in table.conditions]
     subject = names[0] if len(names) == 1 else "{" + ", ".join(names) + "}"
     total = sum(widths)
+    if not names:  # a constant function: every arm's label is the subject
+        subject, total = "1'b1", 1
     lines = [f"  casez ({subject})"]
     for row in table.rows:
         bits = []
@@ -195,7 +197,7 @@ def _casez(table: Lct, assign_op: str) -> List[str]:
                 bits.append("?" * width)
             else:
                 bits.append(f"{cell.bv.value:0{width}b}")
-        lines.append(f"    {total}'b{''.join(bits)}: begin")
+        lines.append(f"    {total}'b{''.join(bits) or '1'}: begin")
         lines.extend(_assignments(table, row, assign_op, "      "))
         lines.append("    end")
     lines.append("    default: ;")

@@ -201,8 +201,13 @@ class _Builder:
                 isinstance(node.arg, ex.Ident) and \
                 self._is_one_bit(node.arg.name):
             return self._column(env, SignalHeader(node.arg.name), 0)
-        if isinstance(node, ex.Num):
-            return node.value != 0  # constant guard: 1'b1 keeps the path
+        if not ex.identifiers(node):
+            # A constant guard, such as 1'b1 or `1'b1 == 1'b1` (the arm
+            # of a constant casez subject), keeps the path or drops it.
+            try:
+                return bool(ex.truth(node, {}))
+            except ex.ExprError as e:
+                raise ExtractError(f"constant guard: {e}") from None
         if isinstance(node, ex.Unary) and node.op == "!":
             return self._column(env, ExprHeader(ex.render(node.arg)), 0)
         return self._column(env, ExprHeader(ex.render(node)), 1)

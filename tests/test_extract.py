@@ -23,6 +23,7 @@ from lctkit.roundtrip import (
     schema_of,
 )
 from .util import (
+    constant_lct,
     load_fixture,
     random_disjoint_lct,
     random_lct,
@@ -255,6 +256,7 @@ def test_casez_default_applies_only_when_no_item_matches():
 
 
 GENERATORS = {
+    "constant": constant_lct,
     "random": random_lct,
     "disjoint": lambda seed: random_disjoint_lct(seed, clocked=seed % 2 == 1),
     "passthrough": random_passthrough_lct,
@@ -275,6 +277,36 @@ def test_if_and_case_hdl_extract_to_the_same_table(kind, seed):
             return f"{type(e).__name__}: {e}"
 
     assert extracted(codegen.STYLE_IF) == extracted(codegen.STYLE_CASE)
+
+
+@pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
+@pytest.mark.parametrize("clocking", list(Clocking))
+def test_table_without_condition_columns_round_trips(style, clocking):
+    """A constant function: the case style's subject and labels are
+    `1'b1`, which the reader parses and the extractor reads as an arm
+    that always matches, as it reads the if style's `if (1'b1)`."""
+    table = Lct(name="constant", clocking=clocking, conditions=(),
+                results=("q",),
+                rows=(CaseRow((), (Constant(BitVector(2, 2)),)),
+                      CaseRow((), (Constant(BitVector(2, 1)),))),
+                ports=PortMap((Port(Direction.INPUT, "a", 1),
+                               Port(Direction.OUTPUT, "q", 2))))
+    text = codegen.gen_unit(table, style=style)
+    hdl.parse_hdl(text)
+    if style == codegen.STYLE_CASE:
+        assert "casez (1'b1)" in text and "1'b1: begin" in text
+    assert equiv.compare(table, _roundtrip(table, style)).verdict.equivalent
+    backend = DeterministicBackend(style)
+    report = run_roundtrip(table, backend, backend)
+    assert report.outcome.label is Label.M
+    assert report.notes == []
+
+
+def test_constant_guards_keep_or_drop_their_path():
+    table = _foreign("if (1'b1 == 1'b0) y = 1'b1; "
+                     "else if (!1'b0 && a) y = 1'b1;")
+    assert [h.key for h in table.conditions] == ["a"]
+    assert _inputs(table) == [(1,), ("X",)]
 
 
 def _foreign(body: str, conditions=()):

@@ -222,6 +222,15 @@ def random_passthrough_lct(seed: int) -> Lct:
                                ports=ports)
 
 
+def constant_lct(seed: int) -> Lct:
+    """A ``random_lct`` with no condition columns: a constant function,
+    whose first row matches everywhere and shadows the others."""
+    table = random_lct(seed)
+    return dataclasses.replace(
+        table, name=f"const_{seed}", conditions=(),
+        rows=tuple(CaseRow((), row.outputs) for row in table.rows))
+
+
 SEEDS = st.integers(0, 10 ** 6)
 
 # Random tables with overlaps, complete disjoint tables, pass-through
