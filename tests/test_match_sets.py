@@ -14,7 +14,13 @@ from lctkit.model import (BitVector, CaseRow, Clocking, Constant, DONT_CARE,
                           Direction, Lct, Port, PortMap, SignalHeader,
                           SignalRef)
 from . import util
-from .util import SEEDS, TABLES
+from .util import DRESSED, SEEDS, TABLES, UNVALIDATED
+
+# The generators' tables, and the same tables with rows canonicalization
+# must rebuild (labels, comments, columns out of key order, clocked
+# don't-care outputs, 2'd1 in expression columns) or with signals in
+# input cells.
+ALL_TABLES = st.one_of(TABLES, DRESSED, UNVALIDATED)
 
 
 def test_walk_yields_every_matching_row_in_enumeration_order():
@@ -30,7 +36,7 @@ def test_walk_yields_every_matching_row_in_enumeration_order():
 
 
 @settings(max_examples=120, deadline=None)
-@given(TABLES)
+@given(ALL_TABLES)
 def test_checks_match_reference(table):
     shadowed = util.reference_shadowed(table)
     assert analysis.check_completeness(table).uncovered == \
@@ -40,8 +46,8 @@ def test_checks_match_reference(table):
     assert overlap.conflicts == util.reference_conflicts(table)
 
 
-@settings(max_examples=120, deadline=None)
-@given(TABLES)
+@settings(max_examples=200, deadline=None)
+@given(ALL_TABLES)
 def test_pruning_and_canonical_form_match_reference(table):
     assert util.canonical_text(analysis.canonicalize(table)) == \
         util.canonical_text(util.reference_canonicalize(table))
@@ -59,6 +65,50 @@ def test_pruning_and_canonical_form_match_reference(table):
         [i for i in pruned if i not in dropped]
 
 
+def test_rows_that_need_no_change_are_kept_as_they_are():
+    """A kept row whose columns are in key order and that has no label,
+    no comment and no clocked don't-care output is the table's own row
+    object; every other kept row is built anew."""
+    plain = util.random_disjoint_lct(3)
+    assert [h.key for h in plain.conditions] == \
+        sorted(h.key for h in plain.conditions)
+    canonical = analysis.canonicalize(plain)
+    assert {id(row) for row in canonical.rows} == \
+        {id(row) for row in plain.rows}
+
+    def const(width, value):
+        return Constant(BitVector(width, value))
+    rows = (CaseRow((const(1, 0), const(1, 0)), (const(2, 1), DONT_CARE)),
+            CaseRow((const(1, 0), const(1, 1)), (const(2, 2), const(1, 1)),
+                    label="load"),
+            CaseRow((const(1, 1), const(1, 0)), (const(2, 0), const(1, 0))),
+            CaseRow((const(1, 1), const(1, 1)), (SignalRef("p"),
+                                                 const(1, 1)),
+                    comment="hold p"),
+            CaseRow((DONT_CARE, DONT_CARE), (const(2, 3), const(1, 0))))
+    table = Lct(name="t", clocking=Clocking.CLOCKED,
+                conditions=(SignalHeader("a"), SignalHeader("b")),
+                results=("p", "q"), rows=rows,
+                ports=PortMap((Port(Direction.INPUT, "a", 1),
+                               Port(Direction.INPUT, "b", 1),
+                               Port(Direction.OUTPUT, "p", 2),
+                               Port(Direction.OUTPUT, "q", 1))))
+    canonical = analysis.canonicalize(table)
+    # The don't-care is spelled as a hold, the label and comment go, the
+    # shadowed last row goes, and only the plain third row is kept as is.
+    assert [row.outputs for row in canonical.rows] == \
+        [(const(2, 1), SignalRef("q"))] + [row.outputs for row in rows[1:4]]
+    assert [row is old for row, old in zip(canonical.rows, rows)] == \
+        [False, False, True, False]
+    assert all(row.label is None and row.comment is None
+               for row in canonical.rows)
+    # With its columns out of key order, every row is built anew.
+    swapped = util.permute_columns(table, random.Random(0))
+    assert swapped.conditions != table.conditions
+    assert not any(row is old for row in analysis.canonicalize(swapped).rows
+                   for old in swapped.rows)
+
+
 def _variant(table, kind, rng):
     if kind == "mutate":
         try:
@@ -69,6 +119,8 @@ def _variant(table, kind, rng):
         return dataclasses.replace(table, rows=table.rows[::-1])
     if kind == "expand":
         return analysis.expand_dont_cares(table)
+    if kind == "dress":
+        return util.dressed_lct(table, rng.randrange(1 << 30))
     rows = list(table.rows)
     i = rng.randrange(len(rows))
     if kind == "drop":
@@ -89,9 +141,9 @@ def _variant(table, kind, rng):
     return dataclasses.replace(table, rows=tuple(rows))
 
 
-@settings(max_examples=150, deadline=None)
-@given(TABLES, st.sampled_from(["mutate", "reverse", "expand", "drop",
-                                "rewrite"]), SEEDS)
+@settings(max_examples=200, deadline=None)
+@given(ALL_TABLES, st.sampled_from(["mutate", "reverse", "expand", "drop",
+                                    "rewrite", "dress"]), SEEDS)
 def test_compare_matches_reference_in_both_orders(table, kind, seed):
     other = _variant(table, kind, random.Random(seed))
     assume(other is not None)

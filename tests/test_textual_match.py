@@ -32,9 +32,11 @@ TABLES = st.one_of(
     SEEDS.map(util.random_passthrough_lct),
     st.builds(analysis.generate_fsm, st.sampled_from([2, 4, 8]),
               st.integers(1, 3), st.integers(0, 2), SEEDS),
+    util.DRESSED,
 )
 
-VARIANTS = ["rows", "columns", "duplicate", "expand", "cell", "rename"]
+VARIANTS = ["rows", "columns", "duplicate", "expand", "cell", "rename",
+            "dress"]
 
 
 def _permute_columns(table, rng):
@@ -100,6 +102,8 @@ def _variant(table, kind, rng):
         return analysis.expand_dont_cares(table)
     if kind == "cell":
         return _mutate_cell(table, rng)
+    if kind == "dress":
+        return util.dressed_lct(table, rng.randrange(1 << 30))
     return dataclasses.replace(table, name=f"{table.name}_renamed")
 
 
@@ -108,6 +112,15 @@ def _variant(table, kind, rng):
 def test_textual_match_agrees_with_text_comparison(table, kind, seed):
     other = _variant(table, kind, random.Random(seed))
     assert validate_lct(other) == []
+    for a, b in ((table, other), (other, table), (table, table)):
+        assert equiv.textual_match(a, b) == util.reference_textual_match(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(util.UNVALIDATED, st.sampled_from(["rows", "columns", "duplicate",
+                                          "rename"]), SEEDS)
+def test_textual_match_agrees_on_signals_in_input_cells(table, kind, seed):
+    other = _variant(table, kind, random.Random(seed))
     for a, b in ((table, other), (other, table), (table, table)):
         assert equiv.textual_match(a, b) == util.reference_textual_match(a, b)
 

@@ -231,6 +231,35 @@ def constant_lct(seed: int) -> Lct:
         rows=tuple(CaseRow((), row.outputs) for row in table.rows))
 
 
+def dressed_lct(table: Lct, seed: int, signal_inputs: bool = False) -> Lct:
+    """``table`` with rows that canonicalization must rebuild: some rows
+    labelled or commented, columns shuffled out of key order, some
+    outputs of a clocked table made don't-cares, and expression-column
+    constants written 2'd0 and 2'd1 in about half the rows.  With
+    ``signal_inputs``, some input cells name an input port, which only
+    an unvalidated table holds."""
+    rng = random.Random(seed)
+    clocked = table.clocking is Clocking.CLOCKED
+    names = [p.name for p in table.ports.inputs()]
+
+    def input_cell(header, cell):
+        if signal_inputs and rng.random() < 0.2:
+            return SignalRef(rng.choice(names))
+        if isinstance(header, ExprHeader) and isinstance(cell, Constant) \
+                and rng.random() < 0.5:
+            return _const(2, cell.bv.value)
+        return cell
+
+    rows = tuple(CaseRow(
+        tuple(map(input_cell, table.conditions, row.inputs)),
+        tuple(DONT_CARE if clocked and rng.random() < 0.2 else cell
+              for cell in row.outputs),
+        label=f"case{i}" if rng.random() < 0.3 else row.label,
+        comment=f"row {i}" if rng.random() < 0.3 else row.comment)
+        for i, row in enumerate(table.rows))
+    return permute_columns(dataclasses.replace(table, rows=rows), rng)
+
+
 SEEDS = st.integers(0, 10 ** 6)
 
 # Random tables with overlaps, complete disjoint tables, pass-through
@@ -242,6 +271,10 @@ TABLES = st.one_of(
     st.builds(analysis.generate_fsm, st.sampled_from([2, 4, 8]),
               st.integers(1, 3), st.integers(0, 2), SEEDS),
 )
+# The same tables dressed as ``dressed_lct`` dresses them: valid, and
+# with signals in some input cells (unvalidated).
+DRESSED = st.builds(dressed_lct, TABLES, SEEDS)
+UNVALIDATED = st.builds(dressed_lct, TABLES, SEEDS, st.just(True))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +516,9 @@ def reference_align(a: Lct, b: Lct, aliases=None):
 
 
 def canonical_text(canonical: Lct) -> str:
-    return tableio.serialize_unit_doc(
+    """The serialization of a canonical form, unit name excluded and
+    unvalidated, so that an unvalidated table's form prints too."""
+    return tableio._render_unit_doc(
         dataclasses.replace(canonical, name="unit"))
 
 
