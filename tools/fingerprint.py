@@ -21,10 +21,10 @@ and seeded corpus; its digest is the SHA-256 of those lines.
   ``equiv.compare`` in both orders, for reversed, dropped-row, mutated,
   column-permuted and don't-care-expanded variants of those tables.
 - ``roundtrip``: the label or error, notes, counterexample and caveat of
-  round trips in both HDL styles under the deterministic pair, a
-  forward and an inverse that drop a row, an inverse that alters a cell,
-  an inverse whose response does not parse and an inverse that raises;
-  with the ``verdict.txt`` and ``record.json`` texts each leaves.
+  round trips in both HDL styles under the deterministic pair and, in
+  each direction, a transform that drops a row, one that alters a cell,
+  one whose response does not parse and one that raises; with the
+  ``verdict.txt`` and ``record.json`` texts each leaves.
 
 Without an option it prints the three digests.  ``--check`` compares
 them with ``tools/fingerprint.json`` and exits 1, naming each section
@@ -201,46 +201,43 @@ def equiv_lines(tables):
     return lines
 
 
-class _Unparsable:
-    """An inverse whose response is no table."""
-    name = "unparsable"
+class _Broken:
+    """The deterministic backend, except in one direction, where it
+    answers with text that is no HDL and no table, or raises."""
 
-    def __init__(self, style):
+    def __init__(self, style, direction, raises):
         self.inner = rt.DeterministicBackend(style)
+        self.direction, self.raises = direction, raises
+        self.name = f"{'raising' if raises else 'unparsable'}" \
+            f"[{direction.value}]"
 
     def complete(self, request):
-        if request.direction is TransformDirection.INVERSE:
-            return TransformResponse(request.direction,
-                                     "```\nnot a table\n```\n")
-        return self.inner.complete(request)
-
-
-class _Raising(_Unparsable):
-    """An inverse that raises."""
-    name = "raising"
-
-    def complete(self, request):
-        if request.direction is TransformDirection.INVERSE:
-            raise rt.BackendError("inverse endpoint unavailable")
-        return self.inner.complete(request)
+        if request.direction is not self.direction:
+            return self.inner.complete(request)
+        if self.raises:
+            raise rt.BackendError(f"{self.direction.value} endpoint down")
+        return TransformResponse(request.direction, "```\nnot valid\n```\n")
 
 
 def _pairs(style):
-    """(name, forward, inverse) per backend pair of one style."""
+    """(name, forward, inverse) per backend pair of one style: the
+    deterministic pair, then each fault in each direction."""
     det = rt.DeterministicBackend(style)
-    inverse, forward = TransformDirection.INVERSE, TransformDirection.FORWARD
-
-    def fault(f, direction, label):
-        return rt.FaultInjectingBackend(f, direction, style, label)
-    return [
-        ("deterministic", det, det),
-        ("forward-drop", fault(rt.drop_row(-1), forward, "drop"), det),
-        ("inverse-drop", det, fault(rt.drop_row(-1), inverse, "drop")),
-        ("inverse-alter", det, fault(
-            rt.alter_output_cell(0, 0, DONT_CARE), inverse, "alter")),
-        ("unparsable", det, _Unparsable(style)),
-        ("raising", det, _Raising(style)),
-    ]
+    pairs = [("deterministic", det, det)]
+    for direction in (TransformDirection.FORWARD, TransformDirection.INVERSE):
+        faulty = {
+            "drop": rt.FaultInjectingBackend(
+                rt.drop_row(-1), direction, style, "drop"),
+            "alter": rt.FaultInjectingBackend(
+                rt.alter_output_cell(0, 0, DONT_CARE), direction, style,
+                "alter"),
+            "unparsable": _Broken(style, direction, raises=False),
+            "raising": _Broken(style, direction, raises=True)}
+        for kind, backend in faulty.items():
+            pair = (backend, det) \
+                if direction is TransformDirection.FORWARD else (det, backend)
+            pairs.append((f"{direction.value}-{kind}", *pair))
+    return pairs
 
 
 def _roundtrip_units():
