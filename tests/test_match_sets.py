@@ -19,7 +19,8 @@ from .util import DRESSED, SEEDS, TABLES, UNVALIDATED
 # The generators' tables, and the same tables with rows canonicalization
 # must rebuild (labels, comments, columns out of key order, clocked
 # don't-care outputs, 2'd1 in expression columns) or with signals in
-# input cells.
+# input cells.  The tests that draw from it run three times the examples
+# they ran on the generators' tables alone.
 ALL_TABLES = st.one_of(TABLES, DRESSED, UNVALIDATED)
 
 
@@ -35,7 +36,7 @@ def test_walk_yields_every_matching_row_in_enumeration_order():
         assert analysis.first_row(m) == (-1 if first is None else first)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=360, deadline=None)
 @given(ALL_TABLES)
 def test_checks_match_reference(table):
     shadowed = util.reference_shadowed(table)
@@ -46,7 +47,7 @@ def test_checks_match_reference(table):
     assert overlap.conflicts == util.reference_conflicts(table)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=360, deadline=None)
 @given(ALL_TABLES)
 def test_pruning_and_canonical_form_match_reference(table):
     assert util.canonical_text(analysis.canonicalize(table)) == \
@@ -141,7 +142,7 @@ def _variant(table, kind, rng):
     return dataclasses.replace(table, rows=tuple(rows))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=450, deadline=None)
 @given(ALL_TABLES, st.sampled_from(["mutate", "reverse", "expand", "drop",
                                     "rewrite", "dress"]), SEEDS)
 def test_compare_matches_reference_in_both_orders(table, kind, seed):

@@ -107,7 +107,7 @@ def _variant(table, kind, rng):
     return dataclasses.replace(table, name=f"{table.name}_renamed")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(TABLES, st.sampled_from(VARIANTS), SEEDS)
 def test_textual_match_agrees_with_text_comparison(table, kind, seed):
     other = _variant(table, kind, random.Random(seed))

@@ -516,10 +516,14 @@ def reference_align(a: Lct, b: Lct, aliases=None):
 
 
 def canonical_text(canonical: Lct) -> str:
-    """The serialization of a canonical form, unit name excluded and
-    unvalidated, so that an unvalidated table's form prints too."""
-    return tableio._render_unit_doc(
-        dataclasses.replace(canonical, name="unit"))
+    """The serialization of a canonical form, unit name excluded.  It is
+    validated, unless a signal in an input cell shows that it is the
+    form of an unvalidated table."""
+    unit = dataclasses.replace(canonical, name="unit")
+    if any(isinstance(cell, SignalRef)
+           for row in unit.rows for cell in row.inputs):
+        return tableio._render_unit_doc(unit)
+    return tableio.serialize_unit_doc(unit)
 
 
 def reference_textual_match(a: Lct, b: Lct,
