@@ -309,13 +309,18 @@ def test_constant_guards_keep_or_drop_their_path():
     assert _inputs(table) == [(1,), ("X",)]
 
 
-def _foreign(body: str, conditions=()):
-    """Extract `y` from a combinational module over the 1-bit inputs a,
-    b, c and d, whose body defaults `y` to 0 before `body`."""
-    text = ("module foreign (\n  input wire a,\n  input wire b,\n"
+def _foreign_text(body: str) -> str:
+    """A combinational module over the 1-bit inputs a, b, c and d, whose
+    body defaults `y` to 0 before `body`."""
+    return ("module foreign (\n  input wire a,\n  input wire b,\n"
             "  input wire c,\n  input wire d,\n  output reg y\n);\n"
             f"always @* begin\n  y = 1'b0;\n  {body}\nend\nendmodule\n")
-    return extract.hdl_text_to_lct(text, list(conditions), ["y"])
+
+
+def _foreign(body: str, conditions=()):
+    """Extract `y` from `_foreign_text(body)`."""
+    return extract.hdl_text_to_lct(_foreign_text(body), list(conditions),
+                                   ["y"])
 
 
 def _inputs(table):

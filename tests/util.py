@@ -590,3 +590,43 @@ def reference_tokenize(text: str) -> list:
             line_start = pos + chunk.rfind("\n") + 1
         pos = m.end()
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Damaged HDL, for the reader's fuzz test and the fingerprint's `hdl`
+# section: a text cut after a token, with a token deleted or written
+# twice, or with a character the subset has no token for.
+
+VARIANT_KINDS = ("truncated", "deleted", "duplicated", "stray")
+STRAY_CHARACTERS = ("$", '"', "`", "\\", "é")
+
+
+def token_spans(text: str) -> list:
+    """The (start, end) offsets of each token of the text, where
+    ``reference_tokenize`` finds it."""
+    starts = [0] + [i + 1 for i, char in enumerate(text) if char == "\n"]
+    spans = []
+    for _kind, token, line, col in reference_tokenize(text):
+        start = starts[line - 1] + col - 1
+        spans.append((start, start + len(token)))
+    return spans
+
+
+def hdl_variant(text: str, kind: str, index: int, stray: str = "$") -> str:
+    """The text with one kind of damage at its index-th token, counted
+    modulo the number of tokens: cut after it, deleted, written twice,
+    or with ``stray`` inserted before it.  A text with no token is
+    returned as it is."""
+    spans = token_spans(text)
+    if not spans:
+        return text
+    start, end = spans[index % len(spans)]
+    if kind == "truncated":
+        return text[:end]
+    if kind == "deleted":
+        return text[:start] + text[end:]
+    if kind == "duplicated":
+        return text[:end] + " " + text[start:]
+    if kind == "stray":
+        return text[:start] + stray + text[start:]
+    raise ValueError(f"unknown variant kind {kind!r}")

@@ -25,8 +25,19 @@ and seeded corpus; its digest is the SHA-256 of those lines.
   each direction, a transform that drops a row, one that alters a cell,
   one whose response does not parse and one that raises; with the
   ``verdict.txt`` and ``record.json`` texts each leaves.
+- ``hdl``: what the reader makes of HDL texts: a digest of the parse
+  tree, or the error with its line and column, then per process the
+  extracted unit document, or the error.  The texts are the codegen HDL
+  of the ``analysis`` corpus in both styles, under each table's schema;
+  the hand-written texts of ``tests/test_hdl.py`` and
+  ``tests/test_extract.py``, found in their source, under a schema of
+  the module's outputs (or a ``_foreign`` body's own); and, of those
+  texts and the codegen HDL of the first tables, seeded variants from
+  ``tests/util.py``: cut after a token, with a token deleted or written
+  twice, or with a stray character.  Editing those test texts changes
+  this digest.
 
-Without an option it prints the three digests.  ``--check`` compares
+Without an option it prints the four digests.  ``--check`` compares
 them with ``tools/fingerprint.json`` and exits 1, naming each section
 that differs; ``--update`` writes them there.  ``--dump DIR`` writes each
 section's lines to ``DIR/<section>.txt``, to diff two checkouts.  A
@@ -37,6 +48,7 @@ the sections it changed.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -48,7 +60,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)  # the corpus generators live in tests/util.py
 
-from lctkit import analysis, codegen, equiv, sim, tableio  # noqa: E402
+from lctkit import analysis, codegen, equiv, extract, hdl, sim, tableio  # noqa: E402
 from lctkit import roundtrip as rt  # noqa: E402
 from lctkit.model import (  # noqa: E402
     BitVector,
@@ -67,7 +79,7 @@ from lctkit.model import (  # noqa: E402
     TransformDirection,
     TransformResponse,
 )
-from tests import util  # noqa: E402
+from tests import test_extract, test_hdl, util  # noqa: E402
 
 DIGESTS = os.path.join(ROOT, "tools", "fingerprint.json")
 SEEDS = range(120)
@@ -280,11 +292,110 @@ def roundtrip_lines():
     return lines
 
 
+def _written_hdl():
+    """(name, text, schema) of each HDL text written in the reader's
+    tests: string constants that start a module, parametrized `text`
+    arguments, and `_foreign` bodies with the conditions written beside
+    them.  A schema of None means the module's outputs, no conditions."""
+    found = []
+    for module in (test_hdl, test_extract):
+        base = os.path.basename(module.__file__)
+        with open(module.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.lstrip().startswith("module "):
+                found.append((base, node.value, None))
+            elif isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "_foreign" and \
+                    isinstance(node.args[0], ast.Constant):
+                conditions = ast.literal_eval(node.args[1]) \
+                    if len(node.args) > 1 else ()
+                found.append((base, test_extract._foreign_text(
+                    node.args[0].value), (list(conditions), ["y"])))
+        for _name, function in sorted(vars(module).items()):
+            for mark in getattr(function, "pytestmark", []):
+                if mark.name != "parametrize":
+                    continue
+                names = [n.strip() for n in mark.args[0].split(",")]
+                for values in mark.args[1]:
+                    values = values if len(names) > 1 else (values,)
+                    args = dict(zip(names, values))
+                    if isinstance(args.get("text"), str):
+                        found.append((base, args["text"], None))
+                    if isinstance(args.get("body"), str):
+                        found.append((base, test_extract._foreign_text(
+                            args["body"]), ([], ["y"])))
+    return [(f"{base}#{index}", text, schema)
+            for index, (base, text, schema) in enumerate(found)]
+
+
+def _hdl_error(e):
+    fact = f"{type(e).__name__}: {e}"
+    return [fact, e.line, e.col] if isinstance(e, hdl.HdlError) else fact
+
+
+def _read(name, text, schema):
+    """The parse tree's digest or the parse error, then per process the
+    extracted unit document or the error."""
+    try:
+        module = hdl.parse_hdl(text)
+    except LctError as e:
+        return [f"parse {name}: {json.dumps(_hdl_error(e))}"]
+    tree = hashlib.sha256(repr(module).encode()).hexdigest()[:16]
+    lines = [f"parse {name}: {json.dumps(tree)}"]
+    conditions, results = schema or (
+        [], [p.name for p in module.ports if p.direction is Direction.OUTPUT])
+    for index in range(max(1, len(module.processes) + bool(module.assigns))):
+        try:
+            value = tableio._render_unit_doc(extract.hdl_to_lct(
+                module, conditions, results, process_index=index))
+        except LctError as e:
+            value = _hdl_error(e)
+        lines.append(f"extract {name}/{index}: {json.dumps(value)}")
+    return lines
+
+
+def hdl_lines(tables, varied=33):
+    """The reader's facts over codegen HDL, the tests' texts and seeded
+    variants of both; the codegen HDL of the first `varied` tables is
+    varied."""
+    texts = []
+    for index, table in enumerate(tables):
+        for style in (codegen.STYLE_IF, codegen.STYLE_CASE):
+            try:
+                text = codegen.gen_unit(table, style)
+            except LctError:
+                continue
+            texts.append((f"{index}:{table.name}/{style}", text,
+                          rt.schema_of(table), index < varied))
+    texts += [(name, text, schema, True)
+              for name, text, schema in _written_hdl()]
+    lines = []
+    for name, text, schema, vary in texts:
+        lines += _read(name, text, schema)
+        if not vary:
+            continue
+        try:
+            util.token_spans(text)
+        except hdl.HdlError:
+            continue  # no tokens to vary at
+        for kind in util.VARIANT_KINDS:
+            for draw in range(2):
+                rng = random.Random(f"{name}/{kind}/{draw}")
+                index = rng.randrange(1 << 30)
+                variant = util.hdl_variant(text, kind, index,
+                                           rng.choice(util.STRAY_CHARACTERS))
+                lines += _read(f"{name}/{kind}{draw}", variant, schema)
+    return lines
+
+
 def sections():
     tables = corpus()
     return {"analysis": analysis_lines(tables),
             "equiv": equiv_lines(tables),
-            "roundtrip": roundtrip_lines()}
+            "roundtrip": roundtrip_lines(),
+            "hdl": hdl_lines(tables)}
 
 
 def main(argv=None):
