@@ -17,7 +17,8 @@ Grammar (loosest to tightest binding):
     unary     := ('~' | '!')* primary
     primary   := identifier | literal | '(' ternary ')' | '{' list '}'
 
-The binary levels are parsed by one precedence-climbing loop.  Nesting
+The binary levels are parsed by one precedence-climbing loop, entered
+only when a binary operator follows an operand.  Nesting
 deeper than MAX_DEPTH is an error, not a stack overflow.  Sized literals
 must fit their width.  No identifier is a reserved word (`KEYWORDS`), and
 a header holds no comment.
@@ -98,18 +99,20 @@ class CasePattern:
     bits: str  # one char per bit, msb first: 0, 1, or ?
 
 
-# One match per token: the whitespace and comments before it, then the
-# token, a stray character, or the end of the text; only the last three
-# are groups.  After the skipped run the next character is never
-# whitespace, so the match never backtracks into a comment.  Headers and
+# Comments, which separate tokens as whitespace does.  No token holds a
+# '/', so one left-to-right pass finds every comment, and a '/' that
+# starts none is a stray character.
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+
+# Outside comments, one match per token, the token's text, or an empty
+# match before a stray character.  The leading lookahead makes the
+# scanner step over whitespace without trying each branch.  Headers and
 # HDL share these tokens; the parsers decide which of them each may hold.
-_TOKEN_RE = re.compile(r"""
-    (?:\s+|//[^\n]*|/\*.*?\*/)*
-    (?:(\d+'[bdhBDH][0-9a-fA-F_?zZxX]+|\d+|[A-Za-z_][A-Za-z0-9_$]*
-        |<=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
-    | (\S)
-    | \Z)
-    """, re.VERBOSE | re.DOTALL)
+_TOKEN_RE = re.compile(r"""(?=\S)(?:
+    [A-Za-z_][A-Za-z0-9_$]*
+    | \d+(?:'[bdhBDH][0-9a-fA-F_?zZxX]+)?
+    | [<>=!]= | && | \|\| | [@#.(){}\[\],;:?=<>&|^~!*+-]
+    | )""", re.VERBOSE)
 
 # The most brackets, and the most prefix operators and ternary arms, that
 # may be open at once (see _Parser).
@@ -131,26 +134,33 @@ _BINARY = {"||": 0, "&&": 1, "|": 2, "^": 3, "&": 4, "==": 5, "!=": 5,
 def tokenize(text: str) -> List[str]:
     """The token texts, in order.  A stray character raises HdlError,
     located by `locate`."""
-    found = _TOKEN_RE.findall(text)
-    tokens = [tok for tok, _ in found]
-    # The first empty text is a stray character or the end of the text.
-    end = tokens.index("")
-    stray = found[end][1]
-    if stray:
-        raise HdlError(f"unexpected character {stray!r}",
-                       *locate(text, end))
-    del tokens[end:]
+    tokens = _TOKEN_RE.findall(_COMMENT_RE.sub(" ", text))
+    if "" in tokens:
+        start = _token_start(text, tokens.index(""))
+        raise HdlError(f"unexpected character {text[start]!r}",
+                       *_line_col(text, start))
     return tokens
+
+
+def _token_start(text: str, index: int) -> int:
+    """The offset of the index-th token of the text, or of the stray
+    character in its place.  Comments are blanked out, not removed, so
+    that offsets stay put."""
+    blank = _COMMENT_RE.sub(lambda m: re.sub(r"\S", " ", m.group()), text)
+    return next(itertools.islice(_TOKEN_RE.finditer(blank), index,
+                                 None)).start()
+
+
+def _line_col(text: str, start: int) -> Tuple[int, int]:
+    return (text.count("\n", 0, start) + 1,
+            start - text.rfind("\n", 0, start))
 
 
 def locate(text: str, index: int) -> Tuple[int, int]:
     """The 1-based (line, column) at which the index-th token of the
     text, or the stray character in its place, starts.  The text is
     scanned again, so only an error should ask."""
-    match = next(itertools.islice(_TOKEN_RE.finditer(text), index, None))
-    start = match.start(match.lastindex)
-    return (text.count("\n", 0, start) + 1,
-            start - text.rfind("\n", 0, start))
+    return _line_col(text, _token_start(text, index))
 
 
 class _Parser:
@@ -171,9 +181,10 @@ class _Parser:
         self.i = 0
         self.brackets = 0
         self.operators = 0
-        # Literal text -> Num for this parse; a text that fails is not
-        # kept, so each occurrence raises at its own token.
-        self.literals = {}
+        # Identifier or literal text -> its node, for this parse; a text
+        # that fails is not kept, so each occurrence raises at its own
+        # token.
+        self.leaves = {}
 
     def error(self, message: str, at: Optional[int] = None) -> LctError:
         """The error for token index `at` (default: the next token)."""
@@ -192,12 +203,12 @@ class _Parser:
 
     def take(self, text=None) -> str:
         tok = self.tokens[self.i]
+        if tok == text or (text is None and tok):
+            self.i += 1
+            return tok
         if not tok:
             raise self.error("unexpected end of input")
-        if text is not None and tok != text:
-            raise self.error(f"expected {text!r}, found {tok!r}")
-        self.i += 1
-        return tok
+        raise self.error(f"expected {text!r}, found {tok!r}")
 
     def open_bracket(self, at: int):
         self.brackets += 1
@@ -210,8 +221,15 @@ class _Parser:
             raise self.error(f"nesting deeper than {MAX_DEPTH} levels", at)
 
     def expression(self):
-        cond = self.binary()
-        if self.tokens[self.i] != "?":
+        """A ternary.  Its condition is one operand, climbed into binary
+        operators only when one follows, so that a lone operand costs no
+        stacks."""
+        cond = self.operand()
+        tok = self.tokens[self.i]
+        if tok in _BINARY:
+            cond = self.binary(cond, tok)
+            tok = self.tokens[self.i]
+        if tok != "?":
             return cond
         self.open_operator(self.i)
         self.i += 1
@@ -221,32 +239,51 @@ class _Parser:
         self.operators -= 1
         return Ternary(cond, then, other)
 
-    def binary(self):
-        """Precedence climbing with explicit stacks: operators of equal
-        strength associate to the left."""
-        operands = [self.unary()]
-        pending = []
+    def binary(self, first, tok: str):
+        """Precedence climbing with explicit stacks, from the operand
+        `first` and the binary operator `tok` after it: operators of
+        equal strength associate to the left.  One operator between two
+        operands needs no stacks."""
+        self.i += 1
+        rhs = self.operand()
+        level = _BINARY.get(self.tokens[self.i])
+        if level is None:
+            return Binary(tok, first, rhs)
+        operands = [first, rhs]
+        pending = [tok]
         while True:
-            tok = self.tokens[self.i]
-            level = _BINARY.get(tok)
             while pending and (level is None
                                or _BINARY[pending[-1]] >= level):
                 rhs = operands.pop()
                 operands.append(Binary(pending.pop(), operands.pop(), rhs))
             if level is None:
                 return operands[0]
+            tok = self.tokens[self.i]
             self.i += 1
             pending.append(tok)
-            operands.append(self.unary())
+            operands.append(self.operand())
+            level = _BINARY.get(self.tokens[self.i])
 
-    def unary(self):
-        tok = self.tokens[self.i]
-        if tok != "~" and tok != "!":
-            return self.primary()
-        self.open_operator(self.i)
-        self.i += 1
-        node = Unary(tok, self.unary())
-        self.operators -= 1
+    def operand(self):
+        """unary: the prefix operators, read in a loop, then a primary,
+        which is a leaf seen before in this parse or is read by
+        `primary`."""
+        i = start = self.i
+        tok = self.tokens[i]
+        while tok == "~" or tok == "!":
+            self.open_operator(i)
+            i += 1
+            tok = self.tokens[i]
+        node = self.leaves.get(tok)
+        if node is None:
+            self.i = i
+            node = self.primary()
+        else:
+            self.i = i + 1
+        if i > start:
+            for op in reversed(self.tokens[start:i]):
+                node = Unary(op, node)
+            self.operators -= i - start
         return node
 
     def primary(self):
@@ -268,9 +305,8 @@ class _Parser:
             return Concat(tuple(parts))
         if tok[0].isdigit():
             if "'" not in tok:
-                return Num(int(tok), None)
-            num = self.literals.get(tok)
-            if num is None:
+                node = Num(int(tok), None)
+            else:
                 # Verilog allows upper-case bases: 8'HFF reads as 8'hff.
                 width, _, digits = tok.partition("'")
                 try:
@@ -278,11 +314,13 @@ class _Parser:
                         f"{width}'{digits[0].lower()}{digits[1:]}")
                 except LctError as e:
                     raise self.error(str(e), self.i - 1)
-                num = self.literals[tok] = Num(bv.value, bv.width)
-            return num
-        if self.is_ident(tok):
-            return Ident(tok)
-        raise self.error(f"unexpected token {tok!r}", self.i - 1)
+                node = Num(bv.value, bv.width)
+        elif self.is_ident(tok):
+            node = Ident(tok)
+        else:
+            raise self.error(f"unexpected token {tok!r}", self.i - 1)
+        self.leaves[tok] = node
+        return node
 
 
 def parse_expr(text: str):

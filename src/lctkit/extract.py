@@ -58,6 +58,18 @@ class _Env:
                     self.fall_through)
 
 
+class _Lazy(dict):
+    """A dict that makes a missing key's value with `make`, once."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class _Builder:
     def __init__(self, module: HdlModule, process: HdlProcess,
                  conditions: Sequence[str], results: Sequence[str]):
@@ -71,6 +83,12 @@ class _Builder:
         self.key_index: dict = {}
         self.has_expr_header = False
         self.constants: dict = {}  # (width, value) -> Constant
+        # id(subject) -> (subject, its label fields): computed once per
+        # case subject.  An added expression column may bind a subject's
+        # part, so adding one empties it.
+        self.label_fields: dict = {}
+        # Names of the signal columns that passed `_column`'s checks.
+        self.bound_signals: set = set()
         for text in conditions:
             self._add_header(condition_header(text))
         self.result_widths = {}
@@ -89,7 +107,9 @@ class _Builder:
         key = header.key
         if key not in self.key_index:
             is_expr = isinstance(header, ExprHeader)
-            self.has_expr_header |= is_expr
+            if is_expr:
+                self.has_expr_header = True
+                self.label_fields.clear()
             self.widths.append(1 if is_expr else self._signal_width(key))
             self.key_index[key] = len(self.headers)
             self.headers.append(header)
@@ -101,10 +121,15 @@ class _Builder:
         """Constrain a condition column, added if new, to `value`;
         returns False if the path becomes infeasible."""
         if isinstance(header, SignalHeader):
-            port = self.ports.get(header.name)
-            if port is not None and port.direction is not Direction.INPUT:
-                raise ExtractError(
-                    f"branch condition over non-input signal {header.name}")
+            name = header.name
+            if name not in self.bound_signals:
+                port = self.ports.get(name)
+                if port is not None and port.direction is not Direction.INPUT:
+                    raise ExtractError(
+                        f"branch condition over non-input signal {name}")
+                self._add_header(header)
+                self.bound_signals.add(name)
+            return env.constraints.setdefault(name, value) == value
         try:
             self._add_header(header)
         except ex.ExprError as e:
@@ -112,10 +137,14 @@ class _Builder:
                 f"guard cannot be a condition column: {e}") from None
         return env.constraints.setdefault(header.key, value) == value
 
-    def _label_fields(self, node) -> Optional[list]:
-        """(header, width) per part of an equality's subject, msb first:
-        a signal, or `(e != 0)` for a schema expression column `e`, alone
-        or in a `{...}`; None for any other expression."""
+    def _label_fields(self, node) -> Optional[tuple]:
+        """(header, width) per part of an equality's subject, msb first,
+        and their total width: a signal, or `(e != 0)` for a schema
+        expression column `e`, alone or in a `{...}`; None for any other
+        expression."""
+        cached = self.label_fields.get(id(node))
+        if cached is not None and cached[0] is node:
+            return cached[1]
         parts = node.parts if isinstance(node, ex.Concat) else (node,)
         headers = []
         for part in parts:
@@ -126,24 +155,35 @@ class _Builder:
                     (header := self._schema_expr(part.lhs)) is not None:
                 headers.append(header)
             else:
-                return None
-        return [(h, 1 if isinstance(h, ExprHeader)
-                 else self._signal_width(h.name)) for h in headers]
+                headers = None
+                break
+        fields = None
+        if headers is not None:
+            pairs = [(h, 1 if isinstance(h, ExprHeader)
+                      else self._signal_width(h.name)) for h in headers]
+            fields = pairs, sum(width for _, width in pairs)
+        self.label_fields[id(node)] = (node, fields)
+        return fields
 
     def _apply_label(self, env: _Env, subject, fields, label) -> bool:
         """`subject == label`, a number or a wildcard label: one
         constraint per column the label does not wildcard."""
-        total = sum(width for _, width in fields)
+        fields, total = fields
         if isinstance(label, ex.Num):
-            if label.value >> total:
-                raise ExtractError(f"condition value {label.value} exceeds "
+            value = label.value
+            if value >> total:
+                raise ExtractError(f"condition value {value} exceeds "
                                    f"width of {ex.render(subject)}")
-            bits = f"{label.value:0{total}b}"
-        elif label.width != total:
+            for header, width in fields:
+                total -= width
+                if not self._column(env, header,
+                                    (value >> total) & ((1 << width) - 1)):
+                    return False
+            return True
+        if label.width != total:
             raise ExtractError(
                 f"case label width {label.width} != subject width {total}")
-        else:
-            bits = label.bits
+        bits = label.bits
         for header, width in fields:
             chunk, bits = bits[:width], bits[width:]
             if chunk == "?" * width:
@@ -171,9 +211,22 @@ class _Builder:
         A guard that matches a schema expression column verbatim binds
         that column rather than being decomposed further, so tables with
         expression conditions reconstruct onto their own columns."""
-        header = self._schema_expr(node)
-        if header is not None:
-            return self._column(env, header, 1)
+        if self.has_expr_header:
+            header = self._schema_expr(node)
+            if header is not None:
+                return self._column(env, header, 1)
+        # The common shapes first: `&&`, and `subject == number` or a
+        # case label.
+        if isinstance(node, ex.Binary) and node.op == "&&":
+            return (self._apply_condition(env, node.lhs)
+                    and self._apply_condition(env, node.rhs))
+        if isinstance(node, ex.Binary) and node.op == "==":
+            for subject, label in ((node.lhs, node.rhs),
+                                   (node.rhs, node.lhs)):
+                if isinstance(label, (ex.Num, ex.CasePattern)):
+                    fields = self._label_fields(subject)
+                    if fields is not None:
+                        return self._apply_label(env, subject, fields, label)
         # `~~x` and `{x}` are `x`.  Folding them keeps a guard nested to
         # the reader's limit in these within what validate_lct allows.
         if isinstance(node, ex.Concat) and len(node.parts) == 1:
@@ -185,16 +238,6 @@ class _Builder:
             header = self._schema_expr(node.arg)
             if header is not None:
                 return self._column(env, header, 0)
-        if isinstance(node, ex.Binary) and node.op == "&&":
-            return (self._apply_condition(env, node.lhs)
-                    and self._apply_condition(env, node.rhs))
-        if isinstance(node, ex.Binary) and node.op == "==":
-            for subject, label in ((node.lhs, node.rhs),
-                                   (node.rhs, node.lhs)):
-                if isinstance(label, (ex.Num, ex.CasePattern)):
-                    fields = self._label_fields(subject)
-                    if fields is not None:
-                        return self._apply_label(env, subject, fields, label)
         if isinstance(node, ex.Ident) and self._is_one_bit(node.name):
             return self._column(env, SignalHeader(node.name), 1)
         if isinstance(node, ex.Unary) and node.op in ("!", "~") and \
@@ -224,8 +267,15 @@ class _Builder:
         return self._expand_body(_Env({}, {}, True), self.process.body)
 
     def _expand_body(self, env: _Env, body: list) -> List[_Env]:
-        envs = [env]
+        envs = [env]  # never empty: a statement keeps or adds paths
         for stmt in body:
+            if isinstance(stmt, HAssign) and \
+                    not isinstance(stmt.rhs, ex.Ternary):
+                cell = self._cell(stmt.lhs, stmt.rhs)
+                for env in envs:
+                    env.assigns[stmt.lhs] = cell
+                    env.fall_through = False
+                continue
             out: List[_Env] = []
             for env in envs:
                 out.extend(self._expand(env, stmt))
@@ -235,26 +285,20 @@ class _Builder:
         return envs
 
     def _expand(self, env: _Env, stmt) -> List[_Env]:
-        """Paths through one statement.  Prioritized arms give, in
-        priority order, each arm whose guard is feasible, then the
-        default body or, without one, the bare fall-through.
+        """Paths through one statement other than a plain assignment.
+        Prioritized arms give, in priority order, each arm whose guard
+        is feasible, then the default body or, without one, the bare
+        fall-through.
 
         Only a path that took no arm and assigned nothing stays a
         fall-through, which a clocked process drops as the no-match
         hold.  An always-true arm (1'b1, an all-? label) is not one: it
         still shadows the arms after it."""
-        if isinstance(stmt, HAssign) and isinstance(stmt.rhs, ex.Ternary):
+        if isinstance(stmt, HAssign):
             # `lhs = c ? t : o` is `if (c) lhs = t; else lhs = o;`.
             rhs = stmt.rhs
             stmt = HIf([(rhs.cond, [replace(stmt, rhs=rhs.then)])],
                        [replace(stmt, rhs=rhs.other)])
-        if isinstance(stmt, HAssign):
-            if stmt.lhs not in self.result_widths:
-                raise ExtractError(
-                    f"assignment to non-schema signal {stmt.lhs}")
-            env.assigns[stmt.lhs] = self._cell(stmt.lhs, stmt.rhs)
-            env.fall_through = False
-            return [env]
         if not isinstance(stmt, HIf):
             raise ExtractError(f"unsupported statement {stmt!r}")
         out: List[_Env] = []
@@ -267,6 +311,8 @@ class _Builder:
         return out
 
     def _cell(self, lhs: str, rhs):
+        if lhs not in self.result_widths:
+            raise ExtractError(f"assignment to non-schema signal {lhs}")
         width = self.result_widths[lhs]
         if isinstance(rhs, ex.Num):
             if rhs.value >= (1 << width):
@@ -293,25 +339,24 @@ class _Builder:
 
     def build(self, name: str) -> Lct:
         clocked = self.process.kind is Clocking.CLOCKED
+        paths = self.paths()
+        # Per condition column, its key and its cell per constrained
+        # value (None: don't care); per result, its cell on a path that
+        # does not assign it.
+        columns = [(header.key, _Lazy(
+            lambda value, width=width: DONT_CARE if value is None
+            else self._constant(width, value)))
+            for header, width in zip(self.headers, self.widths)]
+        unassigned = _Lazy(SignalRef if clocked else lambda _: DONT_CARE)
         rows = []
-        for env in self.paths():
+        for env in paths:
             if clocked and env.fall_through:
                 continue  # identical to holding via no-match
-            inputs = []
-            for header, width in zip(self.headers, self.widths):
-                key = header.key
-                value = env.constraints.get(key)
-                if value is None:
-                    inputs.append(DONT_CARE)
-                else:
-                    inputs.append(self._constant(width, value))
-            outputs = []
-            for result in self.results:
-                cell = env.assigns.get(result)
-                if cell is None:
-                    cell = SignalRef(result) if clocked else DONT_CARE
-                outputs.append(cell)
-            rows.append(CaseRow(tuple(inputs), tuple(outputs)))
+            get, assigns = env.constraints.get, env.assigns
+            rows.append(CaseRow(
+                tuple([cells[get(key)] for key, cells in columns]),
+                tuple([assigns[result] if result in assigns
+                       else unassigned[result] for result in self.results])))
 
         ports = self._ports()
         table = Lct(name=name, clocking=self.process.kind,

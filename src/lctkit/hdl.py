@@ -74,6 +74,9 @@ class HdlModule:
 # ---------------------------------------------------------------------------
 # Parser
 
+_WILDCARD_RE = re.compile(r"[?zZxX]")
+_CASE_PATTERN_RE = re.compile(r"(\d+)'[bB]([01?zZxX_]+)\Z")
+
 class _Parser(ex._Parser):
     """The statement layer over the shared expression grammar, over the
     tokens of `text`."""
@@ -227,21 +230,38 @@ class _Parser(ex._Parser):
     # -- statements ---------------------------------------------------------
 
     def statement_block(self) -> list:
-        if self.at("begin"):
-            self.take("begin")
-            self.open_bracket(self.i - 1)
-            stmts = []
-            while not self.at("end"):
-                if not self.peek():
-                    raise self.error("missing end")
-                stmts.extend(self.statement())
-            self.take("end")
-            self.brackets -= 1
-            return stmts
-        return self.statement()
+        tokens = self.tokens
+        if tokens[self.i] != "begin":
+            return self.statement()
+        self.i += 1
+        self.open_bracket(self.i - 1)
+        stmts = []
+        while True:
+            tok = tokens[self.i]
+            if tok == "end":
+                break
+            if not tok:
+                raise self.error("missing end")
+            stmts += self.statement()
+        self.i += 1
+        self.brackets -= 1
+        return stmts
 
     def statement(self) -> list:
-        tok = self.peek()
+        tok = self.tokens[self.i]
+        # An identifier is no keyword, so the assignment, the commonest
+        # statement, is tested first.
+        if self.is_ident(tok):
+            i = self.i + 1
+            op = self.tokens[i]
+            if op != "=" and op != "<=":
+                self.i = i
+                self.take()  # raises at the end of input
+                raise self.error(f"expected assignment, found {op!r}", i)
+            self.i = i + 1
+            rhs = self.expression()
+            self.take(";")
+            return [HAssign(tok, rhs, op == "<=")]
         if not tok:
             raise self.error("unexpected end of input in statement")
         self.check_supported(tok)
@@ -254,15 +274,6 @@ class _Parser(ex._Parser):
             return [self.case_statement()]
         if tok == "begin":
             return self.statement_block()
-        if self.is_ident(tok):
-            self.take()
-            op = self.take()
-            if op != "=" and op != "<=":
-                raise self.error(f"expected assignment, found {op!r}",
-                                 self.i - 1)
-            rhs = self.expression()
-            self.take(";")
-            return [HAssign(tok, rhs, op == "<=")]
         raise self.error(f"unsupported statement {tok!r}")
 
     def if_statement(self) -> HIf:
@@ -327,8 +338,8 @@ class _Parser(ex._Parser):
     def case_label(self, wildcard: bool):
         tok = self.peek()
         # Only a literal both starts with a digit and holds one of these.
-        if tok[:1].isdigit() and re.search(r"[?zZxX]", tok):
-            m = re.match(r"(\d+)'[bB]([01?zZxX_]+)\Z", tok)
+        if tok[:1].isdigit() and _WILDCARD_RE.search(tok):
+            m = _CASE_PATTERN_RE.match(tok)
             if not m or not wildcard:
                 raise self.error(f"bad case label {tok!r}")
             width = int(m.group(1))

@@ -1,9 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctkit import codegen, expr, hdl
-from lctkit.model import Clocking, Direction
-from .util import load_fixture, reference_tokenize
+from lctkit import codegen, expr, extract, hdl
+from lctkit.model import Clocking, Direction, LctError
+from lctkit.roundtrip import schema_of
+from .util import (
+    STRAY_CHARACTERS,
+    VARIANT_KINDS,
+    hdl_variant,
+    load_fixture,
+    reference_tokenize,
+    token_spans,
+)
 
 COMB = """\
 module blend (
@@ -217,20 +225,11 @@ def test_else_if_chain_is_one_flat_statement():
     assert statement.default is None
 
 
-def _token_ends(text):
-    """The offset just past each token of the text."""
-    starts = [0]
-    for line in text.splitlines(keepends=True):
-        starts.append(starts[-1] + len(line))
-    return [starts[line - 1] + col - 1 + len(token)
-            for _kind, token, line, col in reference_tokenize(text)]
-
-
 @pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
 @pytest.mark.parametrize("name", ["mux4", "regmux2", "fsm4"])
 def test_every_token_prefix_parses_or_raises_hdl_error(name, style):
     text = codegen.gen_unit(load_fixture(name), style)
-    for end in _token_ends(text):
+    for _start, end in token_spans(text):
         try:
             hdl.parse_hdl(text[:end])
         except hdl.HdlError as e:
@@ -278,6 +277,42 @@ always @* begin
 end
 endmodule
 """
+
+
+# (text, schema) for the reader's fuzz test: the fixtures' HDL in both
+# styles under their own schemas, and texts written here under a schema
+# of their outputs (None).
+_FUZZ_TEXTS = [(codegen.gen_unit(load_fixture(name), style),
+                schema_of(load_fixture(name)))
+               for name in ("mux4", "regmux2", "fsm4")
+               for style in (codegen.STYLE_IF, codegen.STYLE_CASE)] + \
+    [(COMB, None), (CLOCKED, None), (CASEZ, None)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_TEXTS), st.sampled_from(VARIANT_KINDS),
+       st.integers(0, 10**6), st.sampled_from(STRAY_CHARACTERS))
+def test_damaged_hdl_reads_or_raises_a_located_lct_error(source, kind,
+                                                         index, stray):
+    """Cut after a token, with a token deleted or written twice, or with
+    a stray character, a text parses and extracts or raises an LctError,
+    never IndexError, KeyError or RecursionError; a parse error is
+    located."""
+    text, schema = source
+    try:
+        module = hdl.parse_hdl(hdl_variant(text, kind, index, stray))
+    except LctError as e:
+        if isinstance(e, hdl.HdlError):
+            assert e.line is not None and e.col is not None, str(e)
+        return
+    conditions, results = schema or (
+        [], [p.name for p in module.ports if p.direction is Direction.OUTPUT])
+    for process in range(len(module.processes) + bool(module.assigns)):
+        try:
+            extract.hdl_to_lct(module, conditions, results,
+                               process_index=process)
+        except LctError:
+            pass
 
 
 # One error site each, in the middle of a multi-line module: the error
