@@ -17,8 +17,7 @@ Grammar (loosest to tightest binding):
     unary     := ('~' | '!')* primary
     primary   := identifier | literal | '(' ternary ')' | '{' list '}'
 
-The binary levels are parsed by one precedence-climbing loop, entered
-only when a binary operator follows an operand.  Nesting
+The binary levels are parsed by one precedence-climbing loop.  Nesting
 deeper than MAX_DEPTH is an error, not a stack overflow.  Sized literals
 must fit their width.  No identifier is a reserved word (`KEYWORDS`), and
 a header holds no comment.
@@ -99,15 +98,11 @@ class CasePattern:
     bits: str  # one char per bit, msb first: 0, 1, or ?
 
 
-# Comments, which separate tokens as whitespace does.  No token holds a
-# '/', so one left-to-right pass finds every comment, and a '/' that
-# starts none is a stray character.
+# Comments, which no token holds a '/' of; a '/' that starts none is a
+# stray character.  Outside them, one match per token, or an empty match
+# before a stray character; the lookahead steps over whitespace.  Headers
+# and HDL share these tokens; the parsers decide which of them each holds.
 _COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
-
-# Outside comments, one match per token, the token's text, or an empty
-# match before a stray character.  The leading lookahead makes the
-# scanner step over whitespace without trying each branch.  Headers and
-# HDL share these tokens; the parsers decide which of them each may hold.
 _TOKEN_RE = re.compile(r"""(?=\S)(?:
     [A-Za-z_][A-Za-z0-9_$]*
     | \d+(?:'[bdhBDH][0-9a-fA-F_?zZxX]+)?
@@ -136,31 +131,22 @@ def tokenize(text: str) -> List[str]:
     located by `locate`."""
     tokens = _TOKEN_RE.findall(_COMMENT_RE.sub(" ", text))
     if "" in tokens:
-        start = _token_start(text, tokens.index(""))
-        raise HdlError(f"unexpected character {text[start]!r}",
-                       *_line_col(text, start))
+        line, col = locate(text, tokens.index(""))
+        stray = text.split("\n")[line - 1][col - 1]
+        raise HdlError(f"unexpected character {stray!r}", line, col)
     return tokens
-
-
-def _token_start(text: str, index: int) -> int:
-    """The offset of the index-th token of the text, or of the stray
-    character in its place.  Comments are blanked out, not removed, so
-    that offsets stay put."""
-    blank = _COMMENT_RE.sub(lambda m: re.sub(r"\S", " ", m.group()), text)
-    return next(itertools.islice(_TOKEN_RE.finditer(blank), index,
-                                 None)).start()
-
-
-def _line_col(text: str, start: int) -> Tuple[int, int]:
-    return (text.count("\n", 0, start) + 1,
-            start - text.rfind("\n", 0, start))
 
 
 def locate(text: str, index: int) -> Tuple[int, int]:
     """The 1-based (line, column) at which the index-th token of the
     text, or the stray character in its place, starts.  The text is
     scanned again, so only an error should ask."""
-    return _line_col(text, _token_start(text, index))
+    # Comments are blanked out, not removed, so that offsets stay put.
+    blank = _COMMENT_RE.sub(lambda m: re.sub(r"\S", " ", m.group()), text)
+    match = next(itertools.islice(_TOKEN_RE.finditer(blank), index, None))
+    start = match.start()
+    return (text.count("\n", 0, start) + 1,
+            start - text.rfind("\n", 0, start))
 
 
 class _Parser:
@@ -181,9 +167,8 @@ class _Parser:
         self.i = 0
         self.brackets = 0
         self.operators = 0
-        # Identifier or literal text -> its node, for this parse; a text
-        # that fails is not kept, so each occurrence raises at its own
-        # token.
+        # Leaf text -> its node, for this parse; a text that fails is not
+        # kept, so each occurrence raises at its own token.
         self.leaves = {}
 
     def error(self, message: str, at: Optional[int] = None) -> LctError:
@@ -206,9 +191,8 @@ class _Parser:
         if tok == text or (text is None and tok):
             self.i += 1
             return tok
-        if not tok:
-            raise self.error("unexpected end of input")
-        raise self.error(f"expected {text!r}, found {tok!r}")
+        raise self.error(f"expected {text!r}, found {tok!r}" if tok
+                         else "unexpected end of input")
 
     def open_bracket(self, at: int):
         self.brackets += 1
@@ -221,9 +205,7 @@ class _Parser:
             raise self.error(f"nesting deeper than {MAX_DEPTH} levels", at)
 
     def expression(self):
-        """A ternary.  Its condition is one operand, climbed into binary
-        operators only when one follows, so that a lone operand costs no
-        stacks."""
+        """A ternary, climbing binary operators only if one follows."""
         cond = self.operand()
         tok = self.tokens[self.i]
         if tok in _BINARY:
@@ -240,17 +222,12 @@ class _Parser:
         return Ternary(cond, then, other)
 
     def binary(self, first, tok: str):
-        """Precedence climbing with explicit stacks, from the operand
-        `first` and the binary operator `tok` after it: operators of
-        equal strength associate to the left.  One operator between two
-        operands needs no stacks."""
+        """Precedence climbing with explicit stacks from `first` and the
+        operator `tok` after it: equal strengths associate to the left."""
         self.i += 1
-        rhs = self.operand()
-        level = _BINARY.get(self.tokens[self.i])
-        if level is None:
-            return Binary(tok, first, rhs)
-        operands = [first, rhs]
+        operands = [first, self.operand()]
         pending = [tok]
+        level = _BINARY.get(self.tokens[self.i])
         while True:
             while pending and (level is None
                                or _BINARY[pending[-1]] >= level):
@@ -265,15 +242,12 @@ class _Parser:
             level = _BINARY.get(self.tokens[self.i])
 
     def operand(self):
-        """unary: the prefix operators, read in a loop, then a primary,
-        which is a leaf seen before in this parse or is read by
-        `primary`."""
+        """unary: the prefix operators, read in a loop, then a primary or
+        a leaf seen before in this parse."""
         i = start = self.i
-        tok = self.tokens[i]
-        while tok == "~" or tok == "!":
+        while (tok := self.tokens[i]) == "~" or tok == "!":
             self.open_operator(i)
             i += 1
-            tok = self.tokens[i]
         node = self.leaves.get(tok)
         if node is None:
             self.i = i

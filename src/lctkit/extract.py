@@ -58,18 +58,6 @@ class _Env:
                     self.fall_through)
 
 
-class _Lazy(dict):
-    """A dict that makes a missing key's value with `make`, once."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 class _Builder:
     def __init__(self, module: HdlModule, process: HdlProcess,
                  conditions: Sequence[str], results: Sequence[str]):
@@ -83,9 +71,8 @@ class _Builder:
         self.key_index: dict = {}
         self.has_expr_header = False
         self.constants: dict = {}  # (width, value) -> Constant
-        # id(subject) -> (subject, its label fields): computed once per
-        # case subject.  An added expression column may bind a subject's
-        # part, so adding one empties it.
+        # id(subject) -> (subject, its label fields), once per subject; an
+        # added expression column may bind a part, so adding one empties it.
         self.label_fields: dict = {}
         # Names of the signal columns that passed `_column`'s checks.
         self.bound_signals: set = set()
@@ -155,15 +142,12 @@ class _Builder:
                     (header := self._schema_expr(part.lhs)) is not None:
                 headers.append(header)
             else:
-                headers = None
-                break
-        fields = None
-        if headers is not None:
-            pairs = [(h, 1 if isinstance(h, ExprHeader)
-                      else self._signal_width(h.name)) for h in headers]
-            fields = pairs, sum(width for _, width in pairs)
-        self.label_fields[id(node)] = (node, fields)
-        return fields
+                self.label_fields[id(node)] = (node, None)
+                return None
+        pairs = [(h, 1 if isinstance(h, ExprHeader)
+                  else self._signal_width(h.name)) for h in headers]
+        self.label_fields[id(node)] = node, (pairs, sum(w for _, w in pairs))
+        return self.label_fields[id(node)][1]
 
     def _apply_label(self, env: _Env, subject, fields, label) -> bool:
         """`subject == label`, a number or a wildcard label: one
@@ -215,8 +199,7 @@ class _Builder:
             header = self._schema_expr(node)
             if header is not None:
                 return self._column(env, header, 1)
-        # The common shapes first: `&&`, and `subject == number` or a
-        # case label.
+        # The common shapes first: `&&`, and `subject == number or label`.
         if isinstance(node, ex.Binary) and node.op == "&&":
             return (self._apply_condition(env, node.lhs)
                     and self._apply_condition(env, node.rhs))
@@ -285,10 +268,9 @@ class _Builder:
         return envs
 
     def _expand(self, env: _Env, stmt) -> List[_Env]:
-        """Paths through one statement other than a plain assignment.
-        Prioritized arms give, in priority order, each arm whose guard
-        is feasible, then the default body or, without one, the bare
-        fall-through.
+        """Paths through one statement but a plain assignment.  Prioritized
+        arms give, in priority order, each arm whose guard is feasible,
+        then the default body or, without one, the bare fall-through.
 
         Only a path that took no arm and assigned nothing stays a
         fall-through, which a clocked process drops as the no-match
@@ -339,24 +321,21 @@ class _Builder:
 
     def build(self, name: str) -> Lct:
         clocked = self.process.kind is Clocking.CLOCKED
-        paths = self.paths()
-        # Per condition column, its key and its cell per constrained
-        # value (None: don't care); per result, its cell on a path that
-        # does not assign it.
-        columns = [(header.key, _Lazy(
-            lambda value, width=width: DONT_CARE if value is None
-            else self._constant(width, value)))
-            for header, width in zip(self.headers, self.widths)]
-        unassigned = _Lazy(SignalRef if clocked else lambda _: DONT_CARE)
+        paths = self.paths()  # which may add condition columns
+        columns = [(h.key, w) for h, w in zip(self.headers, self.widths)]
+        # Per result, its cell on a path that does not assign it.
+        holds = [(result, SignalRef(result) if clocked else DONT_CARE)
+                 for result in self.results]
         rows = []
         for env in paths:
             if clocked and env.fall_through:
                 continue  # identical to holding via no-match
             get, assigns = env.constraints.get, env.assigns
             rows.append(CaseRow(
-                tuple([cells[get(key)] for key, cells in columns]),
-                tuple([assigns[result] if result in assigns
-                       else unassigned[result] for result in self.results])))
+                tuple([DONT_CARE if (value := get(key)) is None
+                       else self._constant(width, value)
+                       for key, width in columns]),
+                tuple([assigns.get(result, hold) for result, hold in holds])))
 
         ports = self._ports()
         table = Lct(name=name, clocking=self.process.kind,

@@ -230,16 +230,12 @@ class _Parser(ex._Parser):
     # -- statements ---------------------------------------------------------
 
     def statement_block(self) -> list:
-        tokens = self.tokens
-        if tokens[self.i] != "begin":
+        if self.tokens[self.i] != "begin":
             return self.statement()
         self.i += 1
         self.open_bracket(self.i - 1)
         stmts = []
-        while True:
-            tok = tokens[self.i]
-            if tok == "end":
-                break
+        while (tok := self.tokens[self.i]) != "end":
             if not tok:
                 raise self.error("missing end")
             stmts += self.statement()
@@ -249,16 +245,13 @@ class _Parser(ex._Parser):
 
     def statement(self) -> list:
         tok = self.tokens[self.i]
-        # An identifier is no keyword, so the assignment, the commonest
-        # statement, is tested first.
+        # The commonest statement first; no keyword is an identifier.
         if self.is_ident(tok):
-            i = self.i + 1
-            op = self.tokens[i]
+            self.i += 2
+            op = self.tokens[self.i - 1]
             if op != "=" and op != "<=":
-                self.i = i
-                self.take()  # raises at the end of input
-                raise self.error(f"expected assignment, found {op!r}", i)
-            self.i = i + 1
+                raise self.error(f"expected assignment, found {op!r}" if op
+                                 else "unexpected end of input", self.i - 1)
             rhs = self.expression()
             self.take(";")
             return [HAssign(tok, rhs, op == "<=")]
