@@ -91,11 +91,13 @@ def _reset_warning(table: Lct) -> Optional[str]:
 
 
 def match_sets(table: Lct, rows: Optional[Sequence[CaseRow]] = None,
-               enum_limit: int = DEFAULT_ENUM_LIMIT) -> Iterator[tuple]:
+               enum_limit: int = DEFAULT_ENUM_LIMIT,
+               bitsets: Optional[list] = None) -> Iterator[tuple]:
     """Yield ``(assignment, m)`` in enumeration order, where bit i of
     ``m`` is set when row i (of ``rows``, by default the table's own)
     matches: the lowest set bit is the first-match row.  The trailing
-    columns' row bitsets (``sim.column_bitsets``) are multiplied out
+    columns' row bitsets (``bitsets`` when the caller built them,
+    otherwise ``sim.column_bitsets`` of the rows) are multiplied out
     once into a block of at most ``_BLOCK`` masks, or the last column's
     own if wider: an assignment costs one AND in its block, plus one per
     leading column per block.  Memory holds one block plus one mask
@@ -106,9 +108,11 @@ def match_sets(table: Lct, rows: Optional[Sequence[CaseRow]] = None,
             f"control space of {size} assignments exceeds limit {enum_limit}")
     rows = table.rows if rows is None else rows
     full = (1 << len(rows)) - 1
+    if bitsets is None:
+        bitsets = sim.column_bitsets(table, rows)
     values = [[by_value.get(v, wild) for v in range(1 << width)]
               for (by_value, wild), (_, width) in zip(
-                  sim.column_bitsets(table, rows), sim.control_columns(table))]
+                  bitsets, sim.control_columns(table))]
     block = values.pop() if values else [full]
     while values and len(block) * len(values[-1]) <= _BLOCK:
         block = [a & b for a in values.pop() for b in block]
@@ -249,12 +253,14 @@ def picker(order: Sequence[int]):
     return operator.itemgetter(*order) if order else lambda items: ()
 
 
-def _prune(table: Lct, enum_limit: int) -> tuple:
+def _prune(table: Lct, enum_limit: int,
+           bitsets: Optional[list] = None) -> tuple:
     """The rows that canonicalization keeps, as a bitset, and whether it
     may sort them, from the distinct match sets of one walk.  Past the
     limit every row is kept in order."""
     try:
-        sets = {m for _, m in match_sets(table, enum_limit=enum_limit)}
+        sets = {m for _, m in match_sets(table, enum_limit=enum_limit,
+                                         bitsets=bitsets)}
     except EnumLimitError:
         return (1 << len(table.rows)) - 1, False
     keep = 0  # the rows that are first match somewhere
@@ -285,8 +291,8 @@ def _prune(table: Lct, enum_limit: int) -> tuple:
     return keep, not any(k & (k - 1) for k in (m & keep for m in sets))
 
 
-def canonicalize(table: Lct,
-                 enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
+def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
+                 bitsets: Optional[list] = None) -> Lct:
     """Deterministic normal form: comments and feedback stripped,
     shadowed rows and redundant pure-hold rows removed, clocked don't-care
     outputs rewritten as hold cells, expression headers rewritten
@@ -300,9 +306,10 @@ def canonicalize(table: Lct,
     row that needs no change is the table's own row object: its columns
     are in key order already, and it has no label, no comment and no
     clocked don't-care output.  Any other kept row is built once, its
-    cells picked in sorted column order.
+    cells picked in sorted column order.  ``bitsets``, when given, are
+    the table's ``sim.column_bitsets``, which the caller built already.
     """
-    keep, sort_rows = _prune(table, enum_limit)
+    keep, sort_rows = _prune(table, enum_limit, bitsets)
 
     cond_order = sorted(range(len(table.conditions)),
                         key=lambda i: table.conditions[i].key)

@@ -183,12 +183,13 @@ def align(a: Lct, b: Lct,
     return a, _aligned(a, b, _match_ports(a, b, aliases or {}))
 
 
-def _canonical_key(table: Lct, enum_limit: int) -> tuple:
+def _canonical_key(table: Lct, enum_limit: int,
+                   bitsets: Optional[list] = None) -> tuple:
     """What the canonical form's serialization shows, name excluded:
     clocking, ports, column headers, and each cell by its
     ``analysis.cell_codes`` code, a constant by its value (an expression
     column may hold 1'd1 or 2'd1 alike)."""
-    c = analysis.canonicalize(table, enum_limit)
+    c = analysis.canonicalize(table, enum_limit, bitsets)
     return (c.clocking, c.ports, tuple(h.text for h in c.conditions),
             c.results,
             tuple((analysis.cell_codes(row.inputs),
@@ -196,10 +197,13 @@ def _canonical_key(table: Lct, enum_limit: int) -> tuple:
 
 
 def textual_match(a: Lct, b: Lct,
-                  enum_limit: int = analysis.DEFAULT_ENUM_LIMIT) -> bool:
+                  enum_limit: int = analysis.DEFAULT_ENUM_LIMIT,
+                  bitsets: tuple = (None, None)) -> bool:
     """True iff the canonical serializations would be byte-identical
-    (unit names excluded)."""
-    return _canonical_key(a, enum_limit) == _canonical_key(b, enum_limit)
+    (unit names excluded).  ``bitsets`` may hold each table's
+    ``sim.column_bitsets``, built by the caller."""
+    return _canonical_key(a, enum_limit, bitsets[0]) == \
+        _canonical_key(b, enum_limit, bitsets[1])
 
 
 def _values_agree(va, vb) -> bool:
@@ -227,11 +231,15 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
         normalizations.append("alias-renaming")
     normalizations.append("canonicalization")
 
-    if textual_match(a, b, enum_limit):
+    # Each table's column bitsets serve its canonical form and, b's
+    # shifted up past a's rows, the joint walk below.
+    size = sim.control_space_size(a)
+    bitsets = (sim.column_bitsets(a), sim.column_bitsets(b)) \
+        if size <= enum_limit else (None, None)
+    if textual_match(a, b, enum_limit, bitsets):
         return EquivResult(Verdict.TEXTUALLY_IDENTICAL,
                            normalizations=normalizations)
 
-    size = sim.control_space_size(a)
     if size > enum_limit:
         raise CompareError(
             f"control space of {size} assignments exceeds limit {enum_limit}")
@@ -243,11 +251,12 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
     # Any other pair is settled by the oracle at the assignment itself.
     outputs_a, outputs_b = analysis.row_outputs(a), analysis.row_outputs(b)
     compiled = None
-    low = (1 << len(a.rows)) - 1
+    n = len(a.rows)
+    low = (1 << n) - 1
     agreeing = set()
-    for assignment, m in analysis.match_sets(a, a.rows + b.rows, enum_limit):
-        pair = (analysis.first_row(m & low),
-                analysis.first_row(m >> len(a.rows)))
+    for assignment, m in analysis.match_sets(
+            a, a.rows + b.rows, enum_limit, sim.stack_bitsets(*bitsets, n)):
+        pair = analysis.first_row(m & low), analysis.first_row(m >> n)
         if pair in agreeing:
             continue
         if all(map(_values_agree, outputs_a[pair[0]], outputs_b[pair[1]])):

@@ -164,6 +164,15 @@ def column_bitsets(table: Lct,
     return columns
 
 
+def stack_bitsets(low: List[tuple], high: List[tuple], n: int) -> List[tuple]:
+    """The ``column_bitsets`` of ``n`` rows followed by more, from those
+    of each part: ``high``'s bits shifted up past ``low``'s rows."""
+    return [({v: by_low.get(v, wild_low) | by_high.get(v, wild_high) << n
+              for v in by_low.keys() | by_high.keys()},
+             wild_low | wild_high << n)
+            for (by_low, wild_low), (by_high, wild_high) in zip(low, high)]
+
+
 def enumerate_assignments(table: Lct) -> Iterable[tuple]:
     widths = [w for _, w in control_columns(table)]
     return itertools.product(*(range(1 << w) for w in widths))

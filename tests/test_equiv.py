@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctkit import analysis, equiv, tableio
+from lctkit import analysis, equiv, sim, tableio
 from lctkit.model import (
     BitVector,
     CaseRow,
@@ -16,6 +16,7 @@ from lctkit.model import (
 from .util import (
     SEEDS,
     TABLES,
+    UNVALIDATED,
     clocked_dont_care_lct,
     load_fixture,
     mutate_output,
@@ -61,6 +62,32 @@ def test_dont_care_expansion_is_equivalent():
     expanded = analysis.expand_dont_cares(table)
     result = equiv.compare(table, expanded)
     assert result.verdict.equivalent
+
+
+def test_compare_builds_each_tables_bitsets_once(monkeypatch):
+    """The joint walk stacks the bitsets the canonical forms used."""
+    table = load_fixture("mux4")
+    expanded = analysis.expand_dont_cares(table)
+    built = []
+    column_bitsets = sim.column_bitsets
+
+    def counted(t, rows=None):
+        built.append(t)
+        return column_bitsets(t, rows)
+    monkeypatch.setattr(sim, "column_bitsets", counted)
+    result = equiv.compare(table, expanded)
+    assert result.verdict is equiv.Verdict.EQUIVALENT
+    assert built == [table, expanded]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TABLES, UNVALIDATED), st.integers(0, 10 ** 6))
+def test_stacked_bitsets_are_those_of_the_joined_rows(table, cut):
+    cut %= len(table.rows) + 1
+    low, high = table.rows[:cut], table.rows[cut:]
+    assert sim.stack_bitsets(sim.column_bitsets(table, low),
+                             sim.column_bitsets(table, high), cut) == \
+        sim.column_bitsets(table, table.rows)
 
 
 def test_literal_style_is_equivalent():
