@@ -189,17 +189,21 @@ def cmd_roundtrip(args) -> int:
 def cmd_report(args) -> int:
     tallies = {}
     records = []
-    for root, _dirs, files in sorted(os.walk(args.run_dir)):
-        if "verdict.txt" not in files:
-            continue
-        fields = {}
-        for line in _read(os.path.join(root, "verdict.txt")).splitlines():
-            if "=" in line:
-                key, value = line.split("=", 1)
-                fields[key] = value
+    try:
+        entries = sorted(os.listdir(args.run_dir))
+    except OSError as e:
+        raise CliError(str(e))
+    # Every top-level entry is a unit.  One that is not a directory
+    # holding verdict.txt lost its record, so it counts as an error.
+    for entry in entries:
+        verdict = os.path.join(args.run_dir, entry, "verdict.txt")
+        fields = {"error": "no verdict.txt"}
+        if os.path.isfile(verdict):
+            fields = dict(line.split("=", 1) for line in
+                          _read(verdict).splitlines() if "=" in line)
         label = "error" if "error" in fields else fields.get("label", "?")
         tallies[label] = tallies.get(label, 0) + 1
-        records.append((fields.get("unit", os.path.basename(root)), label))
+        records.append((fields.get("unit", entry), label))
     if not records:
         raise CliError(f"no verdict records under {args.run_dir}")
     if args.records:

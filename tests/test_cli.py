@@ -225,6 +225,26 @@ def test_report_summarizes_run(tmp_path, capsys):
     assert "mux4\tM" in out
 
 
+def test_report_counts_a_unit_whose_record_is_missing(tmp_path, capsys):
+    """A regular file where mux4's directory goes makes its persisting
+    fail; the report counts that entry as an error, as the run did."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "mux4").write_text("in the way\n")
+    code, out, _ = run(capsys, "roundtrip", "--records", "--run-dir",
+                       str(run_dir), fixture_path("mux4"),
+                       fixture_path("fsm4"))
+    assert code == cli.EXIT_ERROR
+    assert out == "mux4\terror\nfsm4\tM\n"
+    code, out, _ = run(capsys, "report", str(run_dir))
+    assert code == cli.EXIT_ERROR
+    assert out.splitlines() == ["M            1   50.00%",
+                                "error        1   50.00%",
+                                "total        2"]
+    code, out, _ = run(capsys, "report", "--records", str(run_dir))
+    assert out == "fsm4\tM\nmux4\terror\n"
+
+
 def test_report_empty_dir_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(tmp_path))
     assert code == 2
