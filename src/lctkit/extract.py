@@ -71,8 +71,8 @@ class _Builder:
         self.key_index: dict = {}
         self.has_expr_header = False
         self.constants: dict = {}  # (width, value) -> Constant
-        # id(subject) -> (subject, its label fields), once per subject; an
-        # added expression column may bind a part, so adding one empties it.
+        # id(subject) -> (subject, its label fields); an added expression
+        # column may bind a part of a subject, so adding one empties it.
         self.label_fields: dict = {}
         # Names of the signal columns that passed `_column`'s checks.
         self.bound_signals: set = set()
@@ -142,7 +142,6 @@ class _Builder:
                     (header := self._schema_expr(part.lhs)) is not None:
                 headers.append(header)
             else:
-                self.label_fields[id(node)] = (node, None)
                 return None
         pairs = [(h, 1 if isinstance(h, ExprHeader)
                   else self._signal_width(h.name)) for h in headers]

@@ -77,6 +77,7 @@ class HdlModule:
 _WILDCARD_RE = re.compile(r"[?zZxX]")
 _CASE_PATTERN_RE = re.compile(r"(\d+)'[bB]([01?zZxX_]+)\Z")
 
+
 class _Parser(ex._Parser):
     """The statement layer over the shared expression grammar, over the
     tokens of `text`."""
