@@ -7,10 +7,12 @@ explicit assignment limit.  The checks, canonicalization and
 ``equiv.compare`` share one walk over the control space, ``match_sets``,
 which multiplies the row bitsets of the trailing condition columns out
 into a block once: an assignment then costs one AND inside its block,
-plus one per leading column per block.  Past the walk, each cell costs
-little: canonicalization keeps a row that needs no change as it is, one
-code per cell (``cell_codes``) orders the rows and keys ``equiv``'s
-textual check, and ``row_outputs`` resolves each constant once a call.
+plus one per leading column per block.  Its bitsets, and the outputs
+``check_overlap`` compares, are the table's one first-match form, its
+``sim`` kernel, built on first use and freed with the table.  Past the
+walk, canonicalization keeps a row that needs no change as it is, and
+one code per cell (``cell_codes``) orders the rows and keys ``equiv``'s
+textual check.
 """
 
 from __future__ import annotations
@@ -90,26 +92,27 @@ def _reset_warning(table: Lct) -> Optional[str]:
     return "clocked table never pins its reset condition (missing reset row?)"
 
 
-def match_sets(table: Lct, rows: Optional[Sequence[CaseRow]] = None,
-               enum_limit: int = DEFAULT_ENUM_LIMIT,
-               bitsets: Optional[list] = None) -> Iterator[tuple]:
+def match_sets(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
+               other: Optional[Lct] = None) -> Iterator[tuple]:
     """Yield ``(assignment, m)`` in enumeration order, where bit i of
-    ``m`` is set when row i (of ``rows``, by default the table's own)
-    matches: the lowest set bit is the first-match row.  The trailing
-    columns' row bitsets (``bitsets`` when the caller built them,
-    otherwise ``sim.column_bitsets`` of the rows) are multiplied out
-    once into a block of at most ``_BLOCK`` masks, or the last column's
-    own if wider: an assignment costs one AND in its block, plus one per
-    leading column per block.  Memory holds one block plus one mask
-    list per column, never the whole space."""
+    ``m`` is set when row i matches: the lowest set bit is the
+    first-match row.  The rows of ``other``, a table aligned to
+    ``table``, follow ``table``'s, their bitsets stacked on its own.
+    The trailing columns' row bitsets, those of the table's ``sim``
+    kernel, are multiplied out once into a block of at most ``_BLOCK``
+    masks, or the last column's own if wider: an assignment costs one
+    AND in its block, plus one per leading column per block.  Memory
+    holds one block plus one mask list per column, never the whole
+    space."""
     size = sim.control_space_size(table)
     if size > enum_limit:
         raise EnumLimitError(
             f"control space of {size} assignments exceeds limit {enum_limit}")
-    rows = table.rows if rows is None else rows
-    full = (1 << len(rows)) - 1
-    if bitsets is None:
-        bitsets = sim.column_bitsets(table, rows)
+    bitsets, rows = sim._kernel(table).bitsets, len(table.rows)
+    if other is not None:
+        bitsets = sim.stack_bitsets(bitsets, sim._kernel(other).bitsets, rows)
+        rows += len(other.rows)
+    full = (1 << rows) - 1
     values = [[by_value.get(v, wild) for v in range(1 << width)]
               for (by_value, wild), (_, width) in zip(
                   bitsets, sim.control_columns(table))]
@@ -123,31 +126,6 @@ def match_sets(table: Lct, rows: Optional[Sequence[CaseRow]] = None,
                        [mask & m for m in block])
 
 
-def first_row(m: int) -> int:
-    """Index of the lowest set bit of a match set; -1 when it is empty."""
-    return (m & -m).bit_length() - 1
-
-
-def row_outputs(table: Lct) -> List[tuple]:
-    """Per row, its symbolic outputs with every signal reference that is
-    not a hold read as a token; last, the outputs when no row matches,
-    which ``first_row`` of an empty match set (-1) finds.  The values
-    are ``sim.resolve_cell``'s, with each distinct constant resolved
-    once per call: its rows share one ``sim.Known``."""
-    fallback = sim.HOLD if table.clocking is Clocking.CLOCKED else sim.UNSPEC
-    known = {}  # (width, value) -> its one sim.Known
-
-    def value(name, cell):
-        if type(cell) is Constant:
-            key = cell.bv.width, cell.bv.value
-            return known.get(key) or known.setdefault(key, sim.Known(cell.bv))
-        if type(cell) is DontCare:
-            return fallback
-        return sim.resolve_cell(table, name, cell)
-    return [tuple(map(value, table.results, row.outputs))
-            for row in table.rows] + [(fallback,) * len(table.results)]
-
-
 def check_completeness(table: Lct,
                        enum_limit: int = DEFAULT_ENUM_LIMIT) -> CoverageReport:
     """List every control assignment matched by no row.  Expression
@@ -156,7 +134,7 @@ def check_completeness(table: Lct,
     report = CoverageReport()
     report.possibly_infeasible = any(
         isinstance(h, ExprHeader) for h in table.conditions)
-    for assignment, m in match_sets(table, enum_limit=enum_limit):
+    for assignment, m in match_sets(table, enum_limit):
         if not m:
             report.uncovered.append(sim.assignment_dict(table, assignment))
     warning = _reset_warning(table)
@@ -173,9 +151,9 @@ def check_overlap(table: Lct,
     claimed = 0
     seen_sets = set()
     seen_conflicts = set()
-    outputs = row_outputs(table)
+    outputs = sim.row_values(table)
     report = CoverageReport()
-    for assignment, m in match_sets(table, enum_limit=enum_limit):
+    for assignment, m in match_sets(table, enum_limit):
         claimed |= m & -m
         # A repeated match set has no pair left to report.
         if not m & (m - 1) or m in seen_sets:
@@ -253,14 +231,12 @@ def picker(order: Sequence[int]):
     return operator.itemgetter(*order) if order else lambda items: ()
 
 
-def _prune(table: Lct, enum_limit: int,
-           bitsets: Optional[list] = None) -> tuple:
+def _prune(table: Lct, enum_limit: int) -> tuple:
     """The rows that canonicalization keeps, as a bitset, and whether it
     may sort them, from the distinct match sets of one walk.  Past the
     limit every row is kept in order."""
     try:
-        sets = {m for _, m in match_sets(table, enum_limit=enum_limit,
-                                         bitsets=bitsets)}
+        sets = {m for _, m in match_sets(table, enum_limit)}
     except EnumLimitError:
         return (1 << len(table.rows)) - 1, False
     keep = 0  # the rows that are first match somewhere
@@ -291,8 +267,7 @@ def _prune(table: Lct, enum_limit: int,
     return keep, not any(k & (k - 1) for k in (m & keep for m in sets))
 
 
-def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
-                 bitsets: Optional[list] = None) -> Lct:
+def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
     """Deterministic normal form: comments and feedback stripped,
     shadowed rows and redundant pure-hold rows removed, clocked don't-care
     outputs rewritten as hold cells, expression headers rewritten
@@ -306,10 +281,9 @@ def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
     row that needs no change is the table's own row object: its columns
     are in key order already, and it has no label, no comment and no
     clocked don't-care output.  Any other kept row is built once, its
-    cells picked in sorted column order.  ``bitsets``, when given, are
-    the table's ``sim.column_bitsets``, which the caller built already.
+    cells picked in sorted column order.
     """
-    keep, sort_rows = _prune(table, enum_limit, bitsets)
+    keep, sort_rows = _prune(table, enum_limit)
 
     cond_order = sorted(range(len(table.conditions)),
                         key=lambda i: table.conditions[i].key)

@@ -33,6 +33,8 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise CliError(str(e))
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text: {e}")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -56,6 +58,8 @@ def load_table(path: str) -> Lct:
         return tableio.load_unit(path).lct
     except OSError as e:
         raise CliError(str(e))
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: its table is not UTF-8 text: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +198,14 @@ def cmd_report(args) -> int:
     except OSError as e:
         raise CliError(str(e))
     # Every top-level entry is a unit.  One that is not a directory
-    # holding verdict.txt lost its record, so it counts as an error.
+    # holding a readable verdict.txt lost its record: it is an error.
     for entry in entries:
-        verdict = os.path.join(args.run_dir, entry, "verdict.txt")
-        fields = {"error": "no verdict.txt"}
-        if os.path.isfile(verdict):
-            fields = dict(line.split("=", 1) for line in
-                          _read(verdict).splitlines() if "=" in line)
+        try:
+            fields = dict(line.split("=", 1) for line in _read(
+                os.path.join(args.run_dir, entry, "verdict.txt")).splitlines()
+                if "=" in line)
+        except CliError as e:
+            fields = {"error": str(e)}
         label = "error" if "error" in fields else fields.get("label", "?")
         tallies[label] = tallies.get(label, 0) + 1
         records.append((fields.get("unit", entry), label))

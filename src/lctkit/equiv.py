@@ -6,7 +6,9 @@ Benign differences (row/column permutation, don't-care expansion,
 numeric literal style, shadowed extra rows, signal-name aliases) all
 collapse under this comparison without per-case rules.  Data inputs are
 compared as opaque tokens: two tables agree only if they pass through
-the same input under the same control assignment.
+the same input under the same control assignment.  Each table's row
+bitsets and outputs are those of its one ``sim`` kernel, built on first
+use and freed with the table.
 """
 
 from __future__ import annotations
@@ -183,13 +185,12 @@ def align(a: Lct, b: Lct,
     return a, _aligned(a, b, _match_ports(a, b, aliases or {}))
 
 
-def _canonical_key(table: Lct, enum_limit: int,
-                   bitsets: Optional[list] = None) -> tuple:
+def _canonical_key(table: Lct, enum_limit: int) -> tuple:
     """What the canonical form's serialization shows, name excluded:
     clocking, ports, column headers, and each cell by its
     ``analysis.cell_codes`` code, a constant by its value (an expression
     column may hold 1'd1 or 2'd1 alike)."""
-    c = analysis.canonicalize(table, enum_limit, bitsets)
+    c = analysis.canonicalize(table, enum_limit)
     return (c.clocking, c.ports, tuple(h.text for h in c.conditions),
             c.results,
             tuple((analysis.cell_codes(row.inputs),
@@ -197,13 +198,10 @@ def _canonical_key(table: Lct, enum_limit: int,
 
 
 def textual_match(a: Lct, b: Lct,
-                  enum_limit: int = analysis.DEFAULT_ENUM_LIMIT,
-                  bitsets: tuple = (None, None)) -> bool:
+                  enum_limit: int = analysis.DEFAULT_ENUM_LIMIT) -> bool:
     """True iff the canonical serializations would be byte-identical
-    (unit names excluded).  ``bitsets`` may hold each table's
-    ``sim.column_bitsets``, built by the caller."""
-    return _canonical_key(a, enum_limit, bitsets[0]) == \
-        _canonical_key(b, enum_limit, bitsets[1])
+    (unit names excluded)."""
+    return _canonical_key(a, enum_limit) == _canonical_key(b, enum_limit)
 
 
 def _values_agree(va, vb) -> bool:
@@ -231,15 +229,11 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
         normalizations.append("alias-renaming")
     normalizations.append("canonicalization")
 
-    # Each table's column bitsets serve its canonical form and, b's
-    # shifted up past a's rows, the joint walk below.
-    size = sim.control_space_size(a)
-    bitsets = (sim.column_bitsets(a), sim.column_bitsets(b)) \
-        if size <= enum_limit else (None, None)
-    if textual_match(a, b, enum_limit, bitsets):
+    if textual_match(a, b, enum_limit):
         return EquivResult(Verdict.TEXTUALLY_IDENTICAL,
                            normalizations=normalizations)
 
+    size = sim.control_space_size(a)
     if size > enum_limit:
         raise CompareError(
             f"control space of {size} assignments exceeds limit {enum_limit}")
@@ -249,14 +243,13 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
     # pass-through of a condition signal read as a token only merges
     # equal values, so a row pair that agrees once agrees everywhere.
     # Any other pair is settled by the oracle at the assignment itself.
-    outputs_a, outputs_b = analysis.row_outputs(a), analysis.row_outputs(b)
+    outputs_a, outputs_b = sim.row_values(a), sim.row_values(b)
     compiled = None
     n = len(a.rows)
     low = (1 << n) - 1
     agreeing = set()
-    for assignment, m in analysis.match_sets(
-            a, a.rows + b.rows, enum_limit, sim.stack_bitsets(*bitsets, n)):
-        pair = analysis.first_row(m & low), analysis.first_row(m >> n)
+    for assignment, m in analysis.match_sets(a, enum_limit, b):
+        pair = sim.first_row(m & low), sim.first_row(m >> n)
         if pair in agreeing:
             continue
         if all(map(_values_agree, outputs_a[pair[0]], outputs_b[pair[1]])):

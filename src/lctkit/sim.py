@@ -7,24 +7,23 @@ values; data inputs pass through as opaque tokens.
 
 ``symbolic_outputs`` is the brute-force oracle: it scans the rows one by
 one (``compile_rows``, ``first_match``).  ``equiv.compare`` takes every
-counterexample from it, and the bitset walks of ``analysis`` and
-``equiv`` (``analysis.match_sets``) are tested against it.
-``eval_comb``, ``step_clocked`` and ``run_trace`` find their row with a
-kernel built once per table instance: the row bitsets of
-``column_bitsets``, one AND per condition column, and the lowest set
-bit, whose output cells are resolved in advance.
+counterexample from it, and the bitset walks are tested against it.
+Every other first-match decision reads the table's one kernel, built on
+first use and freed with the table: the row bitsets of
+``column_bitsets``, which ``analysis.match_sets`` walks and evaluation
+ANDs once per condition column, and the rows' outputs, resolved when
+first needed and read at the lowest set bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from . import expr
 from .model import (
     BitVector,
-    CaseRow,
     Clocking,
     Constant,
     DontCare,
@@ -142,19 +141,17 @@ def first_match(compiled: List[tuple], assignment: tuple) -> Optional[int]:
     return None
 
 
-def column_bitsets(table: Lct,
-                   rows: Optional[Sequence[CaseRow]] = None) -> List[tuple]:
+def column_bitsets(table: Lct) -> List[tuple]:
     """Per condition column, ``(by_value, wild)``: bit i of ``wild`` is
-    set when row i (of ``rows``, by default the table's own) accepts any
-    value there, and ``by_value`` maps each value some row requires to
-    the rows that accept it.  ANDing ``by_value.get(value, wild)`` over
-    the columns leaves the rows that match an assignment (the bit-vector
-    scheme of first-match packet classification)."""
-    rows = table.rows if rows is None else rows
+    set when row i accepts any value there, and ``by_value`` maps each
+    value some row requires to the rows that accept it.  ANDing
+    ``by_value.get(value, wild)`` over the columns leaves the rows that
+    match an assignment (the bit-vector scheme of first-match packet
+    classification)."""
     columns = []
     for c in range(len(table.conditions)):
         exact, wild = {}, 0
-        for i, row in enumerate(rows):
+        for i, row in enumerate(table.rows):
             cell = row.inputs[c]
             if isinstance(cell, Constant):
                 exact[cell.bv.value] = exact.get(cell.bv.value, 0) | 1 << i
@@ -162,6 +159,11 @@ def column_bitsets(table: Lct,
                 wild |= 1 << i
         columns.append(({v: bits | wild for v, bits in exact.items()}, wild))
     return columns
+
+
+def first_row(m: int) -> int:
+    """Index of the lowest set bit of a match set; -1 when it is empty."""
+    return (m & -m).bit_length() - 1
 
 
 def stack_bitsets(low: List[tuple], high: List[tuple], n: int) -> List[tuple]:
@@ -227,31 +229,61 @@ def symbolic_outputs(table: Lct, assignment: tuple,
 # Table evaluation over named inputs
 
 class _Kernel:
-    """First-match evaluation of one table.  ``columns`` holds, per
-    condition column, its header, its input name (``None`` for an
-    expression header) and its ``column_bitsets``.  ``outputs`` holds,
-    per row and then for no match (``first_row`` -1), a pair: the row's
-    ``(result, value, read)`` cells, with ``value`` as ``resolve_cell``
-    gives it without inputs and ``read`` the input that a pass-through
-    reads when that input is supplied; and the text of the ``SimError``
-    for a bad output cell, or None.  That error is raised only when the
-    row matches, after the cells before it."""
+    """The first-match form of one table: ``bitsets``, its
+    ``column_bitsets``, and ``columns``, each column's bitsets with its
+    header and input name (``None`` for an expression header).
+    ``resolve`` sets ``outputs``: per row and last for no match, its
+    ``(result, value, read)`` cells, ``value`` as ``resolve_cell`` gives
+    it without inputs and ``read`` the input a pass-through reads when
+    supplied, and the ``SimError`` text of a bad output cell or None,
+    raised only when the row matches, after the cells before it.
+    ``values`` holds the rows' values alone, each distinct constant one
+    shared ``Known``, and ``error`` the first row's error."""
 
-    __slots__ = ("columns", "full", "outputs")
+    __slots__ = ("bitsets", "columns", "full", "outputs", "values", "error")
 
     def __init__(self, table: Lct):
+        self.bitsets = column_bitsets(table)
         self.columns = [
             (header, header.name if isinstance(header, SignalHeader) else None,
              by_value, wild)
             for header, (by_value, wild) in zip(table.conditions,
-                                                column_bitsets(table))]
+                                                self.bitsets)]
         self.full = (1 << len(table.rows)) - 1
-        fallback = HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
-        self.outputs = [_resolved_cells(table, row) for row in table.rows]
-        self.outputs.append(
-            (tuple((name, fallback, None) for name in table.results), None))
+        self.outputs = None
 
-    def first_row(self, inputs: Mapping[str, BitVector]) -> int:
+    def resolve(self, table: Lct) -> "_Kernel":
+        """The kernel, ``table``'s outputs resolved on the first call."""
+        if self.outputs is not None:
+            return self
+        fallback = HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
+        known = {}  # (width, value) -> its one Known
+        outputs = []
+        for row in table.rows:
+            cells, error = [], None
+            for name, cell in zip(table.results, row.outputs):
+                if type(cell) is Constant:
+                    key = cell.bv.width, cell.bv.value
+                    value = known.get(key) or \
+                        known.setdefault(key, Known(cell.bv))
+                else:
+                    try:
+                        value = resolve_cell(table, name, cell)
+                    except SimError as e:
+                        error = str(e)
+                        break
+                cells.append((name, value,
+                              cell.name if type(value) is Token else None))
+            outputs.append((tuple(cells), error))
+        outputs.append(
+            (tuple((name, fallback, None) for name in table.results), None))
+        self.values = [tuple(value for _, value, _ in cells)
+                       for cells, _ in outputs]
+        self.error = next((error for _, error in outputs if error), None)
+        self.outputs = outputs
+        return self
+
+    def row(self, inputs: Mapping[str, BitVector]) -> int:
         """The first-match row at ``inputs``, or -1.  Every column is
         read in order, so the first missing input or failing expression
         raises even when an earlier column matches no row."""
@@ -265,22 +297,19 @@ class _Kernel:
                     raise SimError(f"missing condition input {name}")
                 value = bv.value
             m &= by_value.get(value, wild)
-        return (m & -m).bit_length() - 1
+        return first_row(m)
 
     def comb(self, inputs: Mapping[str, BitVector]) -> Dict[str, object]:
-        cells, error = self.outputs[self.first_row(inputs)]
-        out = {}
-        for name, value, read in cells:
-            if read is not None and read in inputs:
-                value = Known(inputs[read])
-            out[name] = value
+        cells, error = self.outputs[self.row(inputs)]
         if error is not None:
             raise SimError(error)
-        return out
+        return {name: Known(inputs[read])
+                if read is not None and read in inputs else value
+                for name, value, read in cells}
 
     def step(self, state: SeqState,
              inputs: Mapping[str, BitVector]) -> SeqState:
-        index = self.first_row(inputs)
+        index = self.row(inputs)
         if index < 0:
             return state
         cells, error = self.outputs[index]
@@ -296,18 +325,6 @@ class _Kernel:
         return SeqState(tuple(regs))
 
 
-def _resolved_cells(table: Lct, row: CaseRow) -> tuple:
-    cells = []
-    for name, cell in zip(table.results, row.outputs):
-        try:
-            value = resolve_cell(table, name, cell)
-        except SimError as e:
-            return tuple(cells), str(e)
-        cells.append((name, value,
-                      cell.name if isinstance(value, Token) else None))
-    return tuple(cells), None
-
-
 def _kernel(table: Lct) -> _Kernel:
     """The table's kernel, built on first use and kept in the instance's
     ``__dict__`` as ``functools.cached_property`` keeps a value: it is
@@ -319,11 +336,22 @@ def _kernel(table: Lct) -> _Kernel:
     return kernel
 
 
+def row_values(table: Lct) -> List[tuple]:
+    """Per row, its output values as ``resolve_cell`` gives them without
+    inputs, and last the values when no row matches, which ``first_row``
+    of an empty match set (-1) finds.  Raises the ``SimError`` of the
+    first bad output cell."""
+    kernel = _kernel(table).resolve(table)
+    if kernel.error is not None:
+        raise SimError(kernel.error)
+    return kernel.values
+
+
 def eval_comb(table: Lct, inputs: Mapping[str, BitVector]) -> Dict[str, object]:
     """Evaluate a combinational table for one input vector."""
     if table.clocking is not Clocking.COMBINATIONAL:
         raise SimError("eval_comb requires a combinational table")
-    return _kernel(table).comb(inputs)
+    return _kernel(table).resolve(table).comb(inputs)
 
 
 def step_clocked(table: Lct, state: SeqState,
@@ -332,7 +360,7 @@ def step_clocked(table: Lct, state: SeqState,
     and unmatched inputs keep the prior register values."""
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("step_clocked requires a clocked table")
-    return _kernel(table).step(state, inputs)
+    return _kernel(table).resolve(table).step(state, inputs)
 
 
 def run_trace(table: Lct,
@@ -343,7 +371,7 @@ def run_trace(table: Lct,
     if table.clocking is not Clocking.CLOCKED:
         raise SimError("run_trace requires a clocked table")
     state = initial_state(table)
-    step = _kernel(table).step
+    step = _kernel(table).resolve(table).step
     states = []
     for cycle, vector in enumerate(stimulus):
         inputs = vector

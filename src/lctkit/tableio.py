@@ -99,9 +99,9 @@ def parse_unit(manifest_text: str, csv_text: str) -> Lct:
             except ValueError:
                 raise ParseError(f"unknown clocking {words[1]!r}", lineno)
         elif keyword == "inputs" and len(words) == 2:
-            n_inputs = int(words[1])
+            n_inputs = _count(words, lineno)
         elif keyword == "outputs" and len(words) == 2:
-            n_outputs = int(words[1])
+            n_outputs = _count(words, lineno)
         elif keyword == "port" and len(words) == 4:
             try:
                 direction = Direction(words[1])
@@ -129,6 +129,14 @@ def parse_unit(manifest_text: str, csv_text: str) -> Lct:
         raise ParseError("invalid table: " +
                          "; ".join(str(v) for v in violations))
     return table
+
+
+def _count(words: List[str], lineno: int) -> int:
+    """The count of an ``inputs`` or ``outputs`` line: decimal digits."""
+    if not (words[1].isascii() and words[1].isdigit()):
+        raise ParseError(f"{words[0]} count {words[1]!r} is not a "
+                         f"non-negative decimal number", lineno)
+    return int(words[1])
 
 
 def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,

@@ -245,6 +245,52 @@ def test_report_counts_a_unit_whose_record_is_missing(tmp_path, capsys):
     assert out == "fsm4\tM\nmux4\terror\n"
 
 
+def test_report_counts_an_undecodable_record_as_an_error(tmp_path, capsys):
+    """A verdict.txt that is not UTF-8 is that unit's error record; the
+    report goes on to the next unit."""
+    run_dir = tmp_path / "run"
+    run(capsys, "roundtrip", "--run-dir", str(run_dir),
+        fixture_path("mux4"), fixture_path("fsm4"))
+    (run_dir / "fsm4" / "verdict.txt").write_bytes(b"label=\xff\xfe\n")
+    code, out, err = run(capsys, "report", "--records", str(run_dir))
+    assert code == cli.EXIT_ERROR
+    assert out == "fsm4\terror\nmux4\tM\n"
+    assert err == ""
+
+
+def _copy_fixture(tmp_path, name):
+    for ext in ("manifest", "csv"):
+        shutil.copy(os.path.join(TABLES_DIR, f"{name}.{ext}"), tmp_path)
+    return tmp_path / f"{name}.manifest"
+
+
+@pytest.mark.parametrize("damaged", ["mux4.csv", "mux4.manifest", "mux4.unit"])
+def test_check_of_an_undecodable_file_exits_two(tmp_path, capsys, damaged):
+    """A manifest, its table or a unit document that is not UTF-8 is an
+    error line with exit 2, not a traceback."""
+    manifest = _copy_fixture(tmp_path, "mux4")
+    doc = tableio.serialize_unit_doc(load_fixture("mux4")).encode()
+    (tmp_path / "mux4.unit").write_bytes(doc)
+    path = tmp_path / damaged
+    path.write_bytes(path.read_bytes() + b"\xe9t\xe9\n")
+    unit = path if damaged == "mux4.unit" else manifest
+    code, out, err = run(capsys, "check", str(unit))
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err.startswith(f"error: {unit}: ") and "not UTF-8 text" in err
+    assert err.count("\n") == 1
+
+
+def test_check_of_a_worded_manifest_count_exits_two(tmp_path, capsys):
+    manifest = _copy_fixture(tmp_path, "mux4")
+    manifest.write_text(manifest.read_text().replace("\ninputs 2\n",
+                                                     "\ninputs two\n"))
+    code, out, err = run(capsys, "check", str(manifest))
+    assert code == cli.EXIT_ERROR
+    assert err == "error: inputs count 'two' is not a non-negative " \
+        "decimal number (line 3)\n"
+
+
 def test_report_empty_dir_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(tmp_path))
     assert code == 2

@@ -4,15 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctkit import analysis, equiv, sim, tableio
+from lctkit import analysis, equiv, roundtrip, sim, tableio
 from lctkit.model import (
     BitVector,
     CaseRow,
+    Clocking,
     Constant,
     Direction,
     Port,
     PortMap,
 )
+from .test_sim import _outcome
 from .util import (
     SEEDS,
     TABLES,
@@ -65,29 +67,80 @@ def test_dont_care_expansion_is_equivalent():
 
 
 def test_compare_builds_each_tables_bitsets_once(monkeypatch):
-    """The joint walk stacks the bitsets the canonical forms used."""
-    table = load_fixture("mux4")
-    expanded = analysis.expand_dont_cares(table)
+    """The joint walk stacks the bitsets the canonical forms used, and a
+    round trip builds them once per table instance: the unit, the
+    extracted table, and the extracted table with the unit's feedback
+    bindings that the simulation runs."""
     built = []
     column_bitsets = sim.column_bitsets
 
-    def counted(t, rows=None):
+    def counted(t):
         built.append(t)
-        return column_bitsets(t, rows)
+        return column_bitsets(t)
     monkeypatch.setattr(sim, "column_bitsets", counted)
+    table = load_fixture("mux4")
+    expanded = analysis.expand_dont_cares(table)
     result = equiv.compare(table, expanded)
     assert result.verdict is equiv.Verdict.EQUIVALENT
     assert built == [table, expanded]
+
+    built.clear()
+    fsm4 = load_fixture("fsm4")
+    suite = [[{"rst_n": BitVector(1, 0), "cond0": BitVector(1, 0),
+               "cond1": BitVector(1, 0)},
+              {"rst_n": BitVector(1, 1), "cond0": BitVector(1, 0),
+               "cond1": BitVector(1, 1)}]]
+    backend = roundtrip.DeterministicBackend()
+    report = roundtrip.run_roundtrip(fsm4, backend, backend, sim_suite=suite)
+    assert report.outcome.label is roundtrip.Label.M
+    assert report.outcome.evidence.sim is roundtrip.SimVerdict.PASS
+    assert len(built) == 3
+    assert len({id(t) for t in built}) == 3 and built[0] is fsm4
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(TABLES, UNVALIDATED), st.integers(0, 10 ** 6))
 def test_stacked_bitsets_are_those_of_the_joined_rows(table, cut):
     cut %= len(table.rows) + 1
-    low, high = table.rows[:cut], table.rows[cut:]
-    assert sim.stack_bitsets(sim.column_bitsets(table, low),
-                             sim.column_bitsets(table, high), cut) == \
-        sim.column_bitsets(table, table.rows)
+    low = dataclasses.replace(table, rows=table.rows[:cut])
+    high = dataclasses.replace(table, rows=table.rows[cut:])
+    assert sim.stack_bitsets(sim.column_bitsets(low),
+                             sim.column_bitsets(high), cut) == \
+        sim.column_bitsets(table)
+
+
+def _facts(table, other):
+    """What the checks, canonicalization and compare give on ``table``."""
+    return [
+        _outcome(analysis.canonicalize, table),
+        _outcome(lambda: analysis.check_completeness(table).render()),
+        _outcome(lambda: analysis.check_overlap(table).render()),
+        _outcome(equiv.compare, table, other),
+        _outcome(equiv.compare, other, table),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(TABLES, UNVALIDATED), SEEDS)
+def test_a_table_built_kernel_gives_what_a_fresh_table_gives(table, seed):
+    """A table whose kernel earlier calls built and resolved, by an
+    evaluation (``eval_comb``, or ``step_clocked`` for a clocked table)
+    and a compare against another table, gives the same
+    canonical form, coverage reports and verdicts as a fresh copy; and
+    the kernel's bitsets are the table's ``column_bitsets``."""
+    rng = random.Random(seed)
+    other = dataclasses.replace(table, rows=table.rows[::-1])
+    vector = {p.name: BitVector(p.width, rng.randrange(1 << p.width))
+              for p in table.ports.inputs()}
+    if table.clocking is Clocking.CLOCKED:
+        _outcome(sim.step_clocked, table, sim.initial_state(table), vector)
+    else:
+        _outcome(sim.eval_comb, table, vector)
+    _outcome(equiv.compare, table, other)
+    warm = _facts(table, other)
+    assert sim._kernel(table).bitsets == sim.column_bitsets(table)
+    assert warm == _facts(dataclasses.replace(table),
+                          dataclasses.replace(other))
 
 
 def test_literal_style_is_equivalent():

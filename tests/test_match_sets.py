@@ -33,7 +33,7 @@ def test_walk_yields_every_matching_row_in_enumeration_order():
         assert m == sum(1 << i for i, constraints in enumerate(compiled)
                         if sim.row_matches(constraints, assignment))
         first = sim.first_match(compiled, assignment)
-        assert analysis.first_row(m) == (-1 if first is None else first)
+        assert sim.first_row(m) == (-1 if first is None else first)
 
 
 @settings(max_examples=360, deadline=None)

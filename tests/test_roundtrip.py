@@ -13,6 +13,7 @@ from lctkit.model import (
     Constant,
     TransformDirection,
     TransformRequest,
+    TransformResponse,
 )
 from .test_validation import _expr_table, _x_passthrough
 from .util import clocked_dont_care_lct, load_fixture, mutate_output
@@ -297,6 +298,29 @@ def test_inverse_fault_labelled_x_inv():
     assert report.outcome.evidence.arbiter is A.FORWARD_MATCHES
     assert "  counterexample: at rst_n=1 state=0 cond0=1 cond1=0: " \
         "next_state = 3 vs 0" in report.render().splitlines()
+
+
+def test_inverse_response_with_a_worded_count_is_x_inv():
+    """A manifest count that is no number is the inverse's finding,
+    noted like any other unparsable response, not the round trip's
+    error."""
+    inner = det()
+
+    class Worded:
+        name = "worded"
+
+        def complete(self, request):
+            response = inner.complete(request)
+            text = response.text.replace("\ninputs 2\n", "\ninputs two\n")
+            assert text != response.text
+            return TransformResponse(request.direction, text)
+
+    report = rt.run_roundtrip(load_fixture("mux4"), det(), Worded())
+    assert report.error is None
+    assert report.outcome.label is rt.Label.X_INV
+    assert report.notes == [
+        "inverse: inputs count 'two' is not a non-negative decimal number "
+        "(line 3)"]
 
 
 def test_forward_fault_missed_by_simulation_is_x_fw_ns():

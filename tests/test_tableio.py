@@ -154,6 +154,30 @@ def test_missing_manifest_line_rejected():
     assert "clocking" in str(err.value)
 
 
+@pytest.mark.parametrize("line, word", [
+    (3, "inputs two"), (3, "inputs -1"), (3, "inputs +1"), (3, "inputs 1.0"),
+    (3, "inputs \u0661"), (4, "outputs 0x2"), (4, "outputs -2")])
+def test_manifest_count_must_be_a_non_negative_decimal(line, word):
+    keyword = word.split()[0]
+    bad = MANIFEST.replace(f"{keyword} {1 if line == 3 else 2}\n",
+                           word + "\n")
+    assert bad != MANIFEST
+    with pytest.raises(tableio.ParseError) as err:
+        tableio.parse_unit(bad, CSV)
+    assert err.value.line == line
+    assert f"{keyword} count" in str(err.value)
+
+
+def test_negative_count_does_not_shift_the_columns():
+    """``inputs -1`` with ``outputs 3`` adds up to a two-column CSV, but
+    is no table of one condition and one result."""
+    bad = MANIFEST.replace("inputs 1\n", "inputs -1\n") \
+                  .replace("outputs 2\n", "outputs 3\n")
+    with pytest.raises(tableio.ParseError) as err:
+        tableio.parse_unit(bad, "sel,a\n0,0\n1,d\n")
+    assert err.value.line == 3
+
+
 def test_invalid_table_rejected_with_violations():
     csv = "sel,a,b\n0,q,0\n1,0,d\n"  # q is not a signal
     with pytest.raises(tableio.ParseError) as err:
