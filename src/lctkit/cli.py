@@ -51,15 +51,10 @@ def _write(path: Optional[str], text: str) -> None:
 def load_table(path: str) -> Lct:
     """Load a unit from a manifest file or a combined unit document
     (manifest + '---' + CSV in one file)."""
-    text = _read(path)
-    if "\n" + tableio.UNIT_DOC_SEPARATOR + "\n" in text:
-        return tableio.parse_unit_doc(text)
     try:
         return tableio.load_unit(path).lct
     except OSError as e:
         raise CliError(str(e))
-    except UnicodeDecodeError as e:
-        raise CliError(f"{path}: its table is not UTF-8 text: {e}")
 
 
 # ---------------------------------------------------------------------------

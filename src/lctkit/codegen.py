@@ -24,7 +24,6 @@ from .model import (
     PortMap,
     SignalHeader,
     SignalRef,
-    validate_lct,
 )
 from . import tableio
 
@@ -39,8 +38,7 @@ class CodegenError(LctError):
 
 
 def _digest(table: Lct) -> str:
-    # Called after `generate` has validated the table.
-    doc = tableio._render_unit_doc(table)
+    doc = tableio.serialize_unit_doc(table)
     return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 
@@ -104,10 +102,7 @@ def generate(table: Lct, style: str = STYLE_IF,
              async_reset: bool = False) -> Tuple[str, List[str]]:
     """Compile one table to Verilog text.  Returns (text, notes); notes
     flag inserted combinational defaults and similar decisions."""
-    violations = validate_lct(table)
-    if violations:
-        raise CodegenError("invalid table: " +
-                           "; ".join(str(v) for v in violations))
+    table.require_valid(CodegenError)
     if style not in (STYLE_IF, STYLE_CASE):
         raise CodegenError(f"unknown style {style!r}")
 

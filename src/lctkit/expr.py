@@ -100,12 +100,13 @@ class CasePattern:
 
 # Comments, which no token holds a '/' of; a '/' that starts none is a
 # stray character.  Outside them, one match per token, or an empty match
-# before a stray character; the lookahead steps over whitespace.  Headers
-# and HDL share these tokens; the parsers decide which of them each holds.
+# before a stray character; the lookahead steps over whitespace.  Digits
+# are 0-9 only (IEEE Std 1364-2005 3.5).  Headers and HDL share these
+# tokens; the parsers decide which of them each holds.
 _COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 _TOKEN_RE = re.compile(r"""(?=\S)(?:
     [A-Za-z_][A-Za-z0-9_$]*
-    | \d+(?:'[bdhBDH][0-9a-fA-F_?zZxX]+)?
+    | [0-9]+(?:'[bdhBDH][0-9a-fA-F_?zZxX]+)?
     | [<>=!]= | && | \|\| | [@#.(){}\[\],;:?=<>&|^~!*+-]
     | )""", re.VERBOSE)
 
@@ -277,7 +278,7 @@ class _Parser:
             self.take("}")
             self.brackets -= 1
             return Concat(tuple(parts))
-        if tok[0].isdigit():
+        if "0" <= tok[0] <= "9":
             if "'" not in tok:
                 node = Num(int(tok), None)
             else:

@@ -35,7 +35,6 @@ from .model import (
     SignalHeader,
     SignalRef,
     condition_header,
-    validate_lct,
 )
 
 MAX_PATHS = 1 << 16
@@ -341,10 +340,7 @@ class _Builder:
                     conditions=tuple(self.headers),
                     results=tuple(self.results), rows=tuple(rows),
                     ports=ports, feedback=())
-        violations = validate_lct(table)
-        if violations:
-            raise ExtractError("reconstructed table is invalid: " +
-                               "; ".join(str(v) for v in violations))
+        table.require_valid(ExtractError, "reconstructed table is invalid")
         return table
 
     def _ports(self) -> PortMap:

@@ -75,7 +75,7 @@ class HdlModule:
 # Parser
 
 _WILDCARD_RE = re.compile(r"[?zZxX]")
-_CASE_PATTERN_RE = re.compile(r"(\d+)'[bB]([01?zZxX_]+)\Z")
+_CASE_PATTERN_RE = re.compile(r"([0-9]+)'[bB]([01?zZxX_]+)\Z")
 
 
 class _Parser(ex._Parser):
@@ -164,7 +164,7 @@ class _Parser(ex._Parser):
 
     def range_bound(self) -> int:
         tok = self.take()
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise self.error(f"expected a number, found {tok!r}", self.i - 1)
         return int(tok)
 
@@ -332,7 +332,7 @@ class _Parser(ex._Parser):
     def case_label(self, wildcard: bool):
         tok = self.peek()
         # Only a literal both starts with a digit and holds one of these.
-        if tok[:1].isdigit() and _WILDCARD_RE.search(tok):
+        if "0" <= tok[:1] <= "9" and _WILDCARD_RE.search(tok):
             m = _CASE_PATTERN_RE.match(tok)
             if not m or not wildcard:
                 raise self.error(f"bad case label {tok!r}")

@@ -28,8 +28,8 @@ KEYWORDS = frozenset({
     "casex", "endcase", "default", "posedge", "negedge", "or", "integer",
     "signed", "parameter", "localparam",
 }) | UNSUPPORTED
-_SIZED_LITERAL_RE = re.compile(r"(\d+)'([bdh])([0-9a-fA-F_]+)\Z")
-_DECIMAL_RE = re.compile(r"\d+\Z")
+_SIZED_LITERAL_RE = re.compile(r"([0-9]+)'([bdh])([0-9a-fA-F_]+)\Z")
+_DECIMAL_RE = re.compile(r"[0-9]+\Z")
 
 
 class LctError(Exception):
@@ -322,6 +322,20 @@ class Lct:
         if port is None:
             raise LctError(f"result {name} not in port map")
         return port.width
+
+    @property
+    def violations(self) -> tuple:
+        """``validate_lct``'s findings, kept in ``__dict__`` as ``sim`` keeps
+        its kernel (a ``cached_property`` would lock across instances)."""
+        if "_violations" not in self.__dict__:
+            self.__dict__["_violations"] = tuple(validate_lct(self))
+        return self.__dict__["_violations"]
+
+    def require_valid(self, error: type, prefix: str = "invalid table"):
+        """Raise ``error`` listing the violations, if there are any."""
+        if self.violations:
+            raise error(f"{prefix}: " +
+                        "; ".join(str(v) for v in self.violations))
 
 
 @dataclass(frozen=True)

@@ -178,9 +178,8 @@ class DeterministicBackend:
         if table is None:
             table = extract.hdl_text_to_lct(
                 payload.hdl_text, payload.conditions, payload.results)
-        # An extracted table is validated already.
         return TransformResponse(request.direction,
-                                 tableio._render_unit_doc(table))
+                                 tableio.serialize_unit_doc(table))
 
 
 class FaultInjectingBackend:
@@ -516,7 +515,7 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
         response = inv.complete(request).text
         artifacts["inverse_response.txt"] = response
         table = tableio.parse_unit_doc(extract_code_block(response))
-        artifacts["reconstructed.unit"] = tableio._render_unit_doc(table)
+        artifacts["reconstructed.unit"] = tableio.serialize_unit_doc(table)
         return table
 
     def compare():

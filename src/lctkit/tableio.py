@@ -12,10 +12,14 @@ Manifest grammar ('#' starts a comment):
     feedback <result> -> <condition>
     table <csv-path>
 
+Counts, port widths and binding sizes are ASCII decimal digits.
+
 CSV dialect: comma separated, no quoting, whitespace trimmed per cell,
 mandatory header row.  An optional leading "Case" column and trailing
 "Comments" column are preserved but carry no semantics; they are told
 from ports of those names by the manifest's column counts.
+A table instance is validated and rendered at most once: its
+``violations`` and its ``serialize_unit`` text are kept on it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .model import (
     cell_text,
     condition_header,
     parse_cell,
-    validate_lct,
 )
 
 
@@ -63,11 +66,9 @@ class ParseError(LctError):
 
 @dataclass(frozen=True)
 class UnitBundle:
-    """A parsed unit together with its source text for diagnostics."""
+    """A parsed unit and the path it was loaded from."""
     manifest_path: str
     lct: Lct
-    manifest_text: str
-    csv_text: str
 
 
 def _manifest_fields(text: str) -> List[tuple]:
@@ -99,13 +100,13 @@ def parse_unit(manifest_text: str, csv_text: str) -> Lct:
             except ValueError:
                 raise ParseError(f"unknown clocking {words[1]!r}", lineno)
         elif keyword == "inputs" and len(words) == 2:
-            n_inputs = _count(words, lineno)
+            n_inputs = _count("inputs count", words[1], lineno)
         elif keyword == "outputs" and len(words) == 2:
-            n_outputs = _count(words, lineno)
+            n_outputs = _count("outputs count", words[1], lineno)
         elif keyword == "port" and len(words) == 4:
+            width = _count("port width", words[3], lineno)
             try:
-                direction = Direction(words[1])
-                ports.append(Port(direction, words[2], int(words[3])))
+                ports.append(Port(Direction(words[1]), words[2], width))
             except (ValueError, LctError) as e:
                 raise ParseError(f"bad port declaration: {e}", lineno)
         elif keyword == "feedback" and len(words) == 4 and words[2] == "->":
@@ -124,19 +125,16 @@ def parse_unit(manifest_text: str, csv_text: str) -> Lct:
     portmap = PortMap(tuple(ports))
     table = _parse_csv(csv_text, name, clocking, n_inputs, n_outputs,
                        portmap, tuple(feedback))
-    violations = validate_lct(table)
-    if violations:
-        raise ParseError("invalid table: " +
-                         "; ".join(str(v) for v in violations))
+    table.require_valid(ParseError)
     return table
 
 
-def _count(words: List[str], lineno: int) -> int:
-    """The count of an ``inputs`` or ``outputs`` line: decimal digits."""
-    if not (words[1].isascii() and words[1].isdigit()):
-        raise ParseError(f"{words[0]} count {words[1]!r} is not a "
-                         f"non-negative decimal number", lineno)
-    return int(words[1])
+def _count(what: str, text: str, lineno: int) -> int:
+    """A count, port width or binding size: ASCII decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{what} {text!r} is not a non-negative decimal "
+                         "number", lineno)
+    return int(text)
 
 
 def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
@@ -260,18 +258,18 @@ def _parse_cell(side, text, width, lineno, col):
 # Serialization
 
 def serialize_unit(table: Lct) -> Tuple[str, str]:
-    """Render a table back to (manifest_text, csv_text).  Deterministic;
-    parse_unit(*serialize_unit(t)) == t for any valid table."""
-    violations = validate_lct(table)
-    if violations:
-        raise LctError("cannot serialize invalid table: " +
-                       "; ".join(str(v) for v in violations))
-    return _render_unit(table)
+    """Render a valid table as (manifest_text, csv_text), deterministically:
+    parse_unit(*serialize_unit(t)) == t.  The text is kept in the
+    instance's ``__dict__`` as ``Lct.violations`` are; an invalid table
+    raises on every call."""
+    if "_unit_text" not in table.__dict__:
+        table.require_valid(LctError, "cannot serialize invalid table")
+        table.__dict__["_unit_text"] = _render_unit(table)
+    return table.__dict__["_unit_text"]
 
 
 def _render_unit(table: Lct) -> Tuple[str, str]:
-    """``serialize_unit`` without the validation, for a table that was
-    validated already (parsed, extracted or compiled)."""
+    """``serialize_unit``'s rendering, which does not validate."""
     lines = [f"unit {table.name}",
              f"clocking {table.clocking.value}",
              f"inputs {len(table.conditions)}",
@@ -308,49 +306,48 @@ def _render_unit(table: Lct) -> Tuple[str, str]:
 
 
 UNIT_DOC_SEPARATOR = "---"
+_DOC_SPLIT = "\n" + UNIT_DOC_SEPARATOR + "\n"
 
 
 def combine_unit_doc(manifest_text: str, csv_text: str) -> str:
     """Single-document transport form: manifest, a '---' line, then CSV."""
-    return manifest_text.rstrip("\n") + "\n" + UNIT_DOC_SEPARATOR + "\n" + \
-        csv_text
+    return manifest_text.rstrip("\n") + _DOC_SPLIT + csv_text
 
 
 def parse_unit_doc(text: str) -> Lct:
-    parts = text.split("\n" + UNIT_DOC_SEPARATOR + "\n", 1)
-    if len(parts) != 2:
+    manifest_text, found, csv_text = text.partition(_DOC_SPLIT)
+    if not found:
         raise ParseError("unit document is missing the '---' separator")
-    return parse_unit(parts[0], parts[1])
+    return parse_unit(manifest_text, csv_text)
 
 
 def serialize_unit_doc(table: Lct) -> str:
     return combine_unit_doc(*serialize_unit(table))
 
 
-def _render_unit_doc(table: Lct) -> str:
-    return combine_unit_doc(*_render_unit(table))
-
-
 # ---------------------------------------------------------------------------
 # File loading
 
-def load_unit(manifest_path: str) -> UnitBundle:
-    """Load a unit from disk; the CSV path in the manifest is resolved
-    relative to the manifest's directory."""
-    with open(manifest_path, encoding="utf-8") as f:
-        manifest_text = f.read()
-    csv_path = None
-    for lineno, words in _manifest_fields(manifest_text):
-        if words[0] == "table" and len(words) == 2:
-            csv_path = words[1]
-    if csv_path is None:
-        raise ParseError(f"{manifest_path}: no table line in manifest")
-    full = os.path.join(os.path.dirname(os.path.abspath(manifest_path)),
-                        csv_path)
-    with open(full, encoding="utf-8") as f:
-        csv_text = f.read()
-    lct = parse_unit(manifest_text, csv_text)
-    return UnitBundle(manifest_path, lct, manifest_text, csv_text)
+def load_unit(path: str) -> UnitBundle:
+    """Load a unit from disk: a unit document, or a manifest whose table
+    line names the CSV relative to the manifest's directory.  Each file
+    is read once; one that is not UTF-8 raises ParseError."""
+    what = ""
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest_text, found, csv_text = f.read().partition(_DOC_SPLIT)
+        if not found:
+            tables = [words[1] for _, words in _manifest_fields(manifest_text)
+                      if words[0] == "table" and len(words) == 2]
+            if not tables:
+                raise ParseError(f"{path}: no table line in manifest")
+            what = "its table is "
+            with open(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                   tables[-1]), encoding="utf-8") as f:
+                csv_text = f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: {what}not UTF-8 text: {e}")
+    return UnitBundle(path, parse_unit(manifest_text, csv_text))
 
 
 def save_unit(table: Lct, directory: str) -> str:
@@ -390,7 +387,8 @@ def parse_connectivity(text: str) -> ConnectivityTable:
                 raise ParseError("bind line before any instance", lineno)
             try:
                 binding = Binding(Direction(words[1]), words[2], words[3],
-                                  int(words[4]), NetContext(words[5]))
+                                  _count("binding size", words[4], lineno),
+                                  NetContext(words[5]))
             except ValueError as e:
                 raise ParseError(f"bad binding: {e}", lineno)
             if binding.size < 1:

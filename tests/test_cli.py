@@ -291,6 +291,20 @@ def test_check_of_a_worded_manifest_count_exits_two(tmp_path, capsys):
         "decimal number (line 3)\n"
 
 
+def test_check_opens_a_manifest_and_its_table_once(monkeypatch, capsys):
+    real_open = open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.path.basename(str(file)))
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, _, _ = run(capsys, "check", fixture_path("mux4"))
+    assert code == cli.EXIT_OK
+    assert sorted(name for name in opened if name.startswith("mux4.")) == \
+        ["mux4.csv", "mux4.manifest"]
+
+
 def test_report_empty_dir_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(tmp_path))
     assert code == 2

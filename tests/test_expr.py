@@ -42,7 +42,8 @@ def test_ternary_and_concat_render():
 
 @pytest.mark.parametrize("text", ["a &", "(a", "a ? b", "a @ b", "",
                                   "a = b", "a[0]", "a & end", "if",
-                                  "a // b", "a /* b */ & c", "a $"])
+                                  "a // b", "a /* b */ & c", "a $",
+                                  "a == \u0663"])
 def test_malformed_expressions_raise(text):
     """HDL-only tokens, reserved words and comments have no place in a
     header."""

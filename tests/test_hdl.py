@@ -376,6 +376,22 @@ def test_errors_inside_a_module_are_located(text, message, where):
     assert (err.value.line, err.value.col) == where
 
 
+# A digit outside 0-9 (IEEE Std 1364-2005 3.5) is a stray character in a
+# range, a literal's width or a case label.  Named `source`, not `text`,
+# so that these texts stay out of the fingerprint's `hdl` corpus.
+@pytest.mark.parametrize("source, old, new, where", [
+    (CLOCKED, "[1:0]", "[\u0661:0]", (4, 15)),
+    (CLOCKED, "q <= 2'd3", "q <= \u0662'd3", (10, 10)),
+    (CASEZ, "2'b1?", "\u0662'b1?", (7, 5)),
+], ids=["range", "literal", "case-label"])
+def test_non_ascii_digits_are_stray_characters(source, old, new, where):
+    digit = next(char for char in new if not char.isascii())
+    with pytest.raises(hdl.HdlError) as err:
+        hdl.parse_hdl(source.replace(old, new))
+    assert str(err.value) == f"unexpected character {digit!r} " \
+        f"(line {where[0]}, column {where[1]})"
+
+
 # Random token streams for the differential test of the tokenizer:
 # tokens of every kind, whitespace, comments (including an unterminated
 # one) and characters outside the subset, concatenated with no

@@ -56,7 +56,8 @@ def test_bare_decimal_needs_width():
         parse_literal("9", default_width=3)
 
 
-@pytest.mark.parametrize("text", ["", "3'q7", "'b1", "3'b2", "abc'd1"])
+@pytest.mark.parametrize("text", ["", "3'q7", "'b1", "3'b2", "abc'd1",
+                                  "\u0663", "\u0668'd12"])
 def test_malformed_literals_rejected(text):
     with pytest.raises(LiteralError):
         parse_literal(text, default_width=8)

@@ -1,21 +1,25 @@
 """A round trip does each step once: the deterministic inverse reuses the
 arbiter's extraction of the forward HDL, an identical reconstruction
-reuses the arbiter's comparison, and tables are validated only where
-they enter.  Steps are counted through the module attributes their
-callers look up."""
+reuses the arbiter's comparison, and a table instance is validated and
+rendered at most once.  Steps are counted through the module attributes
+their callers look up."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lctkit import (analysis, codegen, equiv, extract, model, roundtrip as rt,
                     tableio)
-from lctkit.model import TransformDirection, TransformResponse
+from lctkit.model import LctError, TransformDirection, TransformResponse
+from .util import TABLES, UNVALIDATED
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of parse_hdl, compare, canonicalize and validate_lct."""
+    """Counts of parse_hdl, compare, canonicalize, the rules
+    (validate_lct) and the renderer (_render_unit)."""
     counts = Counter()
 
     def count(module, attr):
@@ -29,8 +33,8 @@ def calls(monkeypatch):
     count(extract, "parse_hdl")
     count(equiv, "compare")
     count(analysis, "canonicalize")
-    for module in (model, tableio, codegen, extract):
-        count(module, "validate_lct")
+    count(model, "validate_lct")
+    count(tableio, "_render_unit")
     return counts
 
 
@@ -46,10 +50,13 @@ def test_deterministic_round_trip_does_each_step_once(calls, style):
     assert calls["parse_hdl"] == 1
     assert calls["compare"] == 1
     assert calls["canonicalize"] == 2
-    # The unit in the forward prompt, codegen of the unit, the
-    # extraction, and the parsed reconstruction.  The worked example of
-    # the inverse prompt is built once, at import.
-    assert calls["validate_lct"] == 4
+    # The unit, for the forward prompt and again for codegen and its
+    # digest; the extraction, validated when built and rendered as the
+    # inverse's response; and the parsed reconstruction, rendered as
+    # `reconstructed.unit`.  The worked example of the inverse prompt is
+    # built once, at import.
+    assert calls["validate_lct"] == 3
+    assert calls["_render_unit"] == 3
 
 
 @pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
@@ -61,6 +68,11 @@ def test_inverse_fault_is_compared_again(calls, style):
     assert report.outcome.label is rt.Label.X_INV
     assert calls["compare"] == 2
     assert calls["parse_hdl"] == 1
+    # The three tables of a deterministic round trip, plus the fault
+    # backend's parse of the extraction and the faulted copy, validated
+    # and rendered as its response.
+    assert calls["validate_lct"] == 5
+    assert calls["_render_unit"] == 4
 
 
 def test_inverse_request_without_arbiter_table_extracts(calls):
@@ -118,3 +130,29 @@ def test_identical_reconstruction_reuses_the_arbiter_verdict(calls):
     assert report.outcome.label is rt.Label.M
     assert calls["parse_hdl"] == 2
     assert calls["compare"] == 1
+
+
+def _forms(table):
+    """serialize_unit, generate and the rules on the table, or the error
+    each raises."""
+    forms = []
+    for step in (tableio.serialize_unit, codegen.generate,
+                 model.validate_lct, lambda t: list(t.violations)):
+        try:
+            forms.append(step(table))
+        except LctError as e:
+            forms.append(f"{type(e).__name__}: {e}")
+    return forms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(TABLES, UNVALIDATED))
+def test_kept_forms_are_those_of_a_fresh_copy(table):
+    """A table whose violations and text earlier calls kept gives what a
+    fresh ``dataclasses.replace`` copy gives, and an invalid table raises
+    on every call, not only the first."""
+    first = _forms(table)
+    assert _forms(table) == first
+    assert _forms(dataclasses.replace(table)) == first
+    if table.violations:
+        assert all(isinstance(form, str) for form in first[:2])

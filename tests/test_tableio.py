@@ -135,6 +135,7 @@ def test_same_cell_text_takes_each_column_width():
     ("s,d,y\n4,0,0\n4,0,0\n", (2, 1)),  # 4 does not fit 2 bits
     ("s,d,y\n0,4,0\n4,0,0\n", (3, 1)),  # fits d, not s
     ("s,d,y\n0,0,d\n0,d,0\n", (3, 2)),  # a signal as output only
+    ("s,d,y\n0,\u0663,0\n", (2, 2)),  # a digit outside 0-9
 ])
 def test_bad_cell_reported_at_its_first_bad_use(csv, where):
     with pytest.raises(tableio.ParseError) as err:
@@ -251,3 +252,20 @@ def test_connectivity_multiple_drivers_rejected():
     with pytest.raises(Exception) as err:
         tableio.parse_connectivity(bad)
     assert "drivers" in str(err.value)
+
+
+@pytest.mark.parametrize("size", ["+0_8", "\u0668"])
+@pytest.mark.parametrize("what, line, parse", [
+    ("port width", 7, lambda size: tableio.parse_unit(
+        WIDTHS_MANIFEST.replace("port output y 8", f"port output y {size}"),
+        "s,d,y\n0,0,0\n")),
+    ("binding size", 6, lambda size: tableio.parse_connectivity(
+        CONNECTIVITY.replace("bind input d q 8", f"bind input d q {size}"))),
+])
+def test_port_width_and_binding_size_must_be_decimal(what, line, parse, size):
+    """As the counts: ``int`` would read both sizes as 8."""
+    with pytest.raises(tableio.ParseError) as err:
+        parse(size)
+    assert err.value.line == line
+    assert f"{what} {size!r} is not a non-negative decimal number" in \
+        str(err.value)

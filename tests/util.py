@@ -522,7 +522,7 @@ def canonical_text(canonical: Lct) -> str:
     unit = dataclasses.replace(canonical, name="unit")
     if any(isinstance(cell, SignalRef)
            for row in unit.rows for cell in row.inputs):
-        return tableio._render_unit_doc(unit)
+        return tableio.combine_unit_doc(*tableio._render_unit(unit))
     return tableio.serialize_unit_doc(unit)
 
 
@@ -562,8 +562,8 @@ def reference_compare(a: Lct, b: Lct):
 
 _REFERENCE_HDL_TOKEN_RE = re.compile(r"""
       (?P<ws>\s+|//[^\n]*|/\*.*?\*/)
-    | (?P<lit>\d+'[bdhBDH][0-9a-fA-F_?zZxX]+)
-    | (?P<num>\d+)
+    | (?P<lit>[0-9]+'[bdhBDH][0-9a-fA-F_?zZxX]+)
+    | (?P<num>[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
     | (?P<op><=|>=|==|!=|&&|\|\||[@#.(){}\[\],;:?=<>&|^~!*+-])
     """, re.VERBOSE | re.DOTALL)

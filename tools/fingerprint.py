@@ -150,7 +150,8 @@ def corpus():
 
 
 def _text(table):
-    return tableio._render_unit_doc(dataclasses.replace(table, name="unit"))
+    return tableio.combine_unit_doc(
+        *tableio._render_unit(dataclasses.replace(table, name="unit")))
 
 
 def _fact(kind, name, run):
@@ -348,7 +349,7 @@ def _read(name, text, schema):
         [], [p.name for p in module.ports if p.direction is Direction.OUTPUT])
     for index in range(max(1, len(module.processes) + bool(module.assigns))):
         try:
-            value = tableio._render_unit_doc(extract.hdl_to_lct(
+            value = tableio.serialize_unit_doc(extract.hdl_to_lct(
                 module, conditions, results, process_index=index))
         except LctError as e:
             value = _hdl_error(e)
