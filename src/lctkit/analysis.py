@@ -52,7 +52,7 @@ class EnumLimitError(LctError):
     """The control space or expansion exceeds the configured limit."""
 
 
-@dataclass
+@dataclass(slots=True)
 class CoverageReport:
     """Completeness and overlap findings for one table."""
     uncovered: List[dict] = field(default_factory=list)

@@ -49,7 +49,7 @@ class Verdict(Enum):
         return self is not Verdict.NOT_EQUIVALENT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     assignment: dict
     output: str
@@ -62,7 +62,7 @@ class Counterexample:
                 f"vs {self.value_b}")
 
 
-@dataclass
+@dataclass(slots=True)
 class EquivResult:
     verdict: Verdict
     counterexample: Optional[Counterexample] = None

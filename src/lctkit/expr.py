@@ -53,43 +53,43 @@ class HdlError(LctError):
         self.col = col
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: int
     width: Optional[int]  # None for bare decimals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str
     arg: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str
     lhs: object
     rhs: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ternary:
     cond: object
     then: object
     other: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Concat:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CasePattern:
     """A `casez` label with wildcard bits, e.g. 3'b0??.  Only the HDL
     reader makes one, as the right operand of a case arm's `==`; it has

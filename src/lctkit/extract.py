@@ -44,7 +44,7 @@ class ExtractError(LctError):
     """The module cannot be reduced to the requested schema."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Env:
     """One partial path: accumulated column constraints and the last
     assignment per signal."""

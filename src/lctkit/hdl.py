@@ -23,7 +23,7 @@ from .expr import CasePattern, HdlError, locate, tokenize
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass
+@dataclass(slots=True)
 class HdlPort:
     direction: Direction
     name: str
@@ -31,7 +31,7 @@ class HdlPort:
     is_reg: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class HAssign:
     lhs: str
     rhs: object
@@ -42,13 +42,13 @@ class HAssign:
 # taken when no arm matches.  A `case` item is one arm per label, guarded
 # by `subject == label`.
 
-@dataclass
+@dataclass(slots=True)
 class HIf:
     arms: List[Tuple[object, list]]  # (guard, body) in priority order
     default: Optional[list]          # the final else or the default item
 
 
-@dataclass
+@dataclass(slots=True)
 class HdlProcess:
     kind: Clocking
     clocks: List[str]
@@ -56,7 +56,7 @@ class HdlProcess:
     body: list
 
 
-@dataclass
+@dataclass(slots=True)
 class HdlModule:
     name: str
     ports: List[HdlPort]

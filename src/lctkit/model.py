@@ -3,6 +3,8 @@ Core domain types: bit vectors, table cells, condition headers, case rows,
 logic condition tables, port maps, and connectivity tables.
 
 All types are immutable after construction and safe to share across threads.
+The dataclasses are slotted, but for ``Lct``, which keeps its derived forms
+in its ``__dict__``; ``ExprHeader`` keeps its cached parse.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class Direction(Enum):
     OUTPUT = "output"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BitVector:
     """An unsigned value with an explicit bit width.
 
@@ -111,12 +113,12 @@ def parse_literal(text: str, default_width: Optional[int] = None) -> BitVector:
 # ---------------------------------------------------------------------------
 # Cell values
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     bv: BitVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DontCare:
     """The don't-care cell, serialized exactly as "X"."""
 
@@ -127,7 +129,7 @@ class DontCare:
 DONT_CARE = DontCare()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalRef:
     """A cell naming a signal: data pass-through, or hold when the name
     equals the cell's own result column (clocked tables only)."""
@@ -162,7 +164,7 @@ def cell_text(cell: CellValue) -> str:
 # ---------------------------------------------------------------------------
 # Condition headers
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignalHeader:
     """A condition column that enumerates one input signal."""
     name: str
@@ -246,7 +248,7 @@ def condition_header(text: str) -> ConditionHeader:
 # ---------------------------------------------------------------------------
 # Rows, ports, tables
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseRow:
     """One prioritized case: condition cells and result cells."""
     inputs: tuple
@@ -255,7 +257,7 @@ class CaseRow:
     comment: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Port:
     direction: Direction
     name: str
@@ -268,7 +270,7 @@ class Port:
             raise LctError(f"bad port name: {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PortMap:
     entries: tuple
 
@@ -338,7 +340,7 @@ class Lct:
                         "; ".join(str(v) for v in self.violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One structural rule violation found by validate_lct."""
     code: str
@@ -490,7 +492,7 @@ class NetContext(Enum):
     EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binding:
     direction: Direction
     port: str
@@ -499,14 +501,14 @@ class Binding:
     context: NetContext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     name: str
     unit: str
     bindings: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnectivityTable:
     top: str
     instances: tuple
@@ -528,7 +530,7 @@ class TransformDirection(Enum):
     INVERSE = "inverse"
 
 
-@dataclass
+@dataclass(slots=True)
 class TransformRequest:
     """A prompt for a transform backend.  payload carries the structured
     inputs so deterministic backends need not re-parse the prompt text."""
@@ -537,7 +539,7 @@ class TransformRequest:
     payload: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TransformResponse:
     direction: TransformDirection
     text: str

@@ -61,7 +61,7 @@ def extract_code_block(text: str) -> str:
 # ---------------------------------------------------------------------------
 # Prompt builders
 
-@dataclass
+@dataclass(slots=True)
 class InversePayload:
     hdl_text: str
     conditions: List[str]
@@ -207,6 +207,10 @@ class FaultInjectingBackend:
                                      self.fault(table)))
 
 
+# The longest wait between two remote attempts, whatever Retry-After asks.
+_MAX_BACKOFF_S = 30
+
+
 class RemoteChatBackend:
     """A chat-completion HTTP endpoint.  The credential comes from an
     environment variable; responses are scanned for a fenced code block,
@@ -236,22 +240,44 @@ class RemoteChatBackend:
                                   timeout=self.timeout)
 
     def complete(self, request: TransformRequest) -> TransformResponse:
+        """Post the prompt, retrying only transient faults: a connection
+        error, a timeout, 429 and 5xx.  Any other status, or a body
+        without ``choices[0].message.content``, fails at once."""
+        import requests
+        transient = (ConnectionError, TimeoutError, requests.ConnectionError,
+                     requests.Timeout)
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
         }
         last_error = None
+        delay = 0
         for attempt in range(self.retries):
             if attempt:  # back off between attempts, not after the last
-                time.sleep(min(2 ** (attempt - 1), 30))
+                time.sleep(delay)
+            delay = min(2 ** attempt, _MAX_BACKOFF_S)
             try:
                 response = self._post(payload)
-                response.raise_for_status()
-                body = response.json()
-                text = body["choices"][0]["message"]["content"]
-                return TransformResponse(request.direction, text)
-            except Exception as e:  # noqa: BLE001 - retry any transport error
+            except transient as e:
                 last_error = e
+                continue
+            status = response.status_code
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+                after = response.headers.get("Retry-After", "")
+                if after.isascii() and after.isdigit():
+                    delay = min(int(after), _MAX_BACKOFF_S)
+                continue
+            if status >= 400:
+                raise BackendError(f"{self.name}: HTTP {status}")
+            try:
+                text = response.json()["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as e:
+                raise BackendError(f"{self.name}: malformed response body: "
+                                   f"{type(e).__name__}: {e}")
+            if not isinstance(text, str) or not text:
+                raise BackendError(f"{self.name}: response has no content")
+            return TransformResponse(request.direction, text)
         raise BackendError(
             f"{self.name}: {self.retries} attempts failed: {last_error}")
 
@@ -330,7 +356,7 @@ class ArbiterVerdict(Enum):
     UNAVAILABLE = "unavailable"
 
 
-@dataclass
+@dataclass(slots=True)
 class Evidence:
     textual_match: bool
     semantic: Optional[equiv.Verdict]
@@ -338,7 +364,7 @@ class Evidence:
     arbiter: ArbiterVerdict = ArbiterVerdict.UNAVAILABLE
 
 
-@dataclass
+@dataclass(slots=True)
 class Outcome:
     label: Label
     evidence: Evidence
@@ -378,7 +404,7 @@ def classify_outcome(evidence: Evidence) -> Outcome:
 # ---------------------------------------------------------------------------
 # Round-trip driver
 
-@dataclass
+@dataclass(slots=True)
 class RoundTripReport:
     unit: str
     outcome: Optional[Outcome]

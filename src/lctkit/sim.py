@@ -31,6 +31,7 @@ from .model import (
     LctError,
     SignalHeader,
     SignalRef,
+    parse_literal,
 )
 
 
@@ -41,7 +42,7 @@ class SimError(LctError):
 # ---------------------------------------------------------------------------
 # Symbolic values
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Known:
     bv: BitVector
 
@@ -49,7 +50,7 @@ class Known:
         return str(self.bv.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """An opaque pass-through of a data input signal."""
     name: str
@@ -58,7 +59,7 @@ class Token:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hold:
     """The register keeps its prior value (clocked tables only)."""
 
@@ -66,7 +67,7 @@ class Hold:
         return "<hold>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unspecified:
     """No row matched a combinational table; the output is undefined."""
 
@@ -78,7 +79,7 @@ HOLD = Hold()
 UNSPEC = Unspecified()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeqState:
     """Register contents of a clocked table between cycles."""
     registers: tuple  # of (name, SymValue) pairs, in result order
@@ -400,6 +401,9 @@ def parse_stimulus(text: str, table: Optional[Lct] = None) -> List[dict]:
     cycles = []
     current = {}
     started = False
+    # (text, width) -> value for this stimulus, as ``tableio`` shares
+    # cells; a value that fails is not kept, so each occurrence raises.
+    parsed = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -416,8 +420,11 @@ def parse_stimulus(text: str, table: Optional[Lct] = None) -> List[dict]:
             port = table.ports.get(name)
             if port is not None:
                 width = port.width
-        from .model import parse_literal
-        current[name] = parse_literal(value, default_width=width or 32)
+        key = (value, width or 32)
+        bv = parsed.get(key)
+        if bv is None:
+            bv = parsed[key] = parse_literal(*key)
+        current[name] = bv
         started = True
     if started:
         cycles.append(current)

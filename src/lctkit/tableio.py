@@ -17,7 +17,8 @@ Counts, port widths and binding sizes are ASCII decimal digits.
 CSV dialect: comma separated, no quoting, whitespace trimmed per cell,
 mandatory header row.  An optional leading "Case" column and trailing
 "Comments" column are preserved but carry no semantics; they are told
-from ports of those names by the manifest's column counts.
+from ports of those names by the manifest's column counts.  An error's
+column counts from the file's first, a "Case" column included.
 A table instance is validated and rendered at most once: its
 ``violations`` and its ``serialize_unit`` text are kept on it.
 """
@@ -64,7 +65,7 @@ class ParseError(LctError):
         self.column = column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitBundle:
     """A parsed unit and the path it was loaded from."""
     manifest_path: str
@@ -165,18 +166,20 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
         raise ParseError(
             f"CSV header has {len(header)} data columns, manifest declares "
             f"{n_inputs} inputs + {n_outputs} outputs", 1)
+    # The file column of the first data column, for error coordinates.
+    first = 2 if has_case else 1
 
     conditions = [condition_header(text) for text in header[:n_inputs]]
     for pos, condition in enumerate(conditions):
         try:
             condition.key
         except LctError as e:
-            raise ParseError(f"bad condition header: {e}", 1, pos + 1)
+            raise ParseError(f"bad condition header: {e}", 1, first + pos)
     results = []
     for pos, text in enumerate(header[n_inputs:]):
         if not IDENT_RE.match(text):
             raise ParseError(f"result header {text!r} is not an identifier",
-                             1, n_inputs + pos + 1)
+                             1, first + n_inputs + pos)
         results.append(text)
 
     def column_width(header_obj) -> Optional[int]:
@@ -227,7 +230,8 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
                 lineno)
 
         values = []
-        for col, memo_key in enumerate(zip(sides, cells, widths), start=1):
+        for col, memo_key in enumerate(zip(sides, cells, widths),
+                                       start=first):
             cell = parsed.get(memo_key)
             if cell is None:
                 cell = parsed[memo_key] = _parse_cell(*memo_key, lineno, col)

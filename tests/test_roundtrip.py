@@ -5,6 +5,7 @@ import os
 import random
 
 import pytest
+import requests
 
 from lctkit import (analysis, codegen, equiv, extract, roundtrip as rt,
                     tableio)
@@ -373,9 +374,10 @@ def test_drop_and_spurious_and_merge_faults():
 # --- remote backend ----------------------------------------------------------
 
 class _FakeResponse:
-    def __init__(self, payload, status=200):
+    def __init__(self, payload, status=200, headers=None):
         self._payload = payload
         self.status_code = status
+        self.headers = headers or {}
 
     def raise_for_status(self):
         if self.status_code >= 400:
@@ -392,7 +394,10 @@ class _FakeSession:
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.requests.append((url, json, headers, timeout))
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 def _chat_payload(text):
@@ -439,6 +444,58 @@ def test_remote_backend_gives_up_after_retries(monkeypatch):
         backend.complete(TransformRequest(TransformDirection.FORWARD, "p"))
     # Backs off between attempts only: none after the last one.
     assert sleeps == [1, 2]
+
+
+class _NotJson(_FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value: line 1 column 1 (char 0)")
+
+
+@pytest.mark.parametrize("responses, posts, sleeps", [
+    # Other 4xx and malformed bodies fail at once.
+    ([_FakeResponse({}, status=401)], 1, []),
+    ([_FakeResponse({}, status=404)], 1, []),
+    ([_NotJson(None)], 1, []),
+    ([_FakeResponse({"choices": []})], 1, []),
+    ([_FakeResponse({"choices": [{"message": {}}]})], 1, []),
+    ([_FakeResponse(_chat_payload(None))], 1, []),
+    # 5xx is retried on the doubling back-off until the attempts run out.
+    ([_FakeResponse({}, status=500)] * 3, 3, [1, 2]),
+    # A 4xx after a transient fault still ends the call.
+    ([_FakeResponse({}, status=503), _FakeResponse({}, status=400)], 2, [1]),
+])
+def test_remote_backend_fails_fast_on_permanent_faults(
+        monkeypatch, responses, posts, sleeps):
+    slept = []
+    monkeypatch.setattr(rt.time, "sleep", slept.append)
+    session = _FakeSession(responses)
+    backend = rt.RemoteChatBackend("http://unit.test", "m", retries=3,
+                                   session=session)
+    with pytest.raises(rt.BackendError):
+        backend.complete(TransformRequest(TransformDirection.FORWARD, "p"))
+    assert (len(session.requests), slept) == (posts, sleeps)
+
+
+@pytest.mark.parametrize("fault, sleeps", [
+    (_FakeResponse({}, status=429, headers={"Retry-After": "3"}), [3]),
+    (_FakeResponse({}, status=503, headers={"Retry-After": "120"}), [30]),
+    # A date, not a number of seconds: the back-off applies.
+    (_FakeResponse({}, status=429, headers={
+        "Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}), [1]),
+    (ConnectionError("connection refused"), [1]),
+    (TimeoutError("read timed out"), [1]),
+    (requests.ConnectionError("connection reset"), [1]),
+    (requests.Timeout("read timed out"), [1]),
+])
+def test_remote_backend_retries_transient_faults(monkeypatch, fault, sleeps):
+    slept = []
+    monkeypatch.setattr(rt.time, "sleep", slept.append)
+    session = _FakeSession([fault, _FakeResponse(_chat_payload("ok"))])
+    backend = rt.RemoteChatBackend("http://unit.test", "m", retries=3,
+                                   session=session)
+    request = TransformRequest(TransformDirection.FORWARD, "p")
+    assert backend.complete(request).text == "ok"
+    assert (len(session.requests), slept) == (2, sleeps)
 
 
 def test_roundtrip_through_fenced_remote_responses():

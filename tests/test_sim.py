@@ -164,6 +164,24 @@ select = 0
     assert cycles[1]["select"] == BV(1, 0)
 
 
+def test_parse_stimulus_shares_one_value_per_text_and_width():
+    table = load_fixture("regmux2")
+    cycles = sim.parse_stimulus(
+        "rst_n = 1\nselect = 1\ndata0 = 1\n\nrst_n=1\ndata0 = 1\n", table)
+    assert cycles[0]["rst_n"] is cycles[0]["select"] is cycles[1]["rst_n"]
+    assert cycles[0]["data0"] is cycles[1]["data0"] == BV(8, 1)
+    assert cycles[0]["rst_n"] == BV(1, 1)
+
+
+def test_parse_stimulus_raises_at_each_bad_value():
+    """A value that fails is not kept: its text raises wherever it is."""
+    table = load_fixture("regmux2")
+    good = "rst_n = 1\ndata0 = 2\n\n"
+    for text in (good + "rst_n = 2\n", good + "data0 = 2\nrst_n = 2\n"):
+        with pytest.raises(LctError, match="exceeds 1-bit width"):
+            sim.parse_stimulus(text, table)
+
+
 def test_parse_stimulus_rejects_bad_line():
     with pytest.raises(sim.SimError):
         sim.parse_stimulus("not an assignment\n")

@@ -143,6 +143,35 @@ def test_bad_cell_reported_at_its_first_bad_use(csv, where):
     assert (err.value.line, err.value.column) == where
 
 
+def _mux4_text(name):
+    with open(os.path.join(TABLES_DIR, f"mux4.{name}"), encoding="utf-8") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("has_case", [True, False])
+@pytest.mark.parametrize("line, field, text", [
+    (6, 2, "Z"),            # a bad select cell
+    (6, 3, "1x"),           # a bad data_out cell
+    (1, 2, "select =="),    # a condition header that does not parse
+    (1, 3, "data out"),     # a result header that is no identifier
+])
+def test_csv_errors_name_the_file_column(has_case, line, field, text):
+    """Columns count from the file's first, a ``Case`` column included:
+    mux4's line 6 is ``4,1,3,data3,...`` and ``select`` is file column 3."""
+    lines = _mux4_text("csv").splitlines()
+    cells = lines[line - 1].split(",")
+    cells[field] = text
+    lines[line - 1] = ",".join(cells)
+    if not has_case:
+        lines = [row.split(",", 1)[1] for row in lines]
+    with pytest.raises(tableio.ParseError) as err:
+        tableio.parse_unit(_mux4_text("manifest"), "\n".join(lines) + "\n")
+    # ``field`` indexes mux4's cells, whose first is the Case column.
+    column = field + 1 if has_case else field
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).endswith(f"(line {line}, column {column})")
+
+
 def test_header_count_mismatch_rejected():
     with pytest.raises(tableio.ParseError):
         tableio.parse_unit(MANIFEST, "sel,a\n0,0\n")
