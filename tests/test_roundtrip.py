@@ -463,7 +463,8 @@ class _NotJson(_FakeResponse):
     ([_FakeResponse({}, status=500)] * 3, 3, [1, 2]),
     # A 4xx after a transient fault still ends the call.
     ([_FakeResponse({}, status=503), _FakeResponse({}, status=400)], 2, [1]),
-])
+], ids=["401", "404", "not-json", "no-choices", "no-content", "null-content",
+        "500-thrice", "503-then-400"])
 def test_remote_backend_fails_fast_on_permanent_faults(
         monkeypatch, responses, posts, sleeps):
     slept = []
@@ -486,7 +487,9 @@ def test_remote_backend_fails_fast_on_permanent_faults(
     (TimeoutError("read timed out"), [1]),
     (requests.ConnectionError("connection reset"), [1]),
     (requests.Timeout("read timed out"), [1]),
-])
+], ids=["429-retry-after-3", "503-retry-after-120", "retry-after-date",
+        "connection-error", "timeout-error", "requests-connection-error",
+        "requests-timeout"])
 def test_remote_backend_retries_transient_faults(monkeypatch, fault, sleeps):
     slept = []
     monkeypatch.setattr(rt.time, "sleep", slept.append)
