@@ -241,8 +241,8 @@ class RemoteChatBackend:
 
     def complete(self, request: TransformRequest) -> TransformResponse:
         """Post the prompt, retrying only transient faults: a connection
-        error, a timeout, 429 and 5xx.  Any other status, or a body
-        without ``choices[0].message.content``, fails at once."""
+        error, a timeout, 429 and 5xx.  Any other 4xx, or a body without
+        ``choices[0].message.content``, fails at once."""
         import requests
         transient = (ConnectionError, TimeoutError, requests.ConnectionError,
                      requests.Timeout)
@@ -251,7 +251,6 @@ class RemoteChatBackend:
             "messages": [{"role": "user", "content": request.prompt}],
         }
         last_error = None
-        delay = 0
         for attempt in range(self.retries):
             if attempt:  # back off between attempts, not after the last
                 time.sleep(delay)
