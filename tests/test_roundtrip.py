@@ -379,10 +379,6 @@ class _FakeResponse:
         self.status_code = status
         self.headers = headers or {}
 
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise RuntimeError(f"status {self.status_code}")
-
     def json(self):
         return self._payload
 
@@ -459,12 +455,10 @@ class _NotJson(_FakeResponse):
     ([_FakeResponse({"choices": []})], 1, []),
     ([_FakeResponse({"choices": [{"message": {}}]})], 1, []),
     ([_FakeResponse(_chat_payload(None))], 1, []),
-    # 5xx is retried on the doubling back-off until the attempts run out.
-    ([_FakeResponse({}, status=500)] * 3, 3, [1, 2]),
     # A 4xx after a transient fault still ends the call.
     ([_FakeResponse({}, status=503), _FakeResponse({}, status=400)], 2, [1]),
 ], ids=["401", "404", "not-json", "no-choices", "no-content", "null-content",
-        "500-thrice", "503-then-400"])
+        "503-then-400"])
 def test_remote_backend_fails_fast_on_permanent_faults(
         monkeypatch, responses, posts, sleeps):
     slept = []
