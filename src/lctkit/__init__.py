@@ -49,8 +49,7 @@ from .analysis import (
     DEFAULT_ENUM_LIMIT,
     EnumLimitError,
     canonicalize,
-    check_completeness,
-    check_overlap,
+    check_coverage,
     expand_dont_cares,
     generate_fsm,
 )

@@ -1,18 +1,19 @@
 """
-Static checks and table transformations: completeness, overlap/shadowing,
-don't-care expansion, canonicalization, and synthetic FSM generation.
+Static checks and table transformations: one coverage check (gaps,
+shadowed rows, overlaps), don't-care expansion, canonicalization, and
+synthetic FSM generation.
 
 All enumeration respects first-match row priority and is bounded by an
-explicit assignment limit.  The checks, canonicalization and
+explicit assignment limit.  ``check_coverage``, canonicalization and
 ``equiv.compare`` share one walk over the control space, ``match_sets``,
 which multiplies the row bitsets of the trailing condition columns out
 into a block once: an assignment then costs one AND inside its block,
-plus one per leading column per block.  Its bitsets, and the outputs
-``check_overlap`` compares, are the table's one first-match form, its
-``sim`` kernel, built on first use and freed with the table.  Past the
-walk, canonicalization keeps a row that needs no change as it is, and
-one code per cell (``cell_codes``) orders the rows and keys ``equiv``'s
-textual check.
+plus one per leading column per block.  ``check_coverage`` takes every
+finding from a single walk.  Its bitsets, and the outputs it compares,
+are the table's one first-match form, its ``sim`` kernel, built on
+first use and freed with the table.  Past the walk, canonicalization
+keeps a row that needs no change as it is, and one code per cell
+(``cell_codes``) orders the rows and keys ``equiv``'s textual check.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class EnumLimitError(LctError):
 
 @dataclass(slots=True)
 class CoverageReport:
-    """Completeness and overlap findings for one table."""
+    """The coverage findings of one table, from ``check_coverage``."""
     uncovered: List[dict] = field(default_factory=list)
     shadowed_rows: List[int] = field(default_factory=list)
     conflicts: List[tuple] = field(default_factory=list)  # (i, j, witness)
@@ -126,35 +127,24 @@ def match_sets(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
                        [mask & m for m in block])
 
 
-def check_completeness(table: Lct,
-                       enum_limit: int = DEFAULT_ENUM_LIMIT) -> CoverageReport:
-    """List every control assignment matched by no row.  Expression
-    columns are enumerated as independent booleans, so some uncovered
-    entries may be infeasible combinations."""
-    report = CoverageReport()
-    report.possibly_infeasible = any(
-        isinstance(h, ExprHeader) for h in table.conditions)
-    for assignment, m in match_sets(table, enum_limit):
-        if not m:
-            report.uncovered.append(sim.assignment_dict(table, assignment))
-    warning = _reset_warning(table)
-    if warning:
-        report.warnings.append(warning)
-    return report
-
-
-def check_overlap(table: Lct,
-                  enum_limit: int = DEFAULT_ENUM_LIMIT) -> CoverageReport:
-    """Find shadowed rows and row pairs that overlap with differing
-    symbolic outputs.  Overlaps are warnings: first-match priority
-    resolves them deterministically."""
+def check_coverage(table: Lct,
+                   enum_limit: int = DEFAULT_ENUM_LIMIT) -> CoverageReport:
+    """Every finding of one walk: the control assignments matched by no
+    row, the shadowed rows, the first witness of each row pair that
+    overlaps with differing symbolic outputs, and the reset warning.
+    Expression columns are enumerated as independent booleans, so some
+    uncovered entries may be infeasible combinations.  Overlaps are
+    warnings: first-match priority resolves them deterministically."""
+    report = CoverageReport(possibly_infeasible=any(
+        isinstance(h, ExprHeader) for h in table.conditions))
     claimed = 0
     seen_sets = set()
     seen_conflicts = set()
     outputs = sim.row_values(table)
-    report = CoverageReport()
     for assignment, m in match_sets(table, enum_limit):
         claimed |= m & -m
+        if not m:
+            report.uncovered.append(sim.assignment_dict(table, assignment))
         # A repeated match set has no pair left to report.
         if not m & (m - 1) or m in seen_sets:
             continue
@@ -167,6 +157,9 @@ def check_overlap(table: Lct,
                     (a, b, sim.assignment_dict(table, assignment)))
     report.shadowed_rows = [i for i in range(len(table.rows))
                             if not claimed >> i & 1]
+    warning = _reset_warning(table)
+    if warning:
+        report.warnings.append(warning)
     return report
 
 

@@ -24,15 +24,13 @@ EXIT_ERROR = 2
 
 
 class CliError(Exception):
-    """Usage or I/O failure; maps to exit code 2."""
+    """Usage failure or an undecodable file; maps to exit code 2."""
 
 
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
-    except OSError as e:
-        raise CliError(str(e))
     except UnicodeDecodeError as e:
         raise CliError(f"{path}: not UTF-8 text: {e}")
 
@@ -41,20 +39,14 @@ def _write(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    except OSError as e:
-        raise CliError(str(e))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def load_table(path: str) -> Lct:
     """Load a unit from a manifest file or a combined unit document
     (manifest + '---' + CSV in one file)."""
-    try:
-        return tableio.load_unit(path).lct
-    except OSError as e:
-        raise CliError(str(e))
+    return tableio.load_unit(path).lct
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +56,7 @@ def cmd_check(args) -> int:
     status = EXIT_OK
     for path in args.unit:
         table = load_table(path)
-        report = analysis.check_completeness(table, args.enum_limit)
-        overlap = analysis.check_overlap(table, args.enum_limit)
-        report.shadowed_rows = overlap.shadowed_rows
-        report.conflicts = overlap.conflicts
+        report = analysis.check_coverage(table, args.enum_limit)
         print(f"== {table.name} ({path})")
         print(report.render())
         if report.uncovered:
@@ -153,28 +142,22 @@ def _make_backend(args):
     if args.backend == "deterministic":
         b = roundtrip.DeterministicBackend(args.style)
         return b, b
-    if args.backend == "remote":
-        if args.offline:
-            raise CliError("remote backend requested with --offline")
-        if not args.remote_url or not args.model:
-            raise CliError("remote backend needs --remote-url and --model")
-        b = roundtrip.RemoteChatBackend(args.remote_url, args.model,
-                                        api_key_env=args.api_key_env,
-                                        timeout=args.timeout,
-                                        retries=args.retries)
-        return b, b
-    raise CliError(f"unknown backend {args.backend!r}")
+    if args.offline:
+        raise CliError("remote backend requested with --offline")
+    if not args.remote_url or not args.model:
+        raise CliError("remote backend needs --remote-url and --model")
+    b = roundtrip.RemoteChatBackend(args.remote_url, args.model,
+                                    api_key_env=args.api_key_env,
+                                    timeout=args.timeout, retries=args.retries)
+    return b, b
 
 
 def cmd_roundtrip(args) -> int:
     fwd, inv = _make_backend(args)
     units = [load_table(path) for path in args.unit]
-    try:
-        reports = roundtrip.run_many(units, fwd, inv, run_dir=args.run_dir,
-                                     workers=args.workers,
-                                     enum_limit=args.enum_limit)
-    except OSError as e:  # an unusable run directory
-        raise CliError(str(e))
+    reports = roundtrip.run_many(units, fwd, inv, run_dir=args.run_dir,
+                                 workers=args.workers,
+                                 enum_limit=args.enum_limit)
     status = EXIT_OK
     for report in reports:
         label = report.outcome.label.value if report.outcome else "error"
@@ -188,18 +171,14 @@ def cmd_roundtrip(args) -> int:
 def cmd_report(args) -> int:
     tallies = {}
     records = []
-    try:
-        entries = sorted(os.listdir(args.run_dir))
-    except OSError as e:
-        raise CliError(str(e))
     # Every top-level entry is a unit.  One that is not a directory
     # holding a readable verdict.txt lost its record: it is an error.
-    for entry in entries:
+    for entry in sorted(os.listdir(args.run_dir)):
         try:
             fields = dict(line.split("=", 1) for line in _read(
                 os.path.join(args.run_dir, entry, "verdict.txt")).splitlines()
                 if "=" in line)
-        except CliError as e:
+        except (OSError, CliError) as e:
             fields = {"error": str(e)}
         label = "error" if "error" in fields else fields.get("label", "?")
         tallies[label] = tallies.get(label, 0) + 1
@@ -313,7 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, LctError) as e:
+    except (CliError, LctError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

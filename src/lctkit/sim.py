@@ -29,6 +29,7 @@ from .model import (
     DontCare,
     Lct,
     LctError,
+    LiteralError,
     SignalHeader,
     SignalRef,
     parse_literal,
@@ -182,8 +183,7 @@ def enumerate_assignments(table: Lct) -> Iterable[tuple]:
 
 
 def assignment_dict(table: Lct, assignment: tuple) -> dict:
-    return {key: value
-            for (key, _), value in zip(control_columns(table), assignment)}
+    return {h.key: value for h, value in zip(table.conditions, assignment)}
 
 
 def resolve_cell(table: Lct, result: str, cell,
@@ -423,7 +423,10 @@ def parse_stimulus(text: str, table: Optional[Lct] = None) -> List[dict]:
         key = (value, width or 32)
         bv = parsed.get(key)
         if bv is None:
-            bv = parsed[key] = parse_literal(*key)
+            try:
+                bv = parsed[key] = parse_literal(*key)
+            except LiteralError as e:
+                raise SimError(f"stimulus line {lineno}: {e}")
         current[name] = bv
         started = True
     if started:

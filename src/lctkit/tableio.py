@@ -18,7 +18,9 @@ CSV dialect: comma separated, no quoting, whitespace trimmed per cell,
 mandatory header row.  An optional leading "Case" column and trailing
 "Comments" column are preserved but carry no semantics; they are told
 from ports of those names by the manifest's column counts.  An error's
-column counts from the file's first, a "Case" column included.
+column counts from the file's first, a "Case" column included, and its
+line from the file's first, blank lines included: in a unit document,
+from the manifest's first.
 A table instance is validated and rendered at most once: its
 ``violations`` and its ``serialize_unit`` text are kept on it.
 """
@@ -84,6 +86,11 @@ def _manifest_fields(text: str) -> List[tuple]:
 
 def parse_unit(manifest_text: str, csv_text: str) -> Lct:
     """Parse a manifest plus CSV into a validated Lct."""
+    return _parse_unit(manifest_text, csv_text, 1)
+
+
+def _parse_unit(manifest_text: str, csv_text: str, csv_line: int) -> Lct:
+    """``parse_unit``, the CSV's first line numbered ``csv_line``."""
     name = None
     clocking = None
     n_inputs = None
@@ -124,8 +131,8 @@ def parse_unit(manifest_text: str, csv_text: str) -> Lct:
             raise ParseError(f"manifest is missing the {label} line")
 
     portmap = PortMap(tuple(ports))
-    table = _parse_csv(csv_text, name, clocking, n_inputs, n_outputs,
-                       portmap, tuple(feedback))
+    table = _parse_csv(csv_text, csv_line, name, clocking, n_inputs,
+                       n_outputs, portmap, tuple(feedback))
     table.require_valid(ParseError)
     return table
 
@@ -138,12 +145,15 @@ def _count(what: str, text: str, lineno: int) -> int:
     return int(text)
 
 
-def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
-               feedback) -> Lct:
-    lines = [line for line in csv_text.splitlines() if line.strip()]
-    if not lines:
-        raise ParseError("empty CSV", 1)
-    header = [cell.strip() for cell in lines[0].split(",")]
+def _parse_csv(csv_text, csv_line, name, clocking, n_inputs, n_outputs,
+               portmap, feedback) -> Lct:
+    # Blank lines are skipped, but counted in every line number.
+    lines = csv_text.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if start is None:
+        raise ParseError("empty CSV", csv_line)
+    header_line = csv_line + start
+    header = [cell.strip() for cell in lines[start].split(",")]
 
     # A first "case" or last "comments" header is a label or comment
     # column only when the header has more columns than the manifest
@@ -165,7 +175,7 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
     if len(header) != n_inputs + n_outputs:
         raise ParseError(
             f"CSV header has {len(header)} data columns, manifest declares "
-            f"{n_inputs} inputs + {n_outputs} outputs", 1)
+            f"{n_inputs} inputs + {n_outputs} outputs", header_line)
     # The file column of the first data column, for error coordinates.
     first = 2 if has_case else 1
 
@@ -174,12 +184,13 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
         try:
             condition.key
         except LctError as e:
-            raise ParseError(f"bad condition header: {e}", 1, first + pos)
+            raise ParseError(f"bad condition header: {e}", header_line,
+                             first + pos)
     results = []
     for pos, text in enumerate(header[n_inputs:]):
         if not IDENT_RE.match(text):
             raise ParseError(f"result header {text!r} is not an identifier",
-                             1, first + n_inputs + pos)
+                             header_line, first + n_inputs + pos)
         results.append(text)
 
     def column_width(header_obj) -> Optional[int]:
@@ -189,7 +200,7 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
         if port is None:
             raise ParseError(
                 f"condition {header_obj.name} is not declared in the port map",
-                1)
+                header_line)
         return port.width
 
     cond_widths = [column_width(h) for h in conditions]
@@ -198,7 +209,7 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
         port = portmap.get(res)
         if port is None:
             raise ParseError(
-                f"result {res} is not declared in the port map", 1)
+                f"result {res} is not declared in the port map", header_line)
         result_widths.append(port.width)
 
     sides = ["input"] * n_inputs + ["output"] * n_outputs
@@ -207,13 +218,13 @@ def _parse_csv(csv_text, name, clocking, n_inputs, n_outputs, portmap,
     # kept, so each occurrence raises at its own line and column.
     parsed = {}
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[start + 1:], start=header_line + 1):
+        if not line.strip():
+            continue
         cells = [cell.strip() for cell in line.split(",")]
         label = None
         comment = None
         if has_case:
-            if not cells:
-                raise ParseError("missing Case cell", lineno, 1)
             label = cells[0]
             cells = cells[1:]
         if has_comments:
@@ -318,11 +329,18 @@ def combine_unit_doc(manifest_text: str, csv_text: str) -> str:
     return manifest_text.rstrip("\n") + _DOC_SPLIT + csv_text
 
 
+def _csv_line(manifest_text: str) -> int:
+    """The line of a unit document where its CSV starts, as
+    ``splitlines`` numbers the whole document's lines."""
+    return len((manifest_text + _DOC_SPLIT).splitlines()) + 1
+
+
 def parse_unit_doc(text: str) -> Lct:
+    """Parse a unit document; its lines number from the manifest's first."""
     manifest_text, found, csv_text = text.partition(_DOC_SPLIT)
     if not found:
         raise ParseError("unit document is missing the '---' separator")
-    return parse_unit(manifest_text, csv_text)
+    return _parse_unit(manifest_text, csv_text, _csv_line(manifest_text))
 
 
 def serialize_unit_doc(table: Lct) -> str:
@@ -351,7 +369,8 @@ def load_unit(path: str) -> UnitBundle:
                 csv_text = f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: {what}not UTF-8 text: {e}")
-    return UnitBundle(path, parse_unit(manifest_text, csv_text))
+    csv_line = _csv_line(manifest_text) if found else 1
+    return UnitBundle(path, _parse_unit(manifest_text, csv_text, csv_line))
 
 
 def save_unit(table: Lct, directory: str) -> str:

@@ -129,7 +129,7 @@ def test_criterion_3_simulator_fidelity(capsys):
 
 def test_criterion_4_fsm_coverage_gap(capsys):
     started = time.monotonic()
-    report = analysis.check_completeness(load_fixture("fsm4"))
+    report = analysis.check_coverage(load_fixture("fsm4"))
     ok = len(report.uncovered) == 4 and all(
         a["rst_n"] == 1 and a["cond0"] == 1 and a["cond1"] == 1
         for a in report.uncovered)

@@ -33,7 +33,7 @@ BV = BitVector
 def test_fsm4_uncovered_is_exactly_both_conds_high():
     """The FSM fixture misses exactly the four assignments with
     rst_n=1, cond0=1, cond1=1 (one per state value)."""
-    report = analysis.check_completeness(load_fixture("fsm4"))
+    report = analysis.check_coverage(load_fixture("fsm4"))
     assert len(report.uncovered) == 4
     for assignment in report.uncovered:
         assert assignment["rst_n"] == 1
@@ -43,8 +43,8 @@ def test_fsm4_uncovered_is_exactly_both_conds_high():
 
 
 def test_mux4_and_regmux2_are_complete():
-    assert analysis.check_completeness(load_fixture("mux4")).uncovered == []
-    assert analysis.check_completeness(load_fixture("regmux2")).uncovered == []
+    assert analysis.check_coverage(load_fixture("mux4")).uncovered == []
+    assert analysis.check_coverage(load_fixture("regmux2")).uncovered == []
 
 
 def _tiny(rows, clocking=Clocking.COMBINATIONAL):
@@ -64,20 +64,20 @@ def _row(a, b, q):
 
 def test_shadowed_row_detected():
     table = _tiny([_row(None, None, 0), _row(1, 1, 1)])
-    report = analysis.check_overlap(table)
+    report = analysis.check_coverage(table)
     assert report.shadowed_rows == [1]
 
 
 def test_overlap_with_differing_outputs_is_a_conflict():
     table = _tiny([_row(1, None, 0), _row(None, 1, 1)])
-    report = analysis.check_overlap(table)
+    report = analysis.check_coverage(table)
     assert [(i, j) for i, j, _ in report.conflicts] == [(0, 1)]
     assert report.conflicts[0][2] == {"a": 1, "b": 1}
 
 
 def test_overlap_with_same_outputs_is_not_a_conflict():
     table = _tiny([_row(1, None, 1), _row(None, 1, 1)])
-    assert analysis.check_overlap(table).conflicts == []
+    assert analysis.check_coverage(table).conflicts == []
 
 
 def test_missing_reset_row_warned_for_clocked_tables():
@@ -87,14 +87,14 @@ def test_missing_reset_row_warned_for_clocked_tables():
                 conditions=(SignalHeader("rst_n"),), results=("q",),
                 rows=(CaseRow((DONT_CARE,), (Constant(BV(1, 0)),)),),
                 ports=ports)
-    report = analysis.check_completeness(table)
+    report = analysis.check_coverage(table)
     assert any("reset" in w for w in report.warnings)
-    assert not analysis.check_completeness(load_fixture("regmux2")).warnings
+    assert not analysis.check_coverage(load_fixture("regmux2")).warnings
 
 
 def test_enum_limit_enforced():
     with pytest.raises(analysis.EnumLimitError):
-        analysis.check_completeness(load_fixture("fsm4"), enum_limit=4)
+        analysis.check_coverage(load_fixture("fsm4"), enum_limit=4)
 
 
 def test_expand_dont_cares_preserves_semantics():

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from lctkit import cli, codegen, tableio
+from lctkit import analysis, cli, codegen, tableio
 from .util import TABLES_DIR, load_fixture
 
 
@@ -59,6 +59,21 @@ X,X,1
     assert "shadowed: row 1\n" in out
 
 
+def test_check_walks_each_unit_once(monkeypatch, capsys):
+    """One ``match_sets`` walk gives every finding of a unit."""
+    walked = []
+    match_sets = analysis.match_sets
+
+    def counting(table, *args):
+        walked.append(table.name)
+        return match_sets(table, *args)
+    monkeypatch.setattr(analysis, "match_sets", counting)
+    code, _, _ = run(capsys, "check", fixture_path("mux4"),
+                     fixture_path("fsm4"))
+    assert code == cli.EXIT_FINDINGS
+    assert walked == ["mux4", "fsm4"]
+
+
 def test_roundtrip_into_an_unusable_run_directory_exits_two(tmp_path,
                                                             capsys):
     run_dir = tmp_path / "run"
@@ -68,6 +83,24 @@ def test_roundtrip_into_an_unusable_run_directory_exits_two(tmp_path,
     assert code == cli.EXIT_ERROR
     assert out == ""
     assert err == f"error: [Errno 17] File exists: '{run_dir}'\n"
+
+
+@pytest.mark.parametrize("command", ["fsmgen", "extract"])
+def test_out_dir_under_a_regular_file_exits_two(tmp_path, capsys, command):
+    blocker = tmp_path / "F"
+    blocker.write_text("in the way\n")
+    out_dir = str(blocker / "sub")
+    if command == "fsmgen":
+        argv = ["fsmgen", "--states", "4", "--conds", "2", "--outputs", "1"]
+    else:
+        verilog = tmp_path / "mux4.v"
+        run(capsys, "gen", fixture_path("mux4"), "-o", str(verilog))
+        argv = ["extract", str(verilog), "--results", "data_out",
+                "--conditions", "enable,select"]
+    code, out, err = run(capsys, *argv, "--out-dir", out_dir)
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == f"error: [Errno 20] Not a directory: '{out_dir}'\n"
 
 
 def test_check_rejects_bad_file(tmp_path, capsys):
@@ -279,6 +312,32 @@ def test_check_of_an_undecodable_file_exits_two(tmp_path, capsys, damaged):
     assert out == ""
     assert err.startswith(f"error: {unit}: ") and "not UTF-8 text" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("damaged, blank, line", [
+    ("mux4.csv", True, 7), ("mux4.unit", False, 19), ("mux4.unit", True, 20)])
+def test_check_names_the_file_line_of_a_bad_cell(tmp_path, capsys, damaged,
+                                                 blank, line):
+    """A ``Z`` select cell in mux4's last row, after an optional blank
+    line below the header: a unit document's lines count from its
+    manifest's first."""
+    manifest = _copy_fixture(tmp_path, "mux4")
+    (tmp_path / "mux4.unit").write_text(
+        tableio.serialize_unit_doc(load_fixture("mux4")))
+    path = tmp_path / damaged
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace("4,1,3,", "4,1,Z,")
+    if blank:
+        header = next(i for i, text in enumerate(lines)
+                      if text.startswith("Case,"))
+        lines.insert(header + 1, "")
+    path.write_text("\n".join(lines) + "\n")
+    unit = path if damaged == "mux4.unit" else manifest
+    code, out, err = run(capsys, "check", str(unit))
+    assert code == cli.EXIT_ERROR
+    assert out == ""
+    assert err == "error: bad input cell: malformed literal: 'Z' " \
+        f"(line {line}, column 3)\n"
 
 
 def test_check_of_a_worded_manifest_count_exits_two(tmp_path, capsys):

@@ -113,8 +113,7 @@ def _facts(table, other):
     """What the checks, canonicalization and compare give on ``table``."""
     return [
         _outcome(analysis.canonicalize, table),
-        _outcome(lambda: analysis.check_completeness(table).render()),
-        _outcome(lambda: analysis.check_overlap(table).render()),
+        _outcome(lambda: analysis.check_coverage(table).render()),
         _outcome(equiv.compare, table, other),
         _outcome(equiv.compare, other, table),
     ]

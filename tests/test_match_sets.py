@@ -39,12 +39,10 @@ def test_walk_yields_every_matching_row_in_enumeration_order():
 @settings(max_examples=360, deadline=None)
 @given(ALL_TABLES)
 def test_checks_match_reference(table):
-    shadowed = util.reference_shadowed(table)
-    assert analysis.check_completeness(table).uncovered == \
-        util.reference_uncovered(table)
-    overlap = analysis.check_overlap(table)
-    assert overlap.shadowed_rows == shadowed
-    assert overlap.conflicts == util.reference_conflicts(table)
+    report = analysis.check_coverage(table)
+    assert report.uncovered == util.reference_uncovered(table)
+    assert report.shadowed_rows == util.reference_shadowed(table)
+    assert report.conflicts == util.reference_conflicts(table)
 
 
 @settings(max_examples=360, deadline=None)
@@ -187,11 +185,10 @@ def test_small_blocks_match_reference(block, table, kind, seed):
         patch.setattr(analysis, "_BLOCK", block)
         assert list(analysis.match_sets(table)) == \
             _reference_match_sets(table)
-        assert analysis.check_completeness(table).uncovered == \
-            util.reference_uncovered(table)
-        overlap = analysis.check_overlap(table)
-        assert overlap.shadowed_rows == util.reference_shadowed(table)
-        assert overlap.conflicts == util.reference_conflicts(table)
+        report = analysis.check_coverage(table)
+        assert report.uncovered == util.reference_uncovered(table)
+        assert report.shadowed_rows == util.reference_shadowed(table)
+        assert report.conflicts == util.reference_conflicts(table)
         spelled = util.hold_spelling(table)
         keep, _ = analysis._prune(spelled, analysis.DEFAULT_ENUM_LIMIT)
         assert [i for i in range(len(spelled.rows)) if keep >> i & 1] == \
@@ -216,9 +213,9 @@ def test_a_column_wider_than_a_block_is_its_own_block():
                        Port(Direction.OUTPUT, "y", 1))))
     assert list(analysis.match_sets(table)) == \
         _reference_match_sets(table)
-    assert analysis.check_completeness(table).uncovered == \
-        util.reference_uncovered(table)
-    assert analysis.check_overlap(table).shadowed_rows == [4]
+    report = analysis.check_coverage(table)
+    assert report.uncovered == util.reference_uncovered(table)
+    assert report.shadowed_rows == [4]
 
 
 def test_counterexample_past_the_first_block():

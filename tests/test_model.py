@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from lctkit.model import (
@@ -150,6 +152,44 @@ def test_feedback_width_mismatch_reported():
     table = _table(rows, clocking=Clocking.CLOCKED, ports=ports,
                    feedback=(("q", "a"),))
     assert any(v.code == "feedback" for v in validate_lct(table))
+
+
+_PORTS = PortMap((Port(Direction.INPUT, "a", 1),
+                  Port(Direction.INPUT, "d", 4),
+                  Port(Direction.OUTPUT, "q", 1),
+                  Port(Direction.OUTPUT, "r", 1)))
+_ROW = CaseRow((Constant(BitVector(1, 0)),), (Constant(BitVector(1, 1)),))
+
+
+@pytest.mark.parametrize("change, found", [
+    ({"name": "9t"}, ("bad-name", "table name '9t' is not an identifier",
+                      None, None)),
+    ({"results": ("q", "q"),
+      "rows": (CaseRow(_ROW.inputs, _ROW.outputs * 2),)},
+     ("dup-result", "duplicate result columns", None, None)),
+    ({"results": ("a",)}, ("unknown-port", "result a is not an output port",
+                           None, "a")),
+    ({"rows": (CaseRow(_ROW.inputs, ()),)},
+     ("arity", "0 output cells, expected 1", 0, None)),
+    ({"rows": (CaseRow(_ROW.inputs, (SignalRef("d"),)),)},
+     ("width", "pass-through d width 4 != result width 1", 0, "q")),
+    ({"rows": (CaseRow(_ROW.inputs, (Constant(BitVector(2, 1)),)),)},
+     ("width", "cell width 2 != port width 1", 0, "q")),
+    ({"feedback": (("r", "a"),)},
+     ("feedback", "feedback result r is not a result column", None, None)),
+    ({"feedback": (("q", "d"),)},
+     ("feedback", "feedback target d is not a signal condition column",
+      None, None)),
+], ids=["bad-name", "dup-result", "unknown-result", "output-arity",
+        "pass-through-width", "output-width", "feedback-result",
+        "feedback-target"])
+def test_each_violation_is_reported(change, found):
+    """One change to a valid clocked table gives exactly one violation."""
+    table = _table((_ROW,), clocking=Clocking.CLOCKED, ports=_PORTS)
+    assert validate_lct(table) == []
+    violations = validate_lct(dataclasses.replace(table, **change))
+    assert [(v.code, v.message, v.row, v.column) for v in violations] == \
+        [found]
 
 
 def test_duplicate_port_names_rejected():

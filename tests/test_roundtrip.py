@@ -301,27 +301,32 @@ def test_inverse_fault_labelled_x_inv():
         "next_state = 3 vs 0" in report.render().splitlines()
 
 
-def test_inverse_response_with_a_worded_count_is_x_inv():
-    """A manifest count that is no number is the inverse's finding,
-    noted like any other unparsable response, not the round trip's
-    error."""
+@pytest.mark.parametrize("old, new, note", [
+    ("\ninputs 2\n", "\ninputs two\n",
+     "inputs count 'two' is not a non-negative decimal number (line 3)"),
+    ("\n1,3,data3\n", "\n1,Z,data3\n",
+     "bad input cell: malformed literal: 'Z' (line 19, column 2)"),
+], ids=["worded-count", "bad-cell"])
+def test_unparsable_inverse_response_is_x_inv(old, new, note):
+    """A manifest count that is no number, or a bad cell, is the
+    inverse's finding, noted like any other unparsable response, not the
+    round trip's error.  Its line counts from the unit document's first:
+    the reconstruction's last row is line 19."""
     inner = det()
 
-    class Worded:
-        name = "worded"
+    class Edited:
+        name = "edited"
 
         def complete(self, request):
             response = inner.complete(request)
-            text = response.text.replace("\ninputs 2\n", "\ninputs two\n")
+            text = response.text.replace(old, new)
             assert text != response.text
             return TransformResponse(request.direction, text)
 
-    report = rt.run_roundtrip(load_fixture("mux4"), det(), Worded())
+    report = rt.run_roundtrip(load_fixture("mux4"), det(), Edited())
     assert report.error is None
     assert report.outcome.label is rt.Label.X_INV
-    assert report.notes == [
-        "inverse: inputs count 'two' is not a non-negative decimal number "
-        "(line 3)"]
+    assert report.notes == [f"inverse: {note}"]
 
 
 def test_forward_fault_missed_by_simulation_is_x_fw_ns():

@@ -175,13 +175,20 @@ def test_parse_stimulus_shares_one_value_per_text_and_width():
 
 def test_parse_stimulus_value_shared_at_one_width_fails_at_another():
     table = load_fixture("regmux2")
-    with pytest.raises(LctError, match="exceeds 1-bit width"):
+    with pytest.raises(sim.SimError,
+                       match="^stimulus line 4: value 2 exceeds 1-bit width$"):
         sim.parse_stimulus("data0 = 2\n\ndata0 = 2\nrst_n = 2\n", table)
 
 
-def test_parse_stimulus_rejects_bad_line():
-    with pytest.raises(sim.SimError):
-        sim.parse_stimulus("not an assignment\n")
+@pytest.mark.parametrize("text, message", [
+    ("not an assignment\n", "stimulus line 1: expected name=value"),
+    ("rst_n = 0\n\ncond0 = Z\n",
+     "stimulus line 3: malformed literal: 'Z'"),
+], ids=["no-equals", "bad-value"])
+def test_parse_stimulus_rejects_bad_line(text, message):
+    with pytest.raises(sim.SimError) as err:
+        sim.parse_stimulus(text, load_fixture("fsm4"))
+    assert str(err.value) == message
 
 
 def test_format_trace_round_trips_through_grammar():

@@ -12,6 +12,7 @@ from lctkit.model import (
     Direction,
     ExprHeader,
     Lct,
+    LctError,
     Port,
     PortMap,
     SignalHeader,
@@ -148,6 +149,7 @@ def _mux4_text(name):
         return f.read()
 
 
+@pytest.mark.parametrize("layout", ["csv", "blank lines", "unit document"])
 @pytest.mark.parametrize("has_case", [True, False])
 @pytest.mark.parametrize("line, field, text", [
     (6, 2, "Z"),            # a bad select cell
@@ -155,21 +157,35 @@ def _mux4_text(name):
     (1, 2, "select =="),    # a condition header that does not parse
     (1, 3, "data out"),     # a result header that is no identifier
 ])
-def test_csv_errors_name_the_file_column(has_case, line, field, text):
+def test_csv_errors_name_the_file_column(layout, has_case, line, field,
+                                         text):
     """Columns count from the file's first, a ``Case`` column included:
-    mux4's line 6 is ``4,1,3,data3,...`` and ``select`` is file column 3."""
+    mux4's line 6 is ``4,1,3,data3,...`` and ``select`` is file column 3.
+    Lines count from the file's first, blank ones included, and in a
+    unit document from the manifest's first: mux4's manifest is 12 lines
+    and the ``---`` line 13."""
     lines = _mux4_text("csv").splitlines()
     cells = lines[line - 1].split(",")
     cells[field] = text
     lines[line - 1] = ",".join(cells)
     if not has_case:
         lines = [row.split(",", 1)[1] for row in lines]
+    offset = 0
+    if layout == "blank lines":  # one before the header, one after it
+        lines = ["", lines[0], " "] + lines[1:]
+        offset = 1 if line == 1 else 2
+    csv = "\n".join(lines) + "\n"
     with pytest.raises(tableio.ParseError) as err:
-        tableio.parse_unit(_mux4_text("manifest"), "\n".join(lines) + "\n")
+        if layout == "unit document":
+            offset = 13
+            tableio.parse_unit_doc(
+                tableio.combine_unit_doc(_mux4_text("manifest"), csv))
+        else:
+            tableio.parse_unit(_mux4_text("manifest"), csv)
     # ``field`` indexes mux4's cells, whose first is the Case column.
     column = field + 1 if has_case else field
-    assert (err.value.line, err.value.column) == (line, column)
-    assert str(err.value).endswith(f"(line {line}, column {column})")
+    assert (err.value.line, err.value.column) == (line + offset, column)
+    assert str(err.value).endswith(f"(line {line + offset}, column {column})")
 
 
 def test_header_count_mismatch_rejected():
@@ -196,6 +212,20 @@ def test_manifest_count_must_be_a_non_negative_decimal(line, word):
         tableio.parse_unit(bad, CSV)
     assert err.value.line == line
     assert f"{keyword} count" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("clocking combinational", "clocking sometimes",
+     "unknown clocking 'sometimes' (line 2)"),
+    ("port input d 4", "port inout d 4",
+     "bad port declaration: 'inout' is not a valid Direction (line 6)"),
+    ("table demux.csv", "table", "unrecognized manifest line 'table' "
+     "(line 9)"),
+], ids=["clocking", "port", "unrecognized"])
+def test_manifest_errors_name_their_line(old, new, message):
+    with pytest.raises(tableio.ParseError) as err:
+        tableio.parse_unit(MANIFEST.replace(old, new), CSV)
+    assert str(err.value) == message
 
 
 def test_negative_count_does_not_shift_the_columns():
@@ -281,6 +311,36 @@ def test_connectivity_multiple_drivers_rejected():
     with pytest.raises(Exception) as err:
         tableio.parse_connectivity(bad)
     assert "drivers" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("top soc\n", "bind input clk_in clk 1 external\ntop soc\n",
+     "bind line before any instance (line 1)"),
+    ("clk 1 external", "clk 1 sideways",
+     "bad binding: 'sideways' is not a valid NetContext (line 3)"),
+    ("input clk_in", "inout clk_in",
+     "bad binding: 'inout' is not a valid Direction (line 3)"),
+    ("clk 1 external", "clk 0 external",
+     "binding size must be >= 1 (line 3)"),
+    ("instance u1 consumer", "instance u1",
+     "unrecognized connectivity line 'instance u1' (line 5)"),
+    ("top soc\n", "", "connectivity manifest is missing the top line"),
+    ("d q 8 internal", "d q 8 external",
+     "net q: mixed internal/external context"),
+    ("bind input d q 8 internal\n", "", "net q: no load"),
+    ("bind input clk_in clk 1", "bind output clk_in clk 1",
+     "net clk: multiple drivers (u0.clk_in, u2.clk_in)"),
+], ids=["bind-first", "context", "direction", "size-0", "unrecognized",
+        "no-top", "mixed-context", "no-load", "external-drivers"])
+def test_connectivity_errors(old, new, message):
+    """Each edit, made wherever its text occurs, breaks one rule."""
+    text = CONNECTIVITY + "instance u2 producer\n" \
+        "bind input clk_in clk 1 external\n"
+    tableio.parse_connectivity(text)
+    assert old in text
+    with pytest.raises(LctError) as err:
+        tableio.parse_connectivity(text.replace(old, new))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("size", ["+0_8", "\u0668"])

@@ -9,8 +9,9 @@ Usage, from the root of a checkout:
 Each section is a list of lines, one per observable fact, over a fixed
 and seeded corpus; its digest is the SHA-256 of those lines.
 
-- ``analysis``: the canonical text, and the completeness and overlap
-  renders, of the reference fixtures, seeded tables of the generators in
+- ``analysis``: the canonical text, and the coverage report rendered
+  in two halves (gaps and warnings; shadowed rows and overlaps), of the
+  reference fixtures, seeded tables of the generators in
   ``tests/util.py``, ``generate_fsm`` rungs (one past a walk block) and a
   few tables written here: labelled and commented rows, columns out of
   key order, clocked don't-care outputs, an expression column holding
@@ -50,6 +51,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -172,10 +174,13 @@ def analysis_lines(tables):
                            lambda: _text(analysis.canonicalize(table))))
         lines.append(_fact("canon-permuted", name,
                            lambda: _text(analysis.canonicalize(permuted))))
-        lines.append(_fact("complete", name, lambda: analysis.check_completeness(
-            table).render()))
-        lines.append(_fact("overlap", name,
-                           lambda: analysis.check_overlap(table).render()))
+        # One coverage report, rendered in two halves: the gaps and
+        # warnings, then the shadowed rows and overlaps.
+        coverage = functools.cache(lambda: analysis.check_coverage(table))
+        lines.append(_fact("complete", name, lambda: dataclasses.replace(
+            coverage(), shadowed_rows=[], conflicts=[]).render()))
+        lines.append(_fact("overlap", name, lambda: dataclasses.replace(
+            coverage(), uncovered=[], warnings=[]).render()))
     return lines
 
 
