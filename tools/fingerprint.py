@@ -37,8 +37,17 @@ and seeded corpus; its digest is the SHA-256 of those lines.
   ``tests/util.py``: cut after a token, with a token deleted or written
   twice, or with a stray character.  Editing those test texts changes
   this digest.
+- ``sim``: the ``str`` renderings of the simulator's values over the
+  ``analysis`` corpus: per table, its rows' values as the kernel
+  resolves them; ``eval_comb`` at up to 16 seeded input vectors of a
+  combinational table, or ``format_trace`` of ``run_trace`` over a
+  seeded 16-cycle stimulus of a clocked one, with the data inputs (those
+  no condition reads) supplied on every other vector, so that known
+  values and pass-throughs both show; and ``symbolic_outputs`` at up to
+  16 control assignments, all of a smaller space, else seeded ones.
+  Each error is recorded as its text.
 
-Without an option it prints the four digests.  ``--check`` compares
+Without an option it prints the five digests.  ``--check`` compares
 them with ``tools/fingerprint.json`` and exits 1, naming each section
 that differs; ``--update`` writes them there.  ``--dump DIR`` writes each
 section's lines to ``DIR/<section>.txt``, to diff two checkouts.  A
@@ -156,13 +165,17 @@ def _text(table):
         *tableio._render_unit(dataclasses.replace(table, name="unit")))
 
 
+def _outcome(run):
+    """What ``run()`` returns, or the text of the error it raises."""
+    try:
+        return run()
+    except LctError as e:
+        return f"{type(e).__name__}: {e}"
+
+
 def _fact(kind, name, run):
     """One line: ``kind name: <json of run()>``, or of the error raised."""
-    try:
-        value = run()
-    except LctError as e:
-        value = f"{type(e).__name__}: {e}"
-    return f"{kind} {name}: {json.dumps(value)}"
+    return f"{kind} {name}: {json.dumps(_outcome(run))}"
 
 
 def analysis_lines(tables):
@@ -396,12 +409,119 @@ def hdl_lines(tables, varied=33):
     return lines
 
 
+def _sim_vectors(table, rng, count):
+    """``count`` seeded vectors over the table's inputs but its fed-back
+    conditions, the data inputs left out of every other one; and the
+    condition inputs they hold."""
+    control = set()
+    for header in table.conditions:
+        control |= {header.name} if isinstance(header, SignalHeader) \
+            else header.identifiers()
+    fed = {cond for _, cond in table.feedback}
+    ports = [p for p in table.ports.inputs() if p.name not in fed]
+    vectors = [{p.name: BitVector(p.width, rng.randrange(1 << p.width))
+                for p in ports if index % 2 == 0 or p.name in control}
+               for index in range(count)]
+    return vectors, sorted(control - fed)
+
+
+def _run(table, vectors):
+    """Each vector's outputs of a combinational table; of a clocked one,
+    its trace and each vector's step from no registers, where a hold
+    raises, with fed-back conditions at zero.  An error stands as its
+    text."""
+    if table.clocking is not Clocking.CLOCKED:
+        return [_outcome(lambda: {k: str(value) for k, value in
+                                  sim.eval_comb(table, vector).items()})
+                for vector in vectors]
+    empty = sim.SeqState(())
+    fed = {cond: BitVector(table.result_width(result), 0)
+           for result, cond in table.feedback}
+    return [_outcome(lambda: sim.format_trace(
+                table, sim.run_trace(table, vectors))),
+            [_outcome(lambda: sim.format_trace(
+                table, [sim.step_clocked(table, empty, {**fed, **vector})]))
+             for vector in vectors]]
+
+
+def _with_bad_cell(table, rng):
+    """The table with one output cell that the simulator rejects."""
+    i = rng.randrange(len(table.rows))
+    j = rng.randrange(len(table.results))
+    row = table.rows[i]
+    bad = CaseRow(row.inputs,
+                  row.outputs[:j] + ("bogus",) + row.outputs[j + 1:])
+    return dataclasses.replace(
+        table, rows=table.rows[:i] + (bad,) + table.rows[i + 1:])
+
+
+def _assignments(table, rng, count=16):
+    """Every control assignment of a space of at most ``count``, else
+    ``count`` seeded ones."""
+    if sim.control_space_size(table) <= count:
+        return list(sim.enumerate_assignments(table))
+    widths = [table.condition_width(h) for h in table.conditions]
+    return [tuple(rng.randrange(1 << w) for w in widths)
+            for _ in range(count)]
+
+
+def _sim_facts(kind, name, table, vectors):
+    return [_fact(f"{kind}rows", name, lambda: [
+                [str(value) for value in values]
+                for values in sim.row_values(table)]),
+            _fact(f"{kind}run", name, lambda: _run(table, vectors))]
+
+
+def _token_feedback():
+    """A register fed back to a condition that may pass a data input
+    through: a cycle without the input leaves a value no later cycle can
+    feed back."""
+    ports = PortMap((Port(Direction.INPUT, "state", 2),
+                     Port(Direction.INPUT, "c", 1),
+                     Port(Direction.INPUT, "d", 2),
+                     Port(Direction.OUTPUT, "s", 2)))
+    rows = (CaseRow((_const(2, 0), DONT_CARE), (SignalRef("d"),)),
+            CaseRow((DONT_CARE, _const(1, 1)), (SignalRef("s"),)),
+            CaseRow((DONT_CARE, DONT_CARE), (_const(2, 1),)))
+    return Lct(name="token_feedback", clocking=Clocking.CLOCKED,
+               conditions=(SignalHeader("state"), SignalHeader("c")),
+               results=("s",), rows=rows, ports=ports,
+               feedback=(("s", "state"),))
+
+
+def sim_lines(tables):
+    lines = []
+    for index, table in enumerate(tables + [_token_feedback()]):
+        name = f"{index}:{table.name}"
+        rng = random.Random(f"sim/{index}")
+        vectors, control = _sim_vectors(table, rng, 16)
+        lines += _sim_facts("", name, table, vectors)
+        if control:  # one vector without one condition input
+            v = rng.randrange(len(vectors))
+            missing = rng.choice(control)
+            damaged = [{k: bv for k, bv in vector.items()
+                        if i != v or k != missing}
+                       for i, vector in enumerate(vectors)]
+            lines.append(_fact(f"missing/{v}/{missing}", name,
+                               lambda: _run(table, damaged)))
+        if table.rows and table.results:
+            lines += _sim_facts("bad-cell-", name,
+                                _with_bad_cell(table, rng), vectors)
+        compiled = sim.compile_rows(table)
+        for assignment in _assignments(table, rng):
+            lines.append(_fact(f"symbolic/{assignment}", name, lambda: [
+                str(value) for value in
+                sim.symbolic_outputs(table, assignment, compiled)]))
+    return lines
+
+
 def sections():
     tables = corpus()
     return {"analysis": analysis_lines(tables),
             "equiv": equiv_lines(tables),
             "roundtrip": roundtrip_lines(),
-            "hdl": hdl_lines(tables)}
+            "hdl": hdl_lines(tables),
+            "sim": sim_lines(tables)}
 
 
 def main(argv=None):
