@@ -55,10 +55,8 @@ from .analysis import (
 )
 from .sim import (
     Hold,
-    Known,
     SeqState,
     SimError,
-    Token,
     Unspecified,
     eval_comb,
     initial_state,

@@ -5,8 +5,8 @@ the shared control space under first-match semantics.
 Benign differences (row/column permutation, don't-care expansion,
 numeric literal style, shadowed extra rows, signal-name aliases) all
 collapse under this comparison without per-case rules.  Data inputs are
-compared as opaque tokens: two tables agree only if they pass through
-the same input under the same control assignment.  Each table's row
+compared as the pass-through cells that name them: two tables agree only
+if they pass through the same input under the same control assignment.  Each table's row
 bitsets and outputs are those of its one ``sim`` kernel, built on first
 use and freed with the table.
 """
@@ -215,7 +215,7 @@ def _values_agree(va, vb) -> bool:
 def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
             enum_limit: int = analysis.DEFAULT_ENUM_LIMIT) -> EquivResult:
     """Decide equivalence by enumerating every control assignment and
-    comparing symbolic outputs (holds and tokens included)."""
+    comparing symbolic outputs (holds and pass-throughs included)."""
     if a.clocking is not b.clocking:
         raise CompareError(
             f"clocking mismatch: {a.clocking.value} vs {b.clocking.value}")
@@ -240,7 +240,7 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
     normalizations.extend(["semantic-enumeration", "literal-normalization"])
 
     # Walk both tables' rows as one bitset, a's rows in the low bits.  A
-    # pass-through of a condition signal read as a token only merges
+    # pass-through of a condition signal read as its cell only merges
     # equal values, so a row pair that agrees once agrees everywhere.
     # Any other pair is settled by the oracle at the assignment itself.
     outputs_a, outputs_b = sim.row_values(a), sim.row_values(b)

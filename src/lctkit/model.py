@@ -132,12 +132,17 @@ DONT_CARE = DontCare()
 @dataclass(frozen=True, slots=True)
 class SignalRef:
     """A cell naming a signal: data pass-through, or hold when the name
-    equals the cell's own result column (clocked tables only)."""
+    equals the cell's own result column (clocked tables only).  The cell
+    is also ``sim``'s value of a pass-through whose input is not
+    supplied, printed as the signal's name."""
     name: str
 
     def __post_init__(self):
         if not IDENT_RE.match(self.name):
             raise LctError(f"bad signal reference: {self.name!r}")
+
+    def __str__(self) -> str:
+        return self.name
 
 
 CellValue = Union[Constant, DontCare, SignalRef]

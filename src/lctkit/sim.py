@@ -2,8 +2,11 @@
 Reference interpreter for LCTs.
 
 First-match semantics: the earliest row whose condition cells all match
-the inputs determines the outputs.  Control inputs resolve to concrete
-values; data inputs pass through as opaque tokens.
+the inputs determines the outputs.  A value is the table's own object: a
+constant is its cell's ``BitVector``, an input supplied is that input's
+``BitVector``, and a pass-through of an input not supplied is its
+``SignalRef`` cell, whose ``str`` is the input's name; ``HOLD`` and
+``UNSPEC`` mark a kept register and an undefined output.
 
 ``symbolic_outputs`` is the brute-force oracle: it scans the rows one by
 one (``compile_rows``, ``first_match``).  ``equiv.compare`` takes every
@@ -41,24 +44,7 @@ class SimError(LctError):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic values
-
-@dataclass(frozen=True, slots=True)
-class Known:
-    bv: BitVector
-
-    def __str__(self):
-        return str(self.bv.value)
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """An opaque pass-through of a data input signal."""
-    name: str
-
-    def __str__(self):
-        return self.name
-
+# Symbolic values: a BitVector, a SignalRef, HOLD or UNSPEC
 
 @dataclass(frozen=True, slots=True)
 class Hold:
@@ -83,7 +69,7 @@ UNSPEC = Unspecified()
 @dataclass(frozen=True, slots=True)
 class SeqState:
     """Register contents of a clocked table between cycles."""
-    registers: tuple  # of (name, SymValue) pairs, in result order
+    registers: tuple  # of (name, value) pairs, in result order
 
     def get(self, name: str):
         for n, v in self.registers:
@@ -98,7 +84,7 @@ class SeqState:
 def initial_state(table: Lct) -> SeqState:
     """All registers zero, matching reset-dominated designs."""
     regs = tuple(
-        (name, Known(BitVector(table.result_width(name), 0)))
+        (name, BitVector(table.result_width(name), 0))
         for name in table.results)
     return SeqState(regs)
 
@@ -190,18 +176,18 @@ def resolve_cell(table: Lct, result: str, cell,
                  inputs: Optional[Mapping[str, BitVector]] = None):
     """Resolve one output cell to a symbolic value.  SignalRef cells
     naming their own column hold, as do don't-cares in a clocked table;
-    references to supplied inputs become known values; other references
-    pass through as tokens."""
+    a constant is its own ``bv`` and a reference to a supplied input that
+    input's value; other references pass through as the cell itself."""
     if isinstance(cell, Constant):
-        return Known(cell.bv)
+        return cell.bv
     if isinstance(cell, DontCare):
         return HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
     if isinstance(cell, SignalRef):
         if cell.name == result:
             return HOLD
         if inputs is not None and cell.name in inputs:
-            return Known(inputs[cell.name])
-        return Token(cell.name)
+            return inputs[cell.name]
+        return cell
     raise SimError(f"bad output cell {cell!r}")
 
 
@@ -233,15 +219,14 @@ class _Kernel:
     """The first-match form of one table: ``bitsets``, its
     ``column_bitsets``, and ``columns``, each column's bitsets with its
     header and input name (``None`` for an expression header).
-    ``resolve`` sets ``outputs``: per row and last for no match, its
-    ``(result, value, read)`` cells, ``value`` as ``resolve_cell`` gives
-    it without inputs and ``read`` the input a pass-through reads when
-    supplied, and the ``SimError`` text of a bad output cell or None,
-    raised only when the row matches, after the cells before it.
-    ``values`` holds the rows' values alone, each distinct constant one
-    shared ``Known``, and ``error`` the first row's error."""
+    ``resolve`` sets, per row and last for no match, ``values``, the
+    row's output values as ``resolve_cell`` gives them without inputs,
+    and ``errors``, the ``SimError`` text of a bad output cell or None.
+    An error is raised only when its row matches, after the values of
+    the cells before it, which are all its row keeps."""
 
-    __slots__ = ("bitsets", "columns", "full", "outputs", "values", "error")
+    __slots__ = ("bitsets", "columns", "full", "results", "values",
+                 "errors")
 
     def __init__(self, table: Lct):
         self.bitsets = column_bitsets(table)
@@ -251,37 +236,28 @@ class _Kernel:
             for header, (by_value, wild) in zip(table.conditions,
                                                 self.bitsets)]
         self.full = (1 << len(table.rows)) - 1
-        self.outputs = None
+        self.results = table.results
+        self.values = None
 
     def resolve(self, table: Lct) -> "_Kernel":
         """The kernel, ``table``'s outputs resolved on the first call."""
-        if self.outputs is not None:
+        if self.values is not None:
             return self
-        fallback = HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
-        known = {}  # (width, value) -> its one Known
-        outputs = []
+        values, errors = [], []
         for row in table.rows:
             cells, error = [], None
-            for name, cell in zip(table.results, row.outputs):
-                if type(cell) is Constant:
-                    key = cell.bv.width, cell.bv.value
-                    value = known.get(key) or \
-                        known.setdefault(key, Known(cell.bv))
-                else:
-                    try:
-                        value = resolve_cell(table, name, cell)
-                    except SimError as e:
-                        error = str(e)
-                        break
-                cells.append((name, value,
-                              cell.name if type(value) is Token else None))
-            outputs.append((tuple(cells), error))
-        outputs.append(
-            (tuple((name, fallback, None) for name in table.results), None))
-        self.values = [tuple(value for _, value, _ in cells)
-                       for cells, _ in outputs]
-        self.error = next((error for _, error in outputs if error), None)
-        self.outputs = outputs
+            try:
+                for name, cell in zip(table.results, row.outputs):
+                    cells.append(cell.bv if type(cell) is Constant
+                                 else resolve_cell(table, name, cell))
+            except SimError as e:
+                error = str(e)
+            values.append(tuple(cells))
+            errors.append(error)
+        fallback = HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
+        values.append((fallback,) * len(table.results))
+        errors.append(None)
+        self.values, self.errors = values, errors
         return self
 
     def row(self, inputs: Mapping[str, BitVector]) -> int:
@@ -301,28 +277,27 @@ class _Kernel:
         return first_row(m)
 
     def comb(self, inputs: Mapping[str, BitVector]) -> Dict[str, object]:
-        cells, error = self.outputs[self.row(inputs)]
-        if error is not None:
-            raise SimError(error)
-        return {name: Known(inputs[read])
-                if read is not None and read in inputs else value
-                for name, value, read in cells}
+        index = self.row(inputs)
+        if self.errors[index] is not None:
+            raise SimError(self.errors[index])
+        return {name: inputs.get(value.name, value)
+                if type(value) is SignalRef else value
+                for name, value in zip(self.results, self.values[index])}
 
     def step(self, state: SeqState,
              inputs: Mapping[str, BitVector]) -> SeqState:
         index = self.row(inputs)
         if index < 0:
             return state
-        cells, error = self.outputs[index]
         regs = []
-        for name, value, read in cells:
-            if read is not None and read in inputs:
-                value = Known(inputs[read])
+        for name, value in zip(self.results, self.values[index]):
+            if type(value) is SignalRef:
+                value = inputs.get(value.name, value)
             elif value is HOLD:
                 value = state.get(name)
             regs.append((name, value))
-        if error is not None:
-            raise SimError(error)
+        if self.errors[index] is not None:
+            raise SimError(self.errors[index])
         return SeqState(tuple(regs))
 
 
@@ -343,8 +318,9 @@ def row_values(table: Lct) -> List[tuple]:
     of an empty match set (-1) finds.  Raises the ``SimError`` of the
     first bad output cell."""
     kernel = _kernel(table).resolve(table)
-    if kernel.error is not None:
-        raise SimError(kernel.error)
+    error = next(filter(None, kernel.errors), None)
+    if error is not None:
+        raise SimError(error)
     return kernel.values
 
 
@@ -382,11 +358,11 @@ def run_trace(table: Lct,
                 if cond in inputs:
                     continue
                 value = state.get(result)
-                if not isinstance(value, Known):
+                if not isinstance(value, BitVector):
                     raise SimError(
                         f"cycle {cycle}: feedback {result} -> {cond} is not "
                         f"a known value ({value})")
-                inputs[cond] = value.bv
+                inputs[cond] = value
         state = step(state, inputs)
         states.append(state)
     return states

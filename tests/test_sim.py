@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctkit import analysis, sim
+from lctkit import analysis, expr, sim
 from lctkit.model import (
     DONT_CARE,
     BitVector,
@@ -21,6 +21,9 @@ from lctkit.model import (
     SignalRef,
 )
 from .util import (
+    DRESSED,
+    RUNGS,
+    TABLES,
     clocked_dont_care_lct,
     hold_spelling,
     load_fixture,
@@ -42,16 +45,16 @@ def test_mux4_exhaustive_including_pass_through():
         out = sim.eval_comb(table, {"enable": BV(1, enable),
                                     "select": BV(2, select)})
         if enable == 0:
-            assert out["data_out"] == sim.Known(BV(8, 0))
+            assert out["data_out"] == BV(8, 0)
         else:
-            assert out["data_out"] == sim.Token(f"data{select}")
+            assert out["data_out"] == SignalRef(f"data{select}")
 
 
 def test_mux4_pass_through_resolves_with_data_inputs():
     table = load_fixture("mux4")
     out = sim.eval_comb(table, {"enable": BV(1, 1), "select": BV(2, 2),
                                 "data2": BV(8, 0xAB)})
-    assert out["data_out"] == sim.Known(BV(8, 0xAB))
+    assert out["data_out"] == BV(8, 0xAB)
 
 
 def test_unmatched_combinational_is_unspecified():
@@ -64,7 +67,7 @@ def test_unmatched_combinational_is_unspecified():
                 ports=PortMap((Port(Direction.INPUT, "a", 1),
                                Port(Direction.OUTPUT, "q", 1))))
     assert sim.symbolic_outputs(table, (0,)) == (sim.UNSPEC,)
-    assert sim.symbolic_outputs(table, (1,)) == (sim.Known(BV(1, 1)),)
+    assert sim.symbolic_outputs(table, (1,)) == (BV(1, 1),)
 
 
 def test_regmux2_reset_backpress_select_trace():
@@ -95,8 +98,8 @@ def test_regmux2_reset_backpress_select_trace():
         {"valid_out": 0, "data_out": 0x00},
     ]
     for state, want in zip(states, expected):
-        assert state.get("valid_out") == sim.Known(BV(1, want["valid_out"]))
-        assert state.get("data_out") == sim.Known(BV(8, want["data_out"]))
+        assert state.get("valid_out") == BV(1, want["valid_out"])
+        assert state.get("data_out") == BV(8, want["data_out"])
 
 
 def test_fsm4_feedback_trace_visits_0_2_3():
@@ -107,7 +110,7 @@ def test_fsm4_feedback_trace_visits_0_2_3():
         {"rst_n": BV(1, 1), "cond0": BV(1, 1), "cond1": BV(1, 0)},
     ]
     states = sim.run_trace(table, stimulus)
-    assert [s.get("next_state").bv.value for s in states] == [0, 2, 3]
+    assert [s.get("next_state").value for s in states] == [0, 2, 3]
 
 
 def test_fsm4_hold_row_keeps_state_and_outputs():
@@ -124,8 +127,8 @@ def test_fsm4_hold_row_keeps_state_and_outputs():
 def test_initial_state_is_all_zero():
     table = load_fixture("regmux2")
     state = sim.initial_state(table)
-    assert state.get("valid_out") == sim.Known(BV(1, 0))
-    assert state.get("data_out") == sim.Known(BV(8, 0))
+    assert state.get("valid_out") == BV(1, 0)
+    assert state.get("data_out") == BV(8, 0)
 
 
 def test_unmatched_clocked_assignment_holds():
@@ -134,7 +137,7 @@ def test_unmatched_clocked_assignment_holds():
         {"rst_n": BV(1, 0), "cond0": BV(1, 0), "cond1": BV(1, 0)},
         {"rst_n": BV(1, 1), "cond0": BV(1, 1), "cond1": BV(1, 1)},  # uncovered
     ])[-1]
-    assert state.get("next_state") == sim.Known(BV(2, 0))
+    assert state.get("next_state") == BV(2, 0)
 
 
 def test_eval_comb_requires_combinational():
@@ -215,11 +218,11 @@ def _reference_trace(table, stimulus):
         for result, cond in table.feedback:
             if cond not in inputs:
                 value = state.get(result)
-                if not isinstance(value, sim.Known):
+                if not isinstance(value, BitVector):
                     raise sim.SimError(
                         f"cycle {cycle}: feedback {result} -> {cond} is not "
                         f"a known value ({value})")
-                inputs[cond] = value.bv
+                inputs[cond] = value
         state = sim.step_clocked(table, state, inputs)
         states.append(state)
     return states
@@ -278,7 +281,7 @@ def test_clocked_dont_care_output_holds():
     table = clocked_dont_care_lct()
     assert sim.symbolic_outputs(table, (1,)) == (sim.HOLD,)
     states = sim.run_trace(table, [{"c": BV(1, 0)}, {"c": BV(1, 1)}])
-    assert [s.get("r") for s in states] == [sim.Known(BV(2, 2))] * 2
+    assert [s.get("r") for s in states] == [BV(2, 2)] * 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -463,3 +466,101 @@ def test_a_replaced_table_never_reuses_its_source_kernel(seed, vector_seed):
             _outcome(reference_eval_comb, reordered, vector)
         assert _outcome(sim.step_clocked, clocked, state, vector) == \
             _outcome(reference_step_clocked, clocked, state, vector)
+
+
+# --- values are the table's own objects -------------------------------------
+
+def _check_value(table, result, cell, value, inputs):
+    """``value`` is what ``cell`` of column ``result`` gives at
+    ``inputs``: a constant its cell's own ``bv``, a pass-through of an
+    input not supplied its cell, of a supplied one the input's value."""
+    if type(cell) is Constant:
+        assert value is cell.bv
+    elif type(cell) is SignalRef and cell.name == result:
+        assert value is sim.HOLD
+    elif type(cell) is SignalRef:
+        assert value == inputs[cell.name] if cell.name in inputs \
+            else value is cell
+    else:
+        clocked = table.clocking is Clocking.CLOCKED
+        assert value is (sim.HOLD if clocked else sim.UNSPEC)
+
+
+def _check_kind(value):
+    """A value is a ``BitVector``, a ``SignalRef``, ``HOLD`` or
+    ``UNSPEC``, and its ``str`` is its decimal value or the name of the
+    input it passes through."""
+    if type(value) is BV:
+        assert str(value) == str(value.value)
+    elif type(value) is SignalRef:
+        assert str(value) == value.name
+    else:
+        assert value is sim.HOLD or value is sim.UNSPEC
+
+
+def _data_on_every_other(table, rng, count):
+    """Seeded vectors over the inputs but the fed-back conditions; the
+    inputs that no condition reads are left out of every other one."""
+    control = set()
+    for header in table.conditions:
+        control |= {header.name} if isinstance(header, SignalHeader) \
+            else header.identifiers()
+    fed = {cond for _, cond in table.feedback}
+    return [{p.name: BV(p.width, rng.randrange(1 << p.width))
+             for p in table.ports.inputs()
+             if p.name not in fed and (i % 2 == 0 or p.name in control)}
+            for i in range(count)]
+
+
+@settings(max_examples=100)
+@given(st.one_of(TABLES, DRESSED, RUNGS), st.integers(0, 10**6))
+def test_values_are_the_tables_own_objects(table, seed):
+    """Every value that ``row_values``, ``eval_comb``, ``run_trace`` and
+    ``symbolic_outputs`` give is an object of the table, an input or a
+    hold or unspecified marker, never a copy."""
+    rng = random.Random(seed)
+    rows = table.rows + (CaseRow((), (DONT_CARE,) * len(table.results)),)
+    for row, values in zip(rows, sim.row_values(table)):
+        for result, cell, value in zip(table.results, row.outputs, values):
+            _check_kind(value)
+            _check_value(table, result, cell, value, {})
+
+    compiled = sim.compile_rows(table)
+    vectors = _data_on_every_other(table, rng, 8)
+    if table.clocking is Clocking.COMBINATIONAL:
+        for vector in vectors:
+            outputs = sim.eval_comb(table, vector)
+            index = sim.first_match(compiled, tuple(
+                vector[h.name].value if isinstance(h, SignalHeader)
+                else expr.truth(h.tree, vector) for h in table.conditions))
+            row = rows[-1 if index is None else index]
+            for result, cell in zip(table.results, row.outputs):
+                _check_kind(outputs[result])
+                _check_value(table, result, cell, outputs[result], vector)
+    else:
+        own = {id(cell) for row in table.rows for cell in row.outputs}
+        own |= {id(cell.bv) for row in table.rows for cell in row.outputs
+                if type(cell) is Constant}
+        own |= {id(bv) for vector in vectors for bv in vector.values()}
+        try:
+            states = sim.run_trace(table, vectors)
+        except sim.SimError:
+            states = []  # a pass-through fed back, not a known value
+        for state in states:
+            for result, value in state.registers:
+                _check_kind(value)
+                assert id(value) in own or \
+                    value == BV(table.result_width(result), 0)
+
+    widths = [table.condition_width(h) for h in table.conditions]
+    for _ in range(16):
+        assignment = tuple(rng.randrange(1 << w) for w in widths)
+        index = sim.first_match(compiled, assignment)
+        known = {h.name: BV(table.condition_width(h), value)
+                 for h, value in zip(table.conditions, assignment)
+                 if isinstance(h, SignalHeader)}
+        row = rows[-1 if index is None else index]
+        outputs = sim.symbolic_outputs(table, assignment, compiled)
+        for result, cell, value in zip(table.results, row.outputs, outputs):
+            _check_kind(value)
+            _check_value(table, result, cell, value, known)

@@ -16,9 +16,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 import lctkit
-from lctkit import analysis, model, sim, tableio
+from lctkit import model, sim, tableio
 from lctkit.model import BitVector, Clocking
-from .util import SEEDS, TABLES
+from .util import RUNGS, SEEDS, TABLES
 
 
 def _dataclasses():
@@ -42,7 +42,7 @@ def test_every_dataclass_but_lct_is_slotted():
         if "__slots__" not in vars(cls) or hasattr(instance, "__dict__"):
             unslotted.append(cls.__qualname__)
     assert unslotted == []
-    assert model.Lct in found and len(found) == 41
+    assert model.Lct in found and len(found) == 39
 
 
 def _round_trips(value):
@@ -56,10 +56,6 @@ def _stimulus(table, seed, cycles=3):
     return [{port.name: BitVector(port.width, rng.randrange(1 << port.width))
              for port in table.ports.inputs()} for _ in range(cycles)]
 
-
-# The benchmark ladder's FSM rungs, 8x4 to 32x4, beside the random tables.
-RUNGS = st.builds(analysis.generate_fsm, st.sampled_from([8, 16, 32]),
-                  st.just(4), st.integers(1, 8), SEEDS)
 
 
 @settings(max_examples=40)

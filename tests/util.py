@@ -271,6 +271,9 @@ TABLES = st.one_of(
     st.builds(analysis.generate_fsm, st.sampled_from([2, 4, 8]),
               st.integers(1, 3), st.integers(0, 2), SEEDS),
 )
+# The benchmark ladder's FSM rungs, 8x4 to 32x4.
+RUNGS = st.builds(analysis.generate_fsm, st.sampled_from([8, 16, 32]),
+                  st.just(4), st.integers(1, 8), SEEDS)
 # The same tables dressed as ``dressed_lct`` dresses them: valid, and
 # with signals in some input cells (unvalidated).
 DRESSED = st.builds(dressed_lct, TABLES, SEEDS)
@@ -378,11 +381,11 @@ def reference_run_trace(table: Lct, stimulus) -> list:
         for result, cond in table.feedback:
             if cond not in inputs:
                 value = state.get(result)
-                if not isinstance(value, sim.Known):
+                if not isinstance(value, BitVector):
                     raise sim.SimError(
                         f"cycle {cycle}: feedback {result} -> {cond} is not "
                         f"a known value ({value})")
-                inputs[cond] = value.bv
+                inputs[cond] = value
         state = reference_step_clocked(table, state, inputs)
         states.append(state)
     return states
