@@ -118,7 +118,7 @@ def test_expand_unknown_column_rejected():
         analysis.expand_dont_cares(load_fixture("mux4"), columns=["nope"])
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.one_of(TABLES, st.just(clocked_dont_care_lct())))
 def test_canonicalize_is_idempotent(table):
     once = analysis.canonicalize(table)

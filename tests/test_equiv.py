@@ -98,7 +98,7 @@ def test_compare_builds_each_tables_bitsets_once(monkeypatch):
     assert len({id(t) for t in built}) == 3 and built[0] is fsm4
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(TABLES, UNVALIDATED), st.integers(0, 10 ** 6))
 def test_stacked_bitsets_are_those_of_the_joined_rows(table, cut):
     cut %= len(table.rows) + 1
@@ -119,7 +119,7 @@ def _facts(table, other):
     ]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.one_of(TABLES, UNVALIDATED), SEEDS)
 def test_a_table_built_kernel_gives_what_a_fresh_table_gives(table, seed):
     """A table whose kernel earlier calls built and resolved, by an
@@ -326,7 +326,7 @@ def _align_variant(table, kind, rng):
     return rename_table(table, renames), aliases
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(TABLES, st.sampled_from(["same", "permute", "fold", "alias",
                                       "broken"]), SEEDS)
 def test_align_matches_reference(table, kind, seed):

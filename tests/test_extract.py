@@ -263,7 +263,7 @@ GENERATORS = {
 }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(sorted(GENERATORS)), st.integers(0, 10**6))
 def test_if_and_case_hdl_extract_to_the_same_table(kind, seed):
     """A `case` item is a `subject == label` arm of the node an `if`

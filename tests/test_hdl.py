@@ -289,7 +289,7 @@ _FUZZ_TEXTS = [(codegen.gen_unit(load_fixture(name), style),
     [(COMB, None), (CLOCKED, None), (CASEZ, None)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.sampled_from(_FUZZ_TEXTS), st.sampled_from(VARIANT_KINDS),
        st.integers(0, 10**6), st.sampled_from(STRAY_CHARACTERS))
 def test_damaged_hdl_reads_or_raises_a_located_lct_error(source, kind,

@@ -185,7 +185,7 @@ def tables(draw):
                ports)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(tables())
 def test_header_text_and_serialized_forms_reparse_to_the_same_table(table):
     assert validate_lct(table) == []

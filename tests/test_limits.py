@@ -180,7 +180,7 @@ def test_nesting_at_limit_extracts_in_run_many_workers():
                                                        report.notes)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(EXPR_CONSTRUCTS), st.integers(1, 500))
 def test_header_nesting_never_overflows(construct, n):
     try:
@@ -191,7 +191,7 @@ def test_header_nesting_never_overflows(construct, n):
     parse_expr(render(tree))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(HDL_CONSTRUCTS), st.integers(1, 500))
 def test_hdl_nesting_never_overflows(construct, n):
     try:
@@ -205,7 +205,7 @@ def _wrap(text: str, construct: str) -> str:
             "?:": f"a ? {text} : b"}[construct]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.sampled_from(HDL_CONSTRUCTS), min_size=200,
                 max_size=500))
 def test_mixed_nesting_never_overflows(constructs):

@@ -36,7 +36,7 @@ def test_walk_yields_every_matching_row_in_enumeration_order():
         assert sim.first_row(m) == (-1 if first is None else first)
 
 
-@settings(max_examples=360, deadline=None)
+@settings(max_examples=360)
 @given(ALL_TABLES)
 def test_checks_match_reference(table):
     report = analysis.check_coverage(table)
@@ -45,7 +45,7 @@ def test_checks_match_reference(table):
     assert report.conflicts == util.reference_conflicts(table)
 
 
-@settings(max_examples=360, deadline=None)
+@settings(max_examples=360)
 @given(ALL_TABLES)
 def test_pruning_and_canonical_form_match_reference(table):
     assert util.canonical_text(analysis.canonicalize(table)) == \
@@ -140,7 +140,7 @@ def _variant(table, kind, rng):
     return dataclasses.replace(table, rows=tuple(rows))
 
 
-@settings(max_examples=450, deadline=None)
+@settings(max_examples=450)
 @given(ALL_TABLES, st.sampled_from(["mutate", "reverse", "expand", "drop",
                                     "rewrite", "dress"]), SEEDS)
 def test_compare_matches_reference_in_both_orders(table, kind, seed):
@@ -176,7 +176,7 @@ def _reference_kept_rows(table):
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 16])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(TABLES, st.sampled_from(["mutate", "reverse", "expand", "drop",
                                 "rewrite"]), SEEDS)
 def test_small_blocks_match_reference(block, table, kind, seed):

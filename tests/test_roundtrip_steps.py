@@ -145,7 +145,7 @@ def _forms(table):
     return forms
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.one_of(TABLES, UNVALIDATED))
 def test_kept_forms_are_those_of_a_fresh_copy(table):
     """A table whose violations and text earlier calls kept gives what a

@@ -250,7 +250,7 @@ def _clocked_table(kind, seed):
     return table
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(["random", "passthrough", "fsm"]),
        st.integers(0, 10**6), st.integers(0, 12), st.integers(0, 10**6))
 def test_run_trace_equals_a_loop_of_step_clocked(kind, seed, cycles,
@@ -284,7 +284,7 @@ def test_clocked_dont_care_output_holds():
     assert [s.get("r") for s in states] == [BV(2, 2)] * 2
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(["random", "passthrough"]), st.integers(0, 10**6),
        st.integers(0, 12), st.integers(0, 10**6))
 def test_run_trace_reads_a_clocked_dont_care_as_a_hold(kind, seed, cycles,
@@ -377,7 +377,7 @@ def _vectors(table, rng, count, fed=()):
     return vectors
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(["random", "passthrough"]), st.integers(0, 10**6),
        st.integers(0, 10**6), st.booleans())
 def test_eval_comb_equals_a_row_scan(kind, seed, vector_seed, bad_cell):
@@ -400,7 +400,7 @@ def _clocked_kind(kind, seed):
         else _clocked_table(kind, seed)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(["random", "passthrough", "fsm", "token"]),
        st.integers(0, 10**6), st.integers(0, 10**6), st.booleans())
 def test_step_clocked_equals_a_row_scan(kind, seed, vector_seed, bad_cell):
@@ -423,7 +423,7 @@ def test_step_clocked_equals_a_row_scan(kind, seed, vector_seed, bad_cell):
         _outcome(reference_eval_comb, table, {})
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.sampled_from(["random", "passthrough", "fsm", "token"]),
        st.integers(0, 10**6), st.integers(0, 12), st.integers(0, 10**6),
        st.booleans())
@@ -443,7 +443,7 @@ def test_run_trace_equals_a_row_scan(kind, seed, cycles, stimulus_seed,
             _outcome(reference_run_trace, table, stimulus[:end])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_a_replaced_table_never_reuses_its_source_kernel(seed, vector_seed):
     """``dataclasses.replace`` with other rows or another clocking gives

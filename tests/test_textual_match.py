@@ -107,7 +107,7 @@ def _variant(table, kind, rng):
     return dataclasses.replace(table, name=f"{table.name}_renamed")
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(TABLES, st.sampled_from(VARIANTS), SEEDS)
 def test_textual_match_agrees_with_text_comparison(table, kind, seed):
     other = _variant(table, kind, random.Random(seed))
@@ -116,7 +116,7 @@ def test_textual_match_agrees_with_text_comparison(table, kind, seed):
         assert equiv.textual_match(a, b) == util.reference_textual_match(a, b)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(util.UNVALIDATED, st.sampled_from(["rows", "columns", "duplicate",
                                           "rename"]), SEEDS)
 def test_textual_match_agrees_on_signals_in_input_cells(table, kind, seed):

@@ -145,7 +145,7 @@ def test_header_nested_past_the_guard_budget_is_rejected(style):
     assert violations[0].message.endswith("inside codegen's `if` guard")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(["~", "!", "("]), st.integers(1, 110))
 def test_nested_header_fails_validation_or_round_trips(construct, n):
     if construct == "(":
@@ -191,7 +191,7 @@ def _combine(parts):
         .map(lambda t: f"({t[0]} ? {t[1]} : {t[2]})"))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.recursive(_OPERAND, _combine, max_leaves=6),
        st.tuples(*[st.integers(1, 3)] * 3))
 def test_header_that_validates_evaluates_at_every_input(header, widths):
@@ -217,7 +217,7 @@ def _own_tables(seed):
                                 rng.randint(0, 2), seed)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 10**6))
 def test_own_output_validates(seed):
     rng = random.Random(seed)
