@@ -10,7 +10,7 @@ Output is deterministic: identical inputs give byte-identical text.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 from .model import (
     Clocking,
@@ -207,11 +207,6 @@ def gen_structural(conn: ConnectivityTable,
                    units: Mapping[str, PortMap]) -> str:
     """Emit a structural top module: external ports, internal nets, and
     one named-binding instantiation per instance."""
-    net_sizes: Dict[str, int] = {}
-    net_context: Dict[str, NetContext] = {}
-    net_driven: Dict[str, bool] = {}
-    order: List[str] = []
-
     for inst in conn.instances:
         portmap = units.get(inst.unit)
         if portmap is None:
@@ -231,26 +226,26 @@ def gen_structural(conn: ConnectivityTable,
                 raise CodegenError(
                     f"instance {inst.name} port {b.port}: binding size "
                     f"{b.size} != port width {port.width}")
-            if b.net not in net_sizes:
-                net_sizes[b.net] = b.size
-                net_context[b.net] = b.context
-                net_driven[b.net] = False
-                order.append(b.net)
-            if b.direction is Direction.OUTPUT:
-                net_driven[b.net] = True
 
-    externals = [n for n in order if net_context[n] is NetContext.EXTERNAL]
-    internals = [n for n in order if net_context[n] is NetContext.INTERNAL]
+    # Each net, in order of first appearance, as its first binding sizes
+    # it; an external net is an output when some binding drives it.
+    externals, internals = [], []
+    for net, uses in conn.nets().items():
+        first = uses[0][1]
+        if first.context is NetContext.INTERNAL:
+            internals.append(f"  wire {_range(first.size)}{net};")
+        else:
+            driven = any(b.direction is Direction.OUTPUT for _, b in uses)
+            externals.append(f"{'output' if driven else 'input'} wire "
+                             f"{_range(first.size)}{net}")
 
     lines = [f"// structural unit: {conn.top}", f"module {conn.top} ("]
-    for i, net in enumerate(externals):
-        direction = "output" if net_driven[net] else "input"
+    for i, port in enumerate(externals):
         comma = "," if i + 1 < len(externals) else ""
-        lines.append(f"  {direction} wire {_range(net_sizes[net])}{net}{comma}")
+        lines.append(f"  {port}{comma}")
     lines.append(");")
     lines.append("")
-    for net in internals:
-        lines.append(f"  wire {_range(net_sizes[net])}{net};")
+    lines += internals
     if internals:
         lines.append("")
     for inst in conn.instances:

@@ -442,16 +442,11 @@ def _validate_connectivity(table: ConnectivityTable) -> None:
             raise LctError(f"net {net}: mixed internal/external context")
         drivers = [(inst, b) for inst, b in uses
                    if b.direction is Direction.OUTPUT]
-        context = contexts.pop()
-        if context is NetContext.INTERNAL:
+        if len(drivers) > 1:
+            names = ", ".join(f"{i}.{b.port}" for i, b in drivers)
+            raise LctError(f"net {net}: multiple drivers ({names})")
+        if contexts.pop() is NetContext.INTERNAL:
             if not drivers:
                 raise LctError(f"net {net}: dangling (no driver)")
-            if len(drivers) > 1:
-                names = ", ".join(f"{i}.{b.port}" for i, b in drivers)
-                raise LctError(f"net {net}: multiple drivers ({names})")
             if len(uses) < 2:
                 raise LctError(f"net {net}: no load")
-        else:
-            if len(drivers) > 1:
-                names = ", ".join(f"{i}.{b.port}" for i, b in drivers)
-                raise LctError(f"net {net}: multiple drivers ({names})")
