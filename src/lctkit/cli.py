@@ -152,20 +152,22 @@ def _make_backend(args):
     return b, b
 
 
+def _exit_status(labels) -> int:
+    """2 when any label is ``error``, else 1 when any is not ``M``."""
+    return EXIT_ERROR if "error" in labels else \
+        EXIT_FINDINGS if set(labels) - {"M"} else EXIT_OK
+
+
 def cmd_roundtrip(args) -> int:
     fwd, inv = _make_backend(args)
     units = [load_table(path) for path in args.unit]
     reports = roundtrip.run_many(units, fwd, inv, run_dir=args.run_dir,
                                  workers=args.workers,
                                  enum_limit=args.enum_limit)
-    status = EXIT_OK
     for report in reports:
-        label = report.outcome.label.value if report.outcome else "error"
-        print(f"{report.unit}\t{label}" if args.records else report.render())
-        if label != "M":
-            status = max(status, EXIT_ERROR if label == "error"
-                         else EXIT_FINDINGS)
-    return status
+        print(f"{report.unit}\t{report.status}" if args.records
+              else report.render())
+    return _exit_status([report.status for report in reports])
 
 
 def cmd_report(args) -> int:
@@ -194,9 +196,7 @@ def cmd_report(args) -> int:
             count = tallies[label]
             print(f"{label:8s} {count:5d}  {100.0 * count / total:6.2f}%")
         print(f"{'total':8s} {total:5d}")
-    if "error" in tallies:
-        return EXIT_ERROR
-    return EXIT_FINDINGS if set(tallies) - {"M"} else EXIT_OK
+    return _exit_status(tallies)
 
 
 # ---------------------------------------------------------------------------

@@ -416,9 +416,13 @@ class RoundTripReport:
     run_dir: Optional[str] = None
     error: Optional[str] = None  # "<stage>: <Type>: <message>", no outcome
 
+    @property
+    def status(self) -> str:
+        """The outcome's label, or ``error`` when there is none."""
+        return self.outcome.label.value if self.outcome else "error"
+
     def render(self) -> str:
-        status = self.outcome.label.value if self.outcome else "error"
-        lines = [f"unit {self.unit}: {status}",
+        lines = [f"unit {self.unit}: {self.status}",
                  f"  forward: {self.forward_backend}",
                  f"  inverse: {self.inverse_backend}"]
         if self.error:

@@ -3,7 +3,8 @@ import shutil
 
 import pytest
 
-from lctkit import analysis, cli, codegen, tableio
+from lctkit import analysis, cli, codegen, roundtrip, tableio
+from lctkit.model import TransformDirection
 from .util import TABLES_DIR, load_fixture
 
 
@@ -256,6 +257,29 @@ def test_report_summarizes_run(tmp_path, capsys):
     assert "M" in out and "total" in out
     code, out, _ = run(capsys, "report", "--records", str(run_dir))
     assert "mux4\tM" in out
+
+
+@pytest.mark.parametrize("labels, code", [
+    ([], 0), (["M", "M"], 0), (["M", "X INV"], 1), (["X FW", "error", "M"], 2)])
+def test_exit_status_from_labels(labels, code):
+    assert cli._exit_status(labels) == code
+
+
+def test_roundtrip_and_report_exit_one_on_a_finding(tmp_path, capsys,
+                                                    monkeypatch):
+    """An inverse that drops the first row labels mux4 X EQ and fsm4
+    X INV: the round trip and the report of its run directory both
+    exit 1."""
+    det = roundtrip.DeterministicBackend("if")
+    dropping = roundtrip.FaultInjectingBackend(
+        roundtrip.drop_row(0), TransformDirection.INVERSE, "if", "drop")
+    monkeypatch.setattr(cli, "_make_backend", lambda args: (det, dropping))
+    run_dir = str(tmp_path / "run")
+    code, out, _ = run(capsys, "roundtrip", "--records", "--run-dir", run_dir,
+                       fixture_path("mux4"), fixture_path("fsm4"))
+    assert (code, out) == (cli.EXIT_FINDINGS, "mux4\tX EQ\nfsm4\tX INV\n")
+    code, out, _ = run(capsys, "report", "--records", run_dir)
+    assert (code, out) == (cli.EXIT_FINDINGS, "fsm4\tX INV\nmux4\tX EQ\n")
 
 
 def test_report_counts_a_unit_whose_record_is_missing(tmp_path, capsys):

@@ -298,8 +298,7 @@ def roundtrip_lines():
                             files[file] = f.read()
                     lines.append(f"roundtrip {dir_name}:{unit.name}: " +
                                  json.dumps({
-                                     "status": report.outcome.label.value
-                                     if report.outcome else "error",
+                                     "status": report.status,
                                      "error": report.error,
                                      "notes": report.notes,
                                      "counterexample": report.counterexample
