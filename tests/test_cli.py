@@ -259,12 +259,6 @@ def test_report_summarizes_run(tmp_path, capsys):
     assert "mux4\tM" in out
 
 
-@pytest.mark.parametrize("labels, code", [
-    ([], 0), (["M", "M"], 0), (["M", "X INV"], 1), (["X FW", "error", "M"], 2)])
-def test_exit_status_from_labels(labels, code):
-    assert cli._exit_status(labels) == code
-
-
 def test_roundtrip_and_report_exit_one_on_a_finding(tmp_path, capsys,
                                                     monkeypatch):
     """An inverse that drops the first row labels mux4 X EQ and fsm4

@@ -32,6 +32,7 @@ from .util import (
     reference_eval_comb,
     reference_run_trace,
     reference_step_clocked,
+    with_bad_cell,
 )
 
 BV = BitVector
@@ -351,17 +352,6 @@ def _token_feedback_lct(seed):
                feedback=(("s", "state"),))
 
 
-def _with_bad_cell(table, rng):
-    """The table with one output cell that ``resolve_cell`` rejects, so
-    that only a vector matching its row raises ``bad output cell``."""
-    i = rng.randrange(len(table.rows))
-    j = rng.randrange(len(table.results))
-    row = table.rows[i]
-    bad = CaseRow(row.inputs, row.outputs[:j] + ("bogus",) + row.outputs[j + 1:])
-    return dataclasses.replace(
-        table, rows=table.rows[:i] + (bad,) + table.rows[i + 1:])
-
-
 def _vectors(table, rng, count, fed=()):
     """Random vectors over the table's inputs, less ``fed``; about one in
     seven leaves one input out: a condition, an expression operand, or a
@@ -387,7 +377,7 @@ def test_eval_comb_equals_a_row_scan(kind, seed, vector_seed, bad_cell):
     rng = random.Random(vector_seed)
     table = _comb_table(kind, seed)
     if bad_cell:
-        table = _with_bad_cell(table, rng)
+        table = with_bad_cell(table, rng)
     for vector in _vectors(table, rng, 24):
         assert _outcome(sim.eval_comb, table, vector) == \
             _outcome(reference_eval_comb, table, vector)
@@ -410,7 +400,7 @@ def test_step_clocked_equals_a_row_scan(kind, seed, vector_seed, bad_cell):
     rng = random.Random(vector_seed)
     table = _clocked_kind(kind, seed)
     if bad_cell:
-        table = _with_bad_cell(table, rng)
+        table = with_bad_cell(table, rng)
     state, empty = sim.initial_state(table), sim.SeqState(())
     for vector in _vectors(table, rng, 16):
         got = _outcome(sim.step_clocked, table, state, vector)
@@ -435,7 +425,7 @@ def test_run_trace_equals_a_row_scan(kind, seed, cycles, stimulus_seed,
     rng = random.Random(stimulus_seed)
     table = _clocked_kind(kind, seed)
     if bad_cell:
-        table = _with_bad_cell(table, rng)
+        table = with_bad_cell(table, rng)
     fed = {cond for _, cond in table.feedback}
     stimulus = _vectors(table, rng, cycles, fed)
     for end in range(cycles + 1):
@@ -470,22 +460,6 @@ def test_a_replaced_table_never_reuses_its_source_kernel(seed, vector_seed):
 
 # --- values are the table's own objects -------------------------------------
 
-def _check_value(table, result, cell, value, inputs):
-    """``value`` is what ``cell`` of column ``result`` gives at
-    ``inputs``: a constant its cell's own ``bv``, a pass-through of an
-    input not supplied its cell, of a supplied one the input's value."""
-    if type(cell) is Constant:
-        assert value is cell.bv
-    elif type(cell) is SignalRef and cell.name == result:
-        assert value is sim.HOLD
-    elif type(cell) is SignalRef:
-        assert value == inputs[cell.name] if cell.name in inputs \
-            else value is cell
-    else:
-        clocked = table.clocking is Clocking.CLOCKED
-        assert value is (sim.HOLD if clocked else sim.UNSPEC)
-
-
 def _check_kind(value):
     """A value is a ``BitVector``, a ``SignalRef``, ``HOLD`` or
     ``UNSPEC``, and its ``str`` is its decimal value or the name of the
@@ -496,6 +470,23 @@ def _check_kind(value):
         assert str(value) == value.name
     else:
         assert value is sim.HOLD or value is sim.UNSPEC
+
+
+def _check_value(table, result, cell, value, inputs):
+    """``value`` is what ``cell`` of column ``result`` gives at
+    ``inputs``: a constant its cell's own ``bv``, a pass-through of an
+    input not supplied its cell, of a supplied one the input's value."""
+    _check_kind(value)
+    if type(cell) is Constant:
+        assert value is cell.bv
+    elif type(cell) is SignalRef and cell.name == result:
+        assert value is sim.HOLD
+    elif type(cell) is SignalRef:
+        assert value == inputs[cell.name] if cell.name in inputs \
+            else value is cell
+    else:
+        clocked = table.clocking is Clocking.CLOCKED
+        assert value is (sim.HOLD if clocked else sim.UNSPEC)
 
 
 def _data_on_every_other(table, rng, count):
@@ -522,7 +513,6 @@ def test_values_are_the_tables_own_objects(table, seed):
     rows = table.rows + (CaseRow((), (DONT_CARE,) * len(table.results)),)
     for row, values in zip(rows, sim.row_values(table)):
         for result, cell, value in zip(table.results, row.outputs, values):
-            _check_kind(value)
             _check_value(table, result, cell, value, {})
 
     compiled = sim.compile_rows(table)
@@ -535,7 +525,6 @@ def test_values_are_the_tables_own_objects(table, seed):
                 else expr.truth(h.tree, vector) for h in table.conditions))
             row = rows[-1 if index is None else index]
             for result, cell in zip(table.results, row.outputs):
-                _check_kind(outputs[result])
                 _check_value(table, result, cell, outputs[result], vector)
     else:
         own = {id(cell) for row in table.rows for cell in row.outputs}
@@ -562,5 +551,4 @@ def test_values_are_the_tables_own_objects(table, seed):
         row = rows[-1 if index is None else index]
         outputs = sim.symbolic_outputs(table, assignment, compiled)
         for result, cell, value in zip(table.results, row.outputs, outputs):
-            _check_kind(value)
             _check_value(table, result, cell, value, known)

@@ -180,6 +180,17 @@ def mutate_output(table: Lct, rng: random.Random):
             row_idx, table.results[col_idx])
 
 
+def with_bad_cell(table: Lct, rng: random.Random) -> Lct:
+    """The table with one output cell that ``sim.resolve_cell`` rejects,
+    so that only a vector matching its row raises ``bad output cell``."""
+    i = rng.randrange(len(table.rows))
+    j = rng.randrange(len(table.results))
+    row = table.rows[i]
+    bad = CaseRow(row.inputs, row.outputs[:j] + ("bogus",) + row.outputs[j + 1:])
+    return dataclasses.replace(
+        table, rows=table.rows[:i] + (bad,) + table.rows[i + 1:])
+
+
 def permute_columns(table: Lct, rng: random.Random) -> Lct:
     """``table`` with its condition and result columns shuffled."""
     cond = rng.sample(range(len(table.conditions)), len(table.conditions))

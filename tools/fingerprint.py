@@ -443,17 +443,6 @@ def _run(table, vectors):
              for vector in vectors]]
 
 
-def _with_bad_cell(table, rng):
-    """The table with one output cell that the simulator rejects."""
-    i = rng.randrange(len(table.rows))
-    j = rng.randrange(len(table.results))
-    row = table.rows[i]
-    bad = CaseRow(row.inputs,
-                  row.outputs[:j] + ("bogus",) + row.outputs[j + 1:])
-    return dataclasses.replace(
-        table, rows=table.rows[:i] + (bad,) + table.rows[i + 1:])
-
-
 def _assignments(table, rng, count=16):
     """Every control assignment of a space of at most ``count``, else
     ``count`` seeded ones."""
@@ -505,7 +494,7 @@ def sim_lines(tables):
                                lambda: _run(table, damaged)))
         if table.rows and table.results:
             lines += _sim_facts("bad-cell-", name,
-                                _with_bad_cell(table, rng), vectors)
+                                util.with_bad_cell(table, rng), vectors)
         compiled = sim.compile_rows(table)
         for assignment in _assignments(table, rng):
             lines.append(_fact(f"symbolic/{assignment}", name, lambda: [
