@@ -3,8 +3,9 @@ Command-line front end.
 
 Exit codes: 0 on success (tables valid, equivalent, or round trip
 matched); 1 when the tools found something (coverage gaps, semantic
-differences, transform faults); 2 on usage, I/O, or backend errors, and
-when a round trip's status is ``error``: a stage failed in a backend or in
+differences, transform faults); 2 on usage, I/O, or backend errors (an
+``LctError`` or ``OSError``, printed as one ``error:`` line), and when a
+round trip's status is ``error``: a stage failed in a backend or in
 lctkit, not in a transform; ``lct roundtrip`` and ``lct report`` show it.
 """
 
@@ -23,16 +24,12 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 
-class CliError(Exception):
-    """Usage failure or an undecodable file; maps to exit code 2."""
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as e:
-        raise CliError(f"{path}: not UTF-8 text: {e}")
+        raise LctError(f"{path}: not UTF-8 text: {e}")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -71,7 +68,7 @@ def cmd_sim(args) -> int:
     stimulus = sim.parse_stimulus(_read(args.stimulus), table)
     if table.clocking is Clocking.CLOCKED:
         states = sim.run_trace(table, stimulus)
-        _write(args.output, sim.format_trace(table, states))
+        _write(args.output, sim.format_trace(states))
     else:
         blocks = []
         for vector in stimulus:
@@ -91,7 +88,7 @@ def cmd_gen(args) -> int:
         _write(args.output, codegen.gen_structural(conn, units))
         return EXIT_OK
     if len(args.unit) != 1:
-        raise CliError("gen takes exactly one unit (or --conn with units)")
+        raise LctError("gen takes exactly one unit (or --conn with units)")
     table = load_table(args.unit[0])
     text, notes = codegen.generate(table, args.style, args.async_reset)
     for note in notes:
@@ -143,9 +140,9 @@ def _make_backend(args):
         b = roundtrip.DeterministicBackend(args.style)
         return b, b
     if args.offline:
-        raise CliError("remote backend requested with --offline")
+        raise LctError("remote backend requested with --offline")
     if not args.remote_url or not args.model:
-        raise CliError("remote backend needs --remote-url and --model")
+        raise LctError("remote backend needs --remote-url and --model")
     b = roundtrip.RemoteChatBackend(args.remote_url, args.model,
                                     api_key_env=args.api_key_env,
                                     timeout=args.timeout, retries=args.retries)
@@ -180,13 +177,13 @@ def cmd_report(args) -> int:
             fields = dict(line.split("=", 1) for line in _read(
                 os.path.join(args.run_dir, entry, "verdict.txt")).splitlines()
                 if "=" in line)
-        except (OSError, CliError) as e:
+        except (OSError, LctError) as e:
             fields = {"error": str(e)}
         label = "error" if "error" in fields else fields.get("label", "?")
         tallies[label] = tallies.get(label, 0) + 1
         records.append((fields.get("unit", entry), label))
     if not records:
-        raise CliError(f"no verdict records under {args.run_dir}")
+        raise LctError(f"no verdict records under {args.run_dir}")
     if args.records:
         for unit, label in records:
             print(f"{unit}\t{label}")
@@ -292,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, LctError, OSError) as e:
+    except (LctError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

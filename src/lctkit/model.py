@@ -546,7 +546,6 @@ class TransformRequest:
 
 @dataclass(slots=True)
 class TransformResponse:
-    direction: TransformDirection
     text: str
 
     def __post_init__(self):

@@ -169,8 +169,7 @@ class DeterministicBackend:
             table = request.payload
             if not isinstance(table, Lct):
                 raise BackendError("forward request has no table payload")
-            return TransformResponse(request.direction,
-                                     codegen.gen_unit(table, self.style))
+            return TransformResponse(codegen.gen_unit(table, self.style))
         payload = request.payload
         if not isinstance(payload, InversePayload):
             raise BackendError("inverse request has no HDL payload")
@@ -178,8 +177,7 @@ class DeterministicBackend:
         if table is None:
             table = extract.hdl_text_to_lct(
                 payload.hdl_text, payload.conditions, payload.results)
-        return TransformResponse(request.direction,
-                                 tableio.serialize_unit_doc(table))
+        return TransformResponse(tableio.serialize_unit_doc(table))
 
 
 class FaultInjectingBackend:
@@ -202,9 +200,7 @@ class FaultInjectingBackend:
             return self.inner.complete(replace(request, payload=mutated))
         response = self.inner.complete(request)
         table = tableio.parse_unit_doc(response.text)
-        return TransformResponse(request.direction,
-                                 tableio.serialize_unit_doc(
-                                     self.fault(table)))
+        return TransformResponse(tableio.serialize_unit_doc(self.fault(table)))
 
 
 # The longest wait between two remote attempts, whatever Retry-After asks.
@@ -276,7 +272,7 @@ class RemoteChatBackend:
                                    f"{type(e).__name__}: {e}")
             if not isinstance(text, str) or not text:
                 raise BackendError(f"{self.name}: response has no content")
-            return TransformResponse(request.direction, text)
+            return TransformResponse(text)
         raise BackendError(
             f"{self.name}: {self.retries} attempts failed: {last_error}")
 
@@ -356,48 +352,44 @@ class ArbiterVerdict(Enum):
 
 
 @dataclass(slots=True)
-class Evidence:
-    textual_match: bool
-    semantic: Optional[equiv.Verdict]
-    sim: SimVerdict = SimVerdict.UNAVAILABLE
-    arbiter: ArbiterVerdict = ArbiterVerdict.UNAVAILABLE
-
-
-@dataclass(slots=True)
 class Outcome:
+    """A round trip's label, the verdicts it was read from (``semantic``
+    is None without a reconstruction), and a caveat on the label."""
     label: Label
-    evidence: Evidence
+    semantic: Optional[equiv.Verdict]
+    sim: SimVerdict
+    arbiter: ArbiterVerdict
     caveat: Optional[str] = None
 
 
-def classify_outcome(evidence: Evidence) -> Outcome:
-    """Map comparison/simulation/arbiter evidence to an outcome label.
+def classify_outcome(semantic: Optional[equiv.Verdict],
+                     sim: SimVerdict = SimVerdict.UNAVAILABLE,
+                     arbiter: ArbiterVerdict = ArbiterVerdict.UNAVAILABLE
+                     ) -> Outcome:
+    """Map comparison/simulation/arbiter verdicts to an outcome label.
 
-    Matches classify as M (or M SP when simulation fails, pointing at the
-    specification rather than either transform).  Mismatches that are
-    semantically equivalent are X EQ.  Remaining mismatches go to the
-    forward direction (X FW, or X FW~S when simulation missed it) unless
-    the arbiter shows the forward HDL still matches the original, which
-    isolates the inverse transform (X INV).
+    A textually identical reconstruction is M (or M SP when simulation
+    fails, pointing at the specification rather than either transform).
+    Mismatches that are semantically equivalent are X EQ.  Remaining
+    mismatches go to the forward direction (X FW, or X FW~S when
+    simulation missed it) unless the arbiter shows the forward HDL still
+    matches the original, which isolates the inverse transform (X INV).
     """
-    if evidence.textual_match:
-        if evidence.sim is SimVerdict.FAIL:
-            return Outcome(Label.M_SP, evidence)
-        caveat = None
-        if evidence.sim is SimVerdict.UNAVAILABLE:
+    caveat = None
+    if semantic is equiv.Verdict.TEXTUALLY_IDENTICAL:
+        label = Label.M_SP if sim is SimVerdict.FAIL else Label.M
+        if sim is SimVerdict.UNAVAILABLE:
             caveat = ("no simulation evidence: cannot distinguish M from "
                       "M SP")
-        return Outcome(Label.M, evidence, caveat)
-    if evidence.semantic is not None and evidence.semantic.equivalent:
-        return Outcome(Label.X_EQ, evidence)
-    if evidence.arbiter is ArbiterVerdict.FORWARD_MATCHES:
-        return Outcome(Label.X_INV, evidence)
-    caveat = None
-    if evidence.arbiter is ArbiterVerdict.UNAVAILABLE:
-        caveat = "forward HDL not analyzable; attributing to forward"
-    if evidence.sim is SimVerdict.PASS:
-        return Outcome(Label.X_FW_NS, evidence, caveat)
-    return Outcome(Label.X_FW, evidence, caveat)
+    elif semantic is not None and semantic.equivalent:
+        label = Label.X_EQ
+    elif arbiter is ArbiterVerdict.FORWARD_MATCHES:
+        label = Label.X_INV
+    else:
+        label = Label.X_FW_NS if sim is SimVerdict.PASS else Label.X_FW
+        if arbiter is ArbiterVerdict.UNAVAILABLE:
+            caveat = "forward HDL not analyzable; attributing to forward"
+    return Outcome(label, semantic, sim, arbiter, caveat)
 
 
 # ---------------------------------------------------------------------------
@@ -574,10 +566,9 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
             else ArbiterVerdict.FORWARD_DIFFERS
         report.counterexample = (arb_result and arb_result.counterexample) \
             or (result and result.counterexample)
-        semantic = result and result.verdict
-        report.outcome = classify_outcome(Evidence(
-            semantic is equiv.Verdict.TEXTUALLY_IDENTICAL, semantic,
-            sim_verdict or SimVerdict.FAIL, arbiter))
+        report.outcome = classify_outcome(
+            result and result.verdict, sim_verdict or SimVerdict.FAIL,
+            arbiter)
     artifacts[VERDICT] = _verdict_record(report)
     try:
         report.run_dir = _persist(run_dir, _dir_name or unit.name, artifacts,
@@ -598,10 +589,10 @@ def _verdict_record(report: RoundTripReport) -> str:
         return f"unit={report.unit}\nerror={report.error}\n"
     lines = [f"unit={report.unit}",
              f"label={outcome.label.value}",
-             f"textual={'match' if outcome.evidence.textual_match else 'mismatch'}",
-             f"semantic={outcome.evidence.semantic.value if outcome.evidence.semantic else 'unavailable'}",
-             f"sim={outcome.evidence.sim.value}",
-             f"arbiter={outcome.evidence.arbiter.value}"]
+             f"textual={'match' if outcome.semantic is equiv.Verdict.TEXTUALLY_IDENTICAL else 'mismatch'}",
+             f"semantic={outcome.semantic.value if outcome.semantic else 'unavailable'}",
+             f"sim={outcome.sim.value}",
+             f"arbiter={outcome.arbiter.value}"]
     if report.counterexample:
         lines.append(f"counterexample={report.counterexample}")
     if outcome.caveat:

@@ -77,9 +77,6 @@ class SeqState:
                 return v
         raise SimError(f"no register named {name}")
 
-    def as_dict(self) -> dict:
-        return dict(self.registers)
-
 
 def initial_state(table: Lct) -> SeqState:
     """All registers zero, matching reset-dominated designs."""
@@ -410,7 +407,7 @@ def parse_stimulus(text: str, table: Optional[Lct] = None) -> List[dict]:
     return cycles
 
 
-def format_trace(table: Lct, states: List[SeqState]) -> str:
+def format_trace(states: List[SeqState]) -> str:
     """Render a trace in the stimulus grammar, one cycle per block."""
     blocks = []
     for state in states:

@@ -69,8 +69,7 @@ class ParseError(LctError):
 
 @dataclass(frozen=True, slots=True)
 class UnitBundle:
-    """A parsed unit and the path it was loaded from."""
-    manifest_path: str
+    """A parsed unit, as ``load_unit`` returns it."""
     lct: Lct
 
 
@@ -370,7 +369,7 @@ def load_unit(path: str) -> UnitBundle:
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: {what}not UTF-8 text: {e}")
     csv_line = _csv_line(manifest_text) if found else 1
-    return UnitBundle(path, _parse_unit(manifest_text, csv_text, csv_line))
+    return UnitBundle(_parse_unit(manifest_text, csv_text, csv_line))
 
 
 def save_unit(table: Lct, directory: str) -> str:

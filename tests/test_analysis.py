@@ -203,9 +203,14 @@ def test_generate_fsm_reset_and_hold_rows():
     assert hold.outputs[1] == SignalRef("out0")
 
 
-def test_generate_fsm_rejects_non_power_of_two():
-    with pytest.raises(LctError):
-        analysis.generate_fsm(3, 2, 1, seed=0)
+@pytest.mark.parametrize("args, message", [
+    ((3, 2, 1, 0), "state count must be a power of two >= 2, got 3"),
+    ((4, 0, 1, 1), "need at least one condition and outputs >= 0"),
+], ids=["states", "conditions"])
+def test_generate_fsm_rejects_a_bad_shape(args, message):
+    with pytest.raises(LctError) as err:
+        analysis.generate_fsm(*args)
+    assert str(err.value) == message
 
 
 def test_generate_fsm_scales_past_2000_cells():

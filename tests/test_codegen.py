@@ -10,6 +10,7 @@ from lctkit.model import (
     Direction,
     ExprHeader,
     Lct,
+    LctError,
     Port,
     PortMap,
     SignalHeader,
@@ -160,22 +161,21 @@ def test_structural_top():
     assert ".d(mid)" in text
 
 
-def test_structural_checks_binding_width():
-    conn = tableio.parse_connectivity(
-        CONNECTIVITY.replace("bind input d in0 8", "bind input d in0 4"))
-    with pytest.raises(codegen.CodegenError):
+@pytest.mark.parametrize("old, new, message", [
+    ("bind input d in0 8", "bind input d in0 4",
+     "instance u0 port d: binding size 4 != port width 8"),
+    # A flipped binding is a port direction mismatch, or, on an internal
+    # net, a second driver that connectivity validation finds first.
+    ("bind input d in0 8", "bind output d in0 8",
+     "instance u0 port d: direction mismatch with unit stage"),
+    ("bind input d mid 8", "bind output d mid 8",
+     "net mid: multiple drivers (u0.q, u1.d)"),
+], ids=["width", "direction", "internal-direction"])
+def test_structural_checks_each_binding(old, new, message):
+    with pytest.raises(LctError) as err:
+        conn = tableio.parse_connectivity(CONNECTIVITY.replace(old, new))
         codegen.gen_structural(conn, {"stage": _stage_ports()})
-
-
-def test_structural_checks_binding_direction():
-    # A flipped binding direction is caught either as a multi-driver net
-    # (connectivity validation) or as a port direction mismatch.
-    with pytest.raises(Exception) as err:
-        conn = tableio.parse_connectivity(
-            CONNECTIVITY.replace("bind input d mid 8 internal",
-                                 "bind output d mid 8 internal"))
-        codegen.gen_structural(conn, {"stage": _stage_ports()})
-    assert "driver" in str(err.value) or "direction" in str(err.value)
+    assert str(err.value) == message
 
 
 def test_structural_unknown_unit():

@@ -15,6 +15,7 @@ from lctkit.model import (
     PortMap,
 )
 from .test_sim import _outcome
+from .test_validation import _expr_table
 from .util import (
     SEEDS,
     TABLES,
@@ -93,7 +94,7 @@ def test_compare_builds_each_tables_bitsets_once(monkeypatch):
     backend = roundtrip.DeterministicBackend()
     report = roundtrip.run_roundtrip(fsm4, backend, backend, sim_suite=suite)
     assert report.outcome.label is roundtrip.Label.M
-    assert report.outcome.evidence.sim is roundtrip.SimVerdict.PASS
+    assert report.outcome.sim is roundtrip.SimVerdict.PASS
     assert len(built) == 3
     assert len({id(t) for t in built}) == 3 and built[0] is fsm4
 
@@ -255,12 +256,16 @@ def _renamed_regmux2():
     return rename_table(table, renames), renames
 
 
-def test_alias_alignment():
-    table = load_fixture("regmux2")
-    renamed, renames = _renamed_regmux2()
-    aliases = {orig: new for orig, new in renames.items()}
-    result = equiv.compare(table, renamed, aliases=aliases)
-    assert result.verdict.equivalent
+@pytest.mark.parametrize("table, renames", [
+    (load_fixture("regmux2"), {"rst_n": "RESETN", "data_out": "DOUT"}),
+    # Renamed inside a concatenation and a conditional expression header.
+    (_expr_table("{a, b} == 2'd3", a=1, b=1), {"a": "a2"}),
+    (_expr_table("(s ? a : b)", s=1, a=1, b=1), {"a": "x"}),
+], ids=["regmux2", "concat", "ternary"])
+def test_alias_alignment(table, renames):
+    result = equiv.compare(table, rename_table(table, renames),
+                           aliases=renames)
+    assert result.verdict is equiv.Verdict.TEXTUALLY_IDENTICAL
     assert "alias-renaming" in result.normalizations
 
 
@@ -277,14 +282,23 @@ def test_unmatched_port_raises_align_error():
         equiv.align(table, renamed)
 
 
-def test_width_mismatch_raises_align_error():
+@pytest.mark.parametrize("data_out, message", [
+    ([Port(Direction.OUTPUT, "data_out", 4)], "port data_out: width 8 vs 4"),
+    ([Port(Direction.INPUT, "data_out", 8)],
+     "port data_out: direction mismatch"),
+    ([Port(Direction.OUTPUT, "data_out", 8), Port(Direction.INPUT, "spare", 1)],
+     "unmatched ports in second table: ['spare']"),
+], ids=["width", "direction", "extra-port"])
+def test_port_mismatch_raises_align_error(data_out, message):
+    """mux4 against a copy whose data_out port is replaced by `data_out`."""
     table = load_fixture("mux4")
-    bad_ports = PortMap(tuple(
-        Port(p.direction, p.name, p.width if p.name != "data_out" else 4)
-        for p in table.ports.entries))
+    bad_ports = PortMap(tuple(q for p in table.ports.entries
+                              for q in (data_out if p.name == "data_out"
+                                        else [p])))
     other = dataclasses.replace(table, ports=bad_ports, rows=())
-    with pytest.raises(equiv.AlignError):
+    with pytest.raises(equiv.AlignError) as err:
         equiv.align(table, other)
+    assert str(err.value) == message
 
 
 def test_alias_that_pairs_no_ports_is_not_a_normalization():

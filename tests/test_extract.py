@@ -200,6 +200,8 @@ endmodule
     module = hdl.parse_hdl(text)
     with pytest.raises(extract.ExtractError):
         extract.hdl_to_lct(module, ["a"], ["q"])
+    with pytest.raises(extract.ExtractError, match="^no process 3 in two$"):
+        extract.hdl_to_lct(module, ["a"], ["q"], process_index=3)
     table = extract.hdl_to_lct(module, ["a"], ["q"], process_index=0)
     assert table.results == ("q",)
 

@@ -61,7 +61,7 @@ class _TruthGuardForward:
 
     def complete(self, request):
         table = request.payload
-        return TransformResponse(request.direction, f"""\
+        return TransformResponse(f"""\
 module {table.name} (
   input wire [2:0] a,
   input wire b,
@@ -139,6 +139,12 @@ def test_unparsable_expression_header_is_a_violation():
                    "(line 2, column 2)"),
     ("a,q\n0,1x\n", "bad output cell: malformed literal: '1x' "
                     "(line 2, column 2)"),
+    ("c,q\n0,0\n", "condition c is not declared in the port map (line 1)"),
+    ("a,r\n0,0\n", "result r is not declared in the port map (line 1)"),
+    ("\n \n", "empty CSV (line 1)"),
+    ("a,q\n0\n", "expected 2 cells, found 1 (line 2)"),
+    ("a,q,Comments\n0,1,x,y\n",
+     "expected 2 cells (+ optional comment), found 4 (line 2)"),
 ])
 def test_cell_errors(csv, message):
     with pytest.raises(tableio.ParseError) as err:

@@ -157,7 +157,7 @@ class _FixedForward:
         self.text = text
 
     def complete(self, request):
-        return TransformResponse(request.direction, self.text)
+        return TransformResponse(self.text)
 
 
 def test_nesting_at_limit_extracts_in_run_many_workers():

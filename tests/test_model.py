@@ -59,7 +59,7 @@ def test_bare_decimal_needs_width():
 
 
 @pytest.mark.parametrize("text", ["", "3'q7", "'b1", "3'b2", "abc'd1",
-                                  "\u0663", "\u0668'd12"])
+                                  "\u0663", "\u0668'd12", "0'd0"])
 def test_malformed_literals_rejected(text):
     with pytest.raises(LiteralError):
         parse_literal(text, default_width=8)

@@ -66,40 +66,30 @@ def test_extract_code_block():
 
 # --- classification ----------------------------------------------------------
 
-def _evidence(textual, semantic, sim, arbiter):
-    return rt.Evidence(textual, semantic, sim, arbiter)
-
-
 V = equiv.Verdict
 S = rt.SimVerdict
 A = rt.ArbiterVerdict
+NO_SIM = "no simulation evidence: cannot distinguish M from M SP"
+NO_ARBITER = "forward HDL not analyzable; attributing to forward"
 
 
-@pytest.mark.parametrize("evidence,label", [
-    (_evidence(True, V.TEXTUALLY_IDENTICAL, S.PASS, A.FORWARD_MATCHES),
-     rt.Label.M),
-    (_evidence(True, V.TEXTUALLY_IDENTICAL, S.FAIL, A.FORWARD_MATCHES),
-     rt.Label.M_SP),
-    (_evidence(False, V.EQUIVALENT, S.PASS, A.FORWARD_MATCHES),
-     rt.Label.X_EQ),
-    (_evidence(False, V.NOT_EQUIVALENT, S.FAIL, A.FORWARD_DIFFERS),
-     rt.Label.X_FW),
-    (_evidence(False, V.NOT_EQUIVALENT, S.PASS, A.FORWARD_DIFFERS),
-     rt.Label.X_FW_NS),
-    (_evidence(False, V.NOT_EQUIVALENT, S.FAIL, A.FORWARD_MATCHES),
-     rt.Label.X_INV),
-    (_evidence(False, None, S.UNAVAILABLE, A.UNAVAILABLE), rt.Label.X_FW),
+@pytest.mark.parametrize("semantic,sim,arbiter,label,caveat", [
+    (V.TEXTUALLY_IDENTICAL, S.PASS, A.FORWARD_MATCHES, rt.Label.M, None),
+    (V.TEXTUALLY_IDENTICAL, S.UNAVAILABLE, A.FORWARD_MATCHES, rt.Label.M,
+     NO_SIM),
+    (V.TEXTUALLY_IDENTICAL, S.FAIL, A.FORWARD_MATCHES, rt.Label.M_SP, None),
+    (V.EQUIVALENT, S.PASS, A.FORWARD_MATCHES, rt.Label.X_EQ, None),
+    (V.NOT_EQUIVALENT, S.FAIL, A.FORWARD_DIFFERS, rt.Label.X_FW, None),
+    (V.NOT_EQUIVALENT, S.PASS, A.FORWARD_DIFFERS, rt.Label.X_FW_NS, None),
+    (V.NOT_EQUIVALENT, S.FAIL, A.FORWARD_MATCHES, rt.Label.X_INV, None),
+    (None, S.UNAVAILABLE, A.UNAVAILABLE, rt.Label.X_FW, NO_ARBITER),
+    (V.NOT_EQUIVALENT, S.PASS, A.UNAVAILABLE, rt.Label.X_FW_NS, NO_ARBITER),
 ])
-def test_classify_outcome(evidence, label):
-    assert rt.classify_outcome(evidence).label is label
-
-
-def test_textual_match_without_sim_is_caveated():
-    outcome = rt.classify_outcome(
-        _evidence(True, V.TEXTUALLY_IDENTICAL, S.UNAVAILABLE,
-                  A.FORWARD_MATCHES))
-    assert outcome.label is rt.Label.M
-    assert outcome.caveat
+def test_classify_outcome(semantic, sim, arbiter, label, caveat):
+    outcome = rt.classify_outcome(semantic, sim, arbiter)
+    assert (outcome.label, outcome.caveat) == (label, caveat)
+    assert (outcome.semantic, outcome.sim, outcome.arbiter) == \
+        (semantic, sim, arbiter)
 
 
 # --- deterministic loop ------------------------------------------------------
@@ -287,7 +277,7 @@ def test_forward_fault_labelled_x_fw():
     backend = rt.FaultInjectingBackend(fault, TransformDirection.FORWARD)
     report = rt.run_roundtrip(orig, backend, det())
     assert report.outcome.label is rt.Label.X_FW
-    assert report.outcome.evidence.arbiter is A.FORWARD_DIFFERS
+    assert report.outcome.arbiter is A.FORWARD_DIFFERS
 
 
 def test_inverse_fault_labelled_x_inv():
@@ -296,7 +286,7 @@ def test_inverse_fault_labelled_x_inv():
     backend = rt.FaultInjectingBackend(fault, TransformDirection.INVERSE)
     report = rt.run_roundtrip(orig, det(), backend)
     assert report.outcome.label is rt.Label.X_INV
-    assert report.outcome.evidence.arbiter is A.FORWARD_MATCHES
+    assert report.outcome.arbiter is A.FORWARD_MATCHES
     assert "  counterexample: at rst_n=1 state=0 cond0=1 cond1=0: " \
         "next_state = 3 vs 0" in report.render().splitlines()
 
@@ -321,7 +311,7 @@ def test_unparsable_inverse_response_is_x_inv(old, new, note):
             response = inner.complete(request)
             text = response.text.replace(old, new)
             assert text != response.text
-            return TransformResponse(request.direction, text)
+            return TransformResponse(text)
 
     report = rt.run_roundtrip(load_fixture("mux4"), det(), Edited())
     assert report.error is None
@@ -348,7 +338,7 @@ def test_forward_fault_caught_by_simulation_is_x_fw():
     ]]
     report = rt.run_roundtrip(orig, backend, det(), sim_suite=probing)
     assert report.outcome.label is rt.Label.X_FW
-    assert report.outcome.evidence.sim is S.FAIL
+    assert report.outcome.sim is S.FAIL
 
 
 def test_self_cancelling_fault_pair_is_blind_spot():
@@ -513,7 +503,6 @@ def test_roundtrip_through_fenced_remote_responses():
             response = inner.complete(request)
             from lctkit.model import TransformResponse
             return TransformResponse(
-                request.direction,
                 "Here you go:\n```\n" + response.text + "```\ndone.")
 
     report = rt.run_roundtrip(table, Fenced(), Fenced())
@@ -526,11 +515,11 @@ def test_garbage_forward_response_attributed_to_forward():
 
         def complete(self, request):
             from lctkit.model import TransformResponse
-            return TransformResponse(request.direction, "not verilog at all")
+            return TransformResponse("not verilog at all")
 
     report = rt.run_roundtrip(load_fixture("mux4"), Garbage(), det())
     assert report.outcome.label is rt.Label.X_FW
-    assert report.outcome.evidence.arbiter is A.UNAVAILABLE
+    assert report.outcome.arbiter is A.UNAVAILABLE
     error = "expected 'module', found 'not' (line 1, column 1)"
     assert report.render().splitlines()[-2:] == [
         f"  note: arbiter: {error}", f"  note: inverse: {error}"]
@@ -544,4 +533,4 @@ def test_perfect_roundtrip_of_a_clocked_dont_care_passes_simulation():
     report = rt.run_roundtrip(clocked_dont_care_lct(), det(), det(),
                               sim_suite=suite)
     assert report.outcome.label is rt.Label.M
-    assert report.outcome.evidence.sim is S.PASS
+    assert report.outcome.sim is S.PASS

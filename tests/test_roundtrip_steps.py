@@ -42,6 +42,9 @@ def _fsm():
     return analysis.generate_fsm(16, 4, 4, seed=1)
 
 
+_FSM_HDL = codegen.gen_unit(_fsm())
+
+
 @pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
 def test_deterministic_round_trip_does_each_step_once(calls, style):
     backend = rt.DeterministicBackend(style)
@@ -94,7 +97,7 @@ class _FixedForward:
         self.text = text
 
     def complete(self, request):
-        return TransformResponse(request.direction, self.text)
+        return TransformResponse(self.text)
 
 
 @pytest.mark.parametrize("hdl_text, error", [
@@ -102,6 +105,20 @@ class _FixedForward:
      "column 14)"),
     ("module m (input wire a, output reg q);\nendmodule\n",
      "module m has no processes"),
+    (_FSM_HDL.replace("next_state <= 4'b0000;",
+                      "next_state <= (state & state);", 1),
+     "assignment to next_state is not a constant or signal "
+     "(found (state & state))"),
+    (_FSM_HDL.replace("next_state <= 4'b0000;", "n <= 4'b0000;", 1),
+     "assignment to non-schema signal n"),
+    (_FSM_HDL.replace("if ((rst_n == 1'b0))", "if ((out0 == 1'b0))", 1),
+     "branch condition over non-input signal out0"),
+    # A result that is an internal reg takes its width from the module's
+    # nets; the table then names no output port.
+    (_FSM_HDL.replace("  output reg out2,\n  output reg out3\n);",
+                      "  output reg out2\n);\nreg out3;", 1),
+     "reconstructed table is invalid: [unknown-port] column out3: result "
+     "out3 is not an output port"),
 ])
 def test_forward_hdl_that_does_not_extract_is_noted_twice(hdl_text, error):
     report = rt.run_roundtrip(_fsm(), _FixedForward(hdl_text),
@@ -120,8 +137,7 @@ class _ExactInverse:
         payload = request.payload
         table = extract.hdl_text_to_lct(payload.hdl_text, payload.conditions,
                                         payload.results)
-        return TransformResponse(request.direction,
-                                 tableio.serialize_unit_doc(table))
+        return TransformResponse(tableio.serialize_unit_doc(table))
 
 
 def test_identical_reconstruction_reuses_the_arbiter_verdict(calls):

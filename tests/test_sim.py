@@ -122,7 +122,7 @@ def test_fsm4_hold_row_keeps_state_and_outputs():
         {"rst_n": BV(1, 1), "cond0": BV(1, 0), "cond1": BV(1, 0)},  # hold
     ]
     states = sim.run_trace(table, stimulus)
-    assert states[1].as_dict() == states[2].as_dict()
+    assert dict(states[1].registers) == dict(states[2].registers)
 
 
 def test_initial_state_is_all_zero():
@@ -141,9 +141,16 @@ def test_unmatched_clocked_assignment_holds():
     assert state.get("next_state") == BV(2, 0)
 
 
-def test_eval_comb_requires_combinational():
-    with pytest.raises(sim.SimError):
-        sim.eval_comb(load_fixture("fsm4"), {})
+@pytest.mark.parametrize("step, name, message", [
+    (lambda table: sim.eval_comb(table, {}), "fsm4",
+     "eval_comb requires a combinational table"),
+    (lambda table: sim.step_clocked(table, sim.SeqState(()), {}), "mux4",
+     "step_clocked requires a clocked table"),
+], ids=["eval_comb", "step_clocked"])
+def test_each_step_requires_its_clocking(step, name, message):
+    with pytest.raises(sim.SimError) as err:
+        step(load_fixture(name))
+    assert str(err.value) == message
 
 
 def test_missing_condition_input_raises():
@@ -199,7 +206,7 @@ def test_format_trace_round_trips_through_grammar():
     table = load_fixture("fsm4")
     states = sim.run_trace(table, [
         {"rst_n": BV(1, 0), "cond0": BV(1, 0), "cond1": BV(1, 0)}])
-    text = sim.format_trace(table, states)
+    text = sim.format_trace(states)
     assert "next_state=0" in text
 
 

@@ -247,7 +247,7 @@ class _Broken:
             return self.inner.complete(request)
         if self.raises:
             raise rt.BackendError(f"{self.direction.value} endpoint down")
-        return TransformResponse(request.direction, "```\nnot valid\n```\n")
+        return TransformResponse("```\nnot valid\n```\n")
 
 
 def _pairs(style):
@@ -436,10 +436,9 @@ def _run(table, vectors):
     empty = sim.SeqState(())
     fed = {cond: BitVector(table.result_width(result), 0)
            for result, cond in table.feedback}
-    return [_outcome(lambda: sim.format_trace(
-                table, sim.run_trace(table, vectors))),
+    return [_outcome(lambda: sim.format_trace(sim.run_trace(table, vectors))),
             [_outcome(lambda: sim.format_trace(
-                table, [sim.step_clocked(table, empty, {**fed, **vector})]))
+                [sim.step_clocked(table, empty, {**fed, **vector})]))
              for vector in vectors]]
 
 
