@@ -282,8 +282,9 @@ class RemoteChatBackend:
 
 def drop_row(index: int) -> Callable[[Lct], Lct]:
     def fault(table: Lct) -> Lct:
-        rows = tuple(r for i, r in enumerate(table.rows) if i != index)
-        return replace(table, rows=rows)
+        rows = list(table.rows)
+        del rows[index]
+        return replace(table, rows=tuple(rows))
     return fault
 
 

@@ -357,7 +357,11 @@ def test_self_cancelling_fault_pair_is_blind_spot():
 def test_drop_and_spurious_and_merge_faults():
     table = load_fixture("fsm4")
     dropped = rt.drop_row(3)(table)
-    assert len(dropped.rows) == 9
+    assert dropped.rows == table.rows[:3] + table.rows[4:]
+    assert rt.drop_row(-1)(table).rows == table.rows[:-1]
+    for index in (len(table.rows), -len(table.rows) - 1):
+        with pytest.raises(IndexError):
+            rt.drop_row(index)(table)
     spurious = rt.add_spurious_row(0, table.rows[2])(table)
     assert len(spurious.rows) == 11
     merged = rt.merge_rows(2, 3)(table)
