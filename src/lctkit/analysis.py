@@ -12,8 +12,8 @@ plus one per leading column per block.  ``check_coverage`` takes every
 finding from a single walk.  Its bitsets, and the outputs it compares,
 are the table's one first-match form, its ``sim`` kernel, built on
 first use and freed with the table.  Past the walk, canonicalization
-keeps a row that needs no change as it is, and one code per cell
-(``cell_codes``) orders the rows and keys ``equiv``'s textual check.
+keeps a row that needs no change as it is and codes each kept row once
+(``cell_codes``): the codes sort the rows and key ``equiv``'s textual check.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ def _prune(table: Lct, enum_limit: int) -> tuple:
     may sort them, from the distinct match sets of one walk.  Past the
     limit every row is kept in order."""
     try:
-        sets = {m for _, m in match_sets(table, enum_limit)}
+        sets = set(map(operator.itemgetter(1), match_sets(table, enum_limit)))
     except EnumLimitError:
         return (1 << len(table.rows)) - 1, False
     keep = 0  # the rows that are first match somewhere
@@ -245,6 +245,8 @@ def _prune(table: Lct, enum_limit: int) -> tuple:
         holds = keep
         for name, cells in zip(table.results,
                                zip(*[row.outputs for row in table.rows])):
+            if not holds:
+                break
             holds &= sum(1 << i for i, cell in enumerate(cells)
                          if type(cell) is DontCare or type(cell) is SignalRef
                          and cell.name == name)
@@ -274,7 +276,8 @@ def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
     row that needs no change is the table's own row object: its columns
     are in key order already, and it has no label, no comment and no
     clocked don't-care output.  Any other kept row is built once, its
-    cells picked in sorted column order.
+    cells picked in sorted column order.  The rows' codes, computed once,
+    stay in the returned (new) table's ``__dict__`` as ``_row_codes``.
     """
     keep, sort_rows = _prune(table, enum_limit)
 
@@ -308,18 +311,23 @@ def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
                                 for cell, hold in zip(outputs, holds))
             row = CaseRow(pick_inputs(row.inputs), outputs)
         rows.append(row)
+    codes = [(cell_codes(row.inputs), cell_codes(row.outputs)) for row in rows]
     if sort_rows:
+        keys = [inputs for inputs, _ in codes]
         try:
-            rows.sort(key=lambda row: cell_codes(row.inputs))
+            order = sorted(range(len(rows)), key=keys.__getitem__)
         except TypeError:  # a signal beside a number in one column
-            rows.sort(key=lambda row: tuple(
-                (type(code) is str, code) for code in cell_codes(row.inputs)))
+            order = sorted(range(len(rows)), key=lambda i: tuple(
+                (type(code) is str, code) for code in keys[i]))
+        rows, codes = [rows[i] for i in order], [codes[i] for i in order]
 
     ports = tuple(sorted(table.ports.entries,
                          key=lambda p: (p.direction.value, p.name)))
-    return Lct(name=table.name, clocking=table.clocking,
-               conditions=conditions, results=results,
-               rows=tuple(rows), ports=PortMap(ports), feedback=())
+    canonical = Lct(name=table.name, clocking=table.clocking,
+                    conditions=conditions, results=results,
+                    rows=tuple(rows), ports=PortMap(ports), feedback=())
+    canonical.__dict__["_row_codes"] = tuple(codes)
+    return canonical
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ collapse under this comparison without per-case rules.  Data inputs are
 compared as the pass-through cells that name them: two tables agree only
 if they pass through the same input under the same control assignment.  Each table's row
 bitsets and outputs are those of its one ``sim`` kernel, built on first
-use and freed with the table.
+use and freed with the table.  The textual check reads the row codes
+canonicalization keeps; the walk decides each joint match set once.
 """
 
 from __future__ import annotations
@@ -192,9 +193,7 @@ def _canonical_key(table: Lct, enum_limit: int) -> tuple:
     column may hold 1'd1 or 2'd1 alike)."""
     c = analysis.canonicalize(table, enum_limit)
     return (c.clocking, c.ports, tuple(h.text for h in c.conditions),
-            c.results,
-            tuple((analysis.cell_codes(row.inputs),
-                   analysis.cell_codes(row.outputs)) for row in c.rows))
+            c.results, c.__dict__["_row_codes"])
 
 
 def textual_match(a: Lct, b: Lct,
@@ -241,19 +240,20 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
 
     # Walk both tables' rows as one bitset, a's rows in the low bits.  A
     # pass-through of a condition signal read as its cell only merges
-    # equal values, so a row pair that agrees once agrees everywhere.
-    # Any other pair is settled by the oracle at the assignment itself.
+    # equal values, so a joint match set whose row pair agrees is decided
+    # once.  Any other pair is settled by the oracle at each assignment.
     outputs_a, outputs_b = sim.row_values(a), sim.row_values(b)
     compiled = None
     n = len(a.rows)
     low = (1 << n) - 1
     agreeing = set()
     for assignment, m in analysis.match_sets(a, enum_limit, b):
-        pair = sim.first_row(m & low), sim.first_row(m >> n)
-        if pair in agreeing:
+        if m in agreeing:
             continue
-        if all(map(_values_agree, outputs_a[pair[0]], outputs_b[pair[1]])):
-            agreeing.add(pair)
+        va = outputs_a[sim.first_row(m & low)]
+        vb = outputs_b[sim.first_row(m >> n)]
+        if va == vb or all(map(_values_agree, va, vb)):
+            agreeing.add(m)
             continue
         if compiled is None:
             compiled = sim.compile_rows(a), sim.compile_rows(b)

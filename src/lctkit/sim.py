@@ -105,14 +105,9 @@ def control_space_size(table: Lct) -> int:
 def compile_rows(table: Lct) -> List[tuple]:
     """Per row, the tuple of (column index, required value) constraints;
     don't-care cells impose no constraint."""
-    compiled = []
-    for row in table.rows:
-        constraints = []
-        for idx, cell in enumerate(row.inputs):
-            if isinstance(cell, Constant):
-                constraints.append((idx, cell.bv.value))
-        compiled.append(tuple(constraints))
-    return compiled
+    return [tuple((idx, cell.bv.value) for idx, cell in enumerate(row.inputs)
+                  if isinstance(cell, Constant))
+            for row in table.rows]
 
 
 def row_matches(constraints: tuple, assignment: tuple) -> bool:

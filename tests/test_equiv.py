@@ -6,13 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from lctkit import analysis, equiv, roundtrip, sim, tableio
 from lctkit.model import (
+    DONT_CARE,
     BitVector,
     CaseRow,
     Clocking,
     Constant,
     Direction,
+    Lct,
     Port,
     PortMap,
+    SignalHeader,
+    SignalRef,
 )
 from .test_sim import _outcome
 from .test_validation import _expr_table
@@ -387,3 +391,20 @@ def test_clocked_dont_care_output_is_a_hold_not_a_free_choice():
     result = equiv.compare(table, dataclasses.replace(table, rows=rows))
     assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
     assert str(result.counterexample) == "at c=1: r = <hold> vs 2"
+
+
+def test_a_pair_only_the_oracle_settles_is_asked_at_each_assignment():
+    """``y = c`` and ``y = 2'd0`` agree at c=0, and only through the
+    oracle, which reads c there.  Their joint match set is the same at
+    every c, so agreeing once must not decide it: the walk goes on to
+    c=1, in either order."""
+    ports = PortMap((Port(Direction.INPUT, "c", 2),
+                     Port(Direction.OUTPUT, "y", 2)))
+    a = Lct("a", Clocking.COMBINATIONAL, (SignalHeader("c"),), ("y",),
+            (CaseRow((DONT_CARE,), (SignalRef("c"),)),), ports)
+    b = dataclasses.replace(a, name="b", rows=(
+        CaseRow((DONT_CARE,), (Constant(BitVector(2, 0)),)),))
+    for first, second, values in ((a, b, "1 vs 0"), (b, a, "0 vs 1")):
+        result = equiv.compare(first, second)
+        assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
+        assert str(result.counterexample) == f"at c=1: y = {values}"

@@ -64,6 +64,20 @@ def test_pruning_and_canonical_form_match_reference(table):
         [i for i in pruned if i not in dropped]
 
 
+@settings(max_examples=200)
+@given(ALL_TABLES)
+def test_canonical_form_keeps_its_row_codes(table):
+    """The codes canonicalization computes once per kept row are those
+    of the canonical rows, kept on the new table it returns; neither the
+    input table nor a ``dataclasses.replace``d copy carries them."""
+    canonical = analysis.canonicalize(table)
+    assert canonical.__dict__["_row_codes"] == tuple(
+        (analysis.cell_codes(row.inputs), analysis.cell_codes(row.outputs))
+        for row in canonical.rows)
+    assert "_row_codes" not in table.__dict__
+    assert "_row_codes" not in dataclasses.replace(canonical).__dict__
+
+
 def test_rows_that_need_no_change_are_kept_as_they_are():
     """A kept row whose columns are in key order and that has no label,
     no comment and no clocked don't-care output is the table's own row
