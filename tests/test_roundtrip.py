@@ -71,6 +71,8 @@ S = rt.SimVerdict
 A = rt.ArbiterVerdict
 NO_SIM = "no simulation evidence: cannot distinguish M from M SP"
 NO_ARBITER = "forward HDL not analyzable; attributing to forward"
+MASKED = ("textual match, but the arbiter finds the forward HDL differs: "
+          "the inverse masked a forward fault")
 
 
 @pytest.mark.parametrize("semantic,sim,arbiter,label,caveat", [
@@ -84,6 +86,11 @@ NO_ARBITER = "forward HDL not analyzable; attributing to forward"
     (V.NOT_EQUIVALENT, S.FAIL, A.FORWARD_MATCHES, rt.Label.X_INV, None),
     (None, S.UNAVAILABLE, A.UNAVAILABLE, rt.Label.X_FW, NO_ARBITER),
     (V.NOT_EQUIVALENT, S.PASS, A.UNAVAILABLE, rt.Label.X_FW_NS, NO_ARBITER),
+    (V.TEXTUALLY_IDENTICAL, S.FAIL, A.FORWARD_DIFFERS, rt.Label.X_FW, MASKED),
+    (V.TEXTUALLY_IDENTICAL, S.PASS, A.FORWARD_DIFFERS, rt.Label.X_FW_NS,
+     MASKED),
+    (V.TEXTUALLY_IDENTICAL, S.UNAVAILABLE, A.FORWARD_DIFFERS, rt.Label.X_FW,
+     MASKED),
 ])
 def test_classify_outcome(semantic, sim, arbiter, label, caveat):
     outcome = rt.classify_outcome(semantic, sim, arbiter)
@@ -343,7 +350,8 @@ def test_forward_fault_caught_by_simulation_is_x_fw():
 
 def test_self_cancelling_fault_pair_is_blind_spot():
     """A forward fault undone by a matching inverse fault reconstructs
-    the original table: the loop alone cannot see it."""
+    the original table: the textual check alone cannot see it, but the
+    arbiter does, so the round trip is X FW, not M."""
     orig = analysis.generate_fsm(4, 2, 3, seed=0)
     forward = rt.FaultInjectingBackend(_flip_fault(orig, 2, 0),
                                        TransformDirection.FORWARD)
@@ -351,7 +359,34 @@ def test_self_cancelling_fault_pair_is_blind_spot():
         rt.alter_output_cell(2, 0, orig.rows[2].outputs[0]),
         TransformDirection.INVERSE)
     report = rt.run_roundtrip(orig, forward, inverse)
-    assert report.outcome.label is rt.Label.M
+    assert report.outcome.label is rt.Label.X_FW
+
+
+def test_forward_fault_masked_by_the_inverse_is_x_fw():
+    """mux4's second row dropped in the forward HDL, and an inverse that
+    answers with the specification itself: a textual match that the
+    arbiter contradicts is X FW, and its counterexample is the
+    arbiter's, beside a caveat that says why."""
+    spec = load_fixture("mux4")
+
+    class Specification:
+        name = "specification"
+
+        def complete(self, request):
+            return TransformResponse(tableio.serialize_unit_doc(spec))
+
+    forward = rt.FaultInjectingBackend(rt.drop_row(1),
+                                       TransformDirection.FORWARD)
+    report = rt.run_roundtrip(spec, forward, Specification())
+    assert report.outcome.semantic is V.TEXTUALLY_IDENTICAL
+    assert report.outcome.arbiter is A.FORWARD_DIFFERS
+    assert (report.outcome.label, report.outcome.caveat) == \
+        (rt.Label.X_FW, MASKED)
+    lines = report.render().splitlines()
+    assert lines[0] == "unit mux4: X FW"
+    assert "  counterexample: at enable=1 select=0: data_out = data0 vs 0" \
+        in lines
+    assert f"  caveat: {MASKED}" in lines
 
 
 def test_drop_and_spurious_and_merge_faults():
