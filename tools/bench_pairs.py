@@ -14,7 +14,12 @@ runs once with ``--trace 1``.  The file keeps, per workload, seed and
 side, the median and quartiles of every end-to-end metric over the
 pairs, the pairs the change won on each metric, and every per-layer
 figure of the traced run, and the commit of each checkout, marked dirty
-when the checkout has uncommitted changes to tracked files.  Running the
+when the checkout has uncommitted changes to tracked files.  Beside the
+end-to-end metrics, which are scaled to the speed of perfbench's
+reference loop, it keeps the same figures as measured (``raw_*``), read
+from each untraced run's record under ``.perfbench_out/``: lctkit's
+allocation pattern can move the reference loop, so a scaled figure can
+move a few percent while lctkit's own time does not.  Running the
 command again for another workload or seed adds to the file; the same
 workload and seed are replaced.
 """
@@ -29,10 +34,14 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+# The unscaled figures of an untraced run, from its record's notes.
+RAW = {"raw_ops_per_s": "1/s", "raw_op_s_p50": "s", "raw_op_s_tail": "s"}
+HIGHER = ("ops_per_s", "raw_ops_per_s")  # every other metric: lower wins
 
 
 def run(checkout, workload, seed, seconds, trace):
-    """The metrics of one benchmark run in ``checkout``."""
+    """The metrics of one benchmark run in ``checkout``; an untraced
+    run's also hold its ``RAW`` figures."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -41,7 +50,15 @@ def run(checkout, workload, seed, seconds, trace):
     result = json.loads(out.splitlines()[-1])
     if not result["correct"] or result["failed"]:
         sys.exit(f"{checkout}: {workload} run is not correct")
-    return result["metrics"]
+    metrics = result["metrics"]
+    if not trace:
+        record = os.path.join(checkout, ".perfbench_out",
+                              f"{workload}-{seed}-trace0.json")
+        with open(record, encoding="utf-8") as f:
+            notes = json.load(f)["notes"]
+        metrics.update({name: {"value": notes[name], "unit": unit}
+                        for name, unit in RAW.items()})
+    return metrics
 
 
 def checkout_state(checkout):
@@ -58,7 +75,9 @@ def checkout_state(checkout):
 
 
 def summary(values):
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    # ``quantiles`` needs two runs; one run is its own quartiles.
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -90,7 +109,7 @@ def main(argv=None):
              "checkouts": states,
              "end_to_end": {}, "change_wins": {}, "traced": {}}
     for name, metric in runs["parent"][0].items():
-        higher = name == "ops_per_s"  # every other metric: lower wins
+        higher = name in HIGHER
         by_side = {side: [r[name]["value"] for r in runs[side]]
                    for side in SIDES}
         entry["end_to_end"][name] = {
