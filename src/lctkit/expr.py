@@ -168,9 +168,11 @@ class _Parser:
         self.i = 0
         self.brackets = 0
         self.operators = 0
-        # Leaf text -> its node, for this parse; a text that fails is not
+        # Leaf text -> its node, and the texts `a OP b )` after a `(`, a and
+        # b leaves, -> their Binary, for this parse; a text that fails is not
         # kept, so each occurrence raises at its own token.
         self.leaves = {}
+        self.terms = {}
 
     def error(self, message: str, at: Optional[int] = None) -> LctError:
         """The error for token index `at` (default: the next token)."""
@@ -264,9 +266,17 @@ class _Parser:
     def primary(self):
         tok = self.take()
         if tok == "(":
-            self.open_bracket(self.i - 1)
-            node = self.expression()
-            self.take(")")
+            start = self.i
+            self.open_bracket(start - 1)
+            key = tuple(self.tokens[start:start + 4])
+            node = self.terms.get(key)
+            if node is None:
+                node = self.expression()
+                self.take(")")
+                if self.i == start + 4 and key[1] in _BINARY:
+                    self.terms[key] = node
+            else:
+                self.i = start + 4
             self.brackets -= 1
             return node
         if tok == "{":

@@ -58,6 +58,9 @@ class _Env:
 
 
 class _Builder:
+    """One process's paths as a table.  What it decides per node of the
+    reader's tree, which shares equal nodes, it keeps by node identity."""
+
     def __init__(self, module: HdlModule, process: HdlProcess,
                  conditions: Sequence[str], results: Sequence[str]):
         self.module = module
@@ -70,9 +73,12 @@ class _Builder:
         self.key_index: dict = {}
         self.has_expr_header = False
         self.constants: dict = {}  # (width, value) -> Constant
-        # id(subject) -> (subject, its label fields); an added expression
-        # column may bind a part of a subject, so adding one empties it.
+        # id(node) -> (node, a subject's label fields, a `subject == number`
+        # term's constraints or a plain assignment's cell).  An expression
+        # column may bind a subject's part or a term: adding one empties both.
         self.label_fields: dict = {}
+        self.terms: dict = {}
+        self.cells: dict = {}
         # Names of the signal columns that passed `_column`'s checks.
         self.bound_signals: set = set()
         for text in conditions:
@@ -96,6 +102,7 @@ class _Builder:
             if is_expr:
                 self.has_expr_header = True
                 self.label_fields.clear()
+                self.terms.clear()
             self.widths.append(1 if is_expr else self._signal_width(key))
             self.key_index[key] = len(self.headers)
             self.headers.append(header)
@@ -147,21 +154,19 @@ class _Builder:
         self.label_fields[id(node)] = node, (pairs, sum(w for _, w in pairs))
         return self.label_fields[id(node)][1]
 
-    def _apply_label(self, env: _Env, subject, fields, label) -> bool:
-        """`subject == label`, a number or a wildcard label: one
-        constraint per column the label does not wildcard."""
+    def _apply_label(self, env: _Env, term, subject, fields, label) -> bool:
+        """`subject == label`, a number, whose constraints are kept for the
+        term, or a wildcard label: one per column it does not wildcard."""
         fields, total = fields
         if isinstance(label, ex.Num):
             value = label.value
             if value >> total:
                 raise ExtractError(f"condition value {value} exceeds "
                                    f"width of {ex.render(subject)}")
-            for header, width in fields:
-                total -= width
-                if not self._column(env, header,
-                                    (value >> total) & ((1 << width) - 1)):
-                    return False
-            return True
+            constraints = [(header, (value >> (total := total - width))
+                            & ((1 << width) - 1)) for header, width in fields]
+            self.terms[id(term)] = term, constraints
+            return self._apply_terms(env, constraints)
         if label.width != total:
             raise ExtractError(
                 f"case label width {label.width} != subject width {total}")
@@ -174,6 +179,13 @@ class _Builder:
                 raise ExtractError(
                     f"partial wildcard over {header.key} in case label")
             if not self._column(env, header, int(chunk, 2)):
+                return False
+        return True
+
+    def _apply_terms(self, env: _Env, constraints) -> bool:
+        """Each (header, value) in turn, up to the first infeasible."""
+        for header, value in constraints:
+            if not self._column(env, header, value):
                 return False
         return True
 
@@ -202,12 +214,16 @@ class _Builder:
             return (self._apply_condition(env, node.lhs)
                     and self._apply_condition(env, node.rhs))
         if isinstance(node, ex.Binary) and node.op == "==":
+            cached = self.terms.get(id(node))
+            if cached is not None and cached[0] is node:
+                return self._apply_terms(env, cached[1])
             for subject, label in ((node.lhs, node.rhs),
                                    (node.rhs, node.lhs)):
                 if isinstance(label, (ex.Num, ex.CasePattern)):
                     fields = self._label_fields(subject)
                     if fields is not None:
-                        return self._apply_label(env, subject, fields, label)
+                        return self._apply_label(env, node, subject, fields,
+                                                 label)
         # `~~x` and `{x}` are `x`.  Folding them keeps a guard nested to
         # the reader's limit in these within what validate_lct allows.
         if isinstance(node, ex.Concat) and len(node.parts) == 1:
@@ -252,7 +268,11 @@ class _Builder:
         for stmt in body:
             if isinstance(stmt, HAssign) and \
                     not isinstance(stmt.rhs, ex.Ternary):
-                cell = self._cell(stmt.lhs, stmt.rhs)
+                cached = self.cells.get(id(stmt))
+                if cached is None or cached[0] is not stmt:
+                    cached = self.cells[id(stmt)] = \
+                        stmt, self._cell(stmt.lhs, stmt.rhs)
+                cell = cached[1]
                 for env in envs:
                     env.assigns[stmt.lhs] = cell
                     env.fall_through = False

@@ -5,6 +5,8 @@ edge-triggered or combinational always blocks containing if/else,
 case/casez, and blocking/nonblocking assignments.
 
 Anything outside the subset fails with the construct named and located.
+Within one parse, equal terms `(a OP b)` and equal statements `x OP b;`
+over leaves a and b are one shared node, so an HAssign is frozen.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class HdlPort:
     is_reg: bool
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class HAssign:
     lhs: str
     rhs: object
@@ -85,6 +87,7 @@ class _Parser(ex._Parser):
     def __init__(self, tokens: List[str], text: str):
         super().__init__(tokens)
         self.text = text
+        self.assigns = {}  # the texts `name OP leaf ;` -> their HAssign
 
     def error(self, message: str, at: Optional[int] = None) -> HdlError:
         # Past the end, at the last token: parse_hdl reads no empty list.
@@ -110,12 +113,10 @@ class _Parser(ex._Parser):
         module = HdlModule(name=name, ports=[])
         self.take("(")
         if not self.at(")"):
-            while True:
+            self.port_decl(module)
+            while self.at(","):
+                self.take(",")
                 self.port_decl(module)
-                if self.at(","):
-                    self.take(",")
-                else:
-                    break
         self.take(")")
         self.take(";")
         while not self.at("endmodule"):
@@ -175,10 +176,9 @@ class _Parser(ex._Parser):
             name = self.take_ident()
             if module.port(name) is None:
                 module.nets[name] = width
-            if self.at(","):
-                self.take(",")
-            else:
+            if not self.at(","):
                 break
+            self.take(",")
         self.take(";")
 
     def cont_assign(self, module: HdlModule):
@@ -248,14 +248,22 @@ class _Parser(ex._Parser):
         tok = self.tokens[self.i]
         # The commonest statement first; no keyword is an identifier.
         if self.is_ident(tok):
+            start = self.i
+            key = tuple(self.tokens[start:start + 4])
+            node = self.assigns.get(key)
+            if node is not None:
+                self.i = start + 4
+                return [node]
             self.i += 2
-            op = self.tokens[self.i - 1]
+            op = key[1]
             if op != "=" and op != "<=":
                 raise self.error(f"expected assignment, found {op!r}" if op
                                  else "unexpected end of input", self.i - 1)
-            rhs = self.expression()
+            node = HAssign(tok, self.expression(), op == "<=")
             self.take(";")
-            return [HAssign(tok, rhs, op == "<=")]
+            if self.i == start + 4:
+                self.assigns[key] = node
+            return [node]
         if not tok:
             raise self.error("unexpected end of input in statement")
         self.check_supported(tok)

@@ -364,7 +364,9 @@ class Violation:
 
 def validate_lct(table: Lct) -> list:
     """Check every structural invariant of an Lct.  Returns a list of
-    violations; an empty list means the table is well formed."""
+    violations; an empty list means the table is well formed.  Each
+    column's kind and port width are looked up once; cells are checked
+    row by row, each row's inputs and then outputs, left to right."""
     out = []
 
     def bad(code, message, row=None, column=None):
@@ -416,8 +418,12 @@ def validate_lct(table: Lct) -> list:
             bad("unknown-port", f"result {name} is not an output port",
                 column=name)
 
-    n_cond = len(table.conditions)
-    n_res = len(table.results)
+    conds = [(col, True, None) if isinstance(header, ExprHeader)
+             else (col, False, ports.get(header.name))
+             for header, col in zip(table.conditions, keys)]
+    results = [(name, ports.get(name)) for name in table.results]
+    n_cond = len(conds)
+    n_res = len(results)
     for i, row in enumerate(table.rows):
         if len(row.inputs) != n_cond:
             bad("arity", f"{len(row.inputs)} input cells, expected {n_cond}",
@@ -427,25 +433,26 @@ def validate_lct(table: Lct) -> list:
             bad("arity", f"{len(row.outputs)} output cells, expected {n_res}",
                 row=i)
             continue
-        for header, col, cell in zip(table.conditions, keys, row.inputs):
-            if isinstance(cell, SignalRef):
-                bad("input-ref",
-                    "input cells may be constants or X only", row=i,
-                    column=col)
-            elif isinstance(cell, Constant):
-                if isinstance(header, ExprHeader):
+        for (col, is_expr, port), cell in zip(conds, row.inputs):
+            if type(cell) is Constant:
+                if is_expr:
                     if cell.bv.value not in (0, 1):
                         bad("expr-cell",
                             "expression column cells must be 0, 1, or X",
                             row=i, column=col)
-                else:
-                    port = ports.get(header.name)
-                    if port is not None and cell.bv.width != port.width:
-                        bad("width",
-                            f"cell width {cell.bv.width} != port width "
-                            f"{port.width}", row=i, column=col)
-        for name, cell in zip(table.results, row.outputs):
-            if isinstance(cell, SignalRef):
+                elif port is not None and cell.bv.width != port.width:
+                    bad("width", f"cell width {cell.bv.width} != port width "
+                        f"{port.width}", row=i, column=col)
+            elif type(cell) is SignalRef:
+                bad("input-ref",
+                    "input cells may be constants or X only", row=i,
+                    column=col)
+        for (name, port), cell in zip(results, row.outputs):
+            if type(cell) is Constant:
+                if port is not None and cell.bv.width != port.width:
+                    bad("width", f"cell width {cell.bv.width} != port width "
+                        f"{port.width}", row=i, column=name)
+            elif type(cell) is SignalRef:
                 if cell.name == "X":
                     bad("x-ref", "a cell naming signal X would read as "
                         "don't care", row=i, column=name)
@@ -455,22 +462,15 @@ def validate_lct(table: Lct) -> list:
                             "hold cell in a combinational table", row=i,
                             column=name)
                 elif cell.name in input_names:
-                    src = ports.get(cell.name)
-                    dst = ports.get(name)
-                    if src and dst and src.width != dst.width:
-                        bad("width",
-                            f"pass-through {cell.name} width {src.width} != "
-                            f"result width {dst.width}", row=i, column=name)
+                    src = ports[cell.name]  # an input port
+                    if port is not None and src.width != port.width:
+                        bad("width", f"pass-through {cell.name} width "
+                            f"{src.width} != result width {port.width}",
+                            row=i, column=name)
                 else:
                     bad("unknown-ref",
                         f"output cell references unknown signal {cell.name}",
                         row=i, column=name)
-            elif isinstance(cell, Constant):
-                port = ports.get(name)
-                if port is not None and cell.bv.width != port.width:
-                    bad("width",
-                        f"cell width {cell.bv.width} != port width "
-                        f"{port.width}", row=i, column=name)
 
     result_set = set(table.results)
     for res, cond in table.feedback:

@@ -384,6 +384,22 @@ def test_negated_guard_off_the_schema_gives_an_expression_column_at_0():
     assert _outputs(table) == [1, 0]
 
 
+def test_a_shared_term_binds_an_expression_column_added_after_it():
+    """The third guard is the first arm's `(a == 1'b1)` node, decomposed
+    there into `a = 1`.  The second arm then adds the column
+    `(a == 1'd1)`, which the third arm binds."""
+    body = ("if ((a == 1'b1) && (b == 1'b0)) y = 1'b1; "
+            "else if (!(a == 1'b1)) y = 1'b0; "
+            "else if ((a == 1'b1)) y = 1'b1;")
+    arms = hdl.parse_hdl(_foreign_text(body)).processes[0].body[1].arms
+    assert arms[2][0] is arms[0][0].lhs
+    table = _foreign(body)
+    assert [h.key for h in table.conditions] == ["a", "b", "(a == 1'd1)"]
+    assert _inputs(table) == [(1, 0, "X"), ("X", "X", 0), ("X", "X", 1),
+                              ("X", "X", "X")]
+    assert _outputs(table) == [1, 0, 1, 0]
+
+
 def test_case_item_with_several_labels_gives_one_row_per_label():
     table = _foreign("case ({a, b}) 2'd0, 2'd3: y = 1'b1; endcase")
     assert [h.key for h in table.conditions] == ["a", "b"]

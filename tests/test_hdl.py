@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lctkit import codegen, expr, extract, hdl
+from lctkit import analysis, codegen, expr, extract, hdl
 from lctkit.model import Clocking, Direction, LctError
 from lctkit.roundtrip import schema_of
 from .util import (
@@ -205,6 +207,98 @@ def test_parses_share_no_literal_state():
         with pytest.raises(hdl.HdlError) as err:
             hdl.parse_hdl(shared)
         assert (err.value.line, err.value.col) == (8, 10)
+
+
+def _nodes(module):
+    """Every statement and expression node of a module's processes."""
+    out = []
+    stack = [module.processes]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif dataclasses.is_dataclass(item):
+            out.append(item)
+            stack.extend(getattr(item, f.name)
+                         for f in dataclasses.fields(item))
+    return out
+
+
+def _all_one(nodes, like):
+    """The nodes equal to `like`, checked to be one object, seen twice
+    or more."""
+    found = [node for node in nodes if node == like]
+    assert len(found) >= 2
+    assert all(node is found[0] for node in found)
+    return found[0]
+
+
+@pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
+def test_one_parse_shares_repeated_terms_and_statements(style):
+    """Equal bracketed comparisons and equal `name OP leaf;` statements
+    are one node within a parse, and no node is shared between two."""
+    text = codegen.gen_unit(analysis.generate_fsm(8, 4, 8, 1), style)
+    first, second = hdl.parse_hdl(text), hdl.parse_hdl(text)
+    nodes = _nodes(first)
+    term = expr.Binary("==", expr.Ident("state"), expr.Num(1, 3))
+    if style == codegen.STYLE_IF:
+        _all_one(nodes, term)
+    else:
+        assert term not in nodes
+    _all_one(nodes, hdl.HAssign("out0", expr.Num(1, 1), True))
+    assert not {id(node) for node in nodes} & \
+        {id(node) for node in _nodes(second)}
+
+
+@pytest.mark.parametrize("term, opens, closes, depth, col", [
+    ("(rst_n == 1'b0)", "(", ")", 98, 124),  # at the repeat's `(`
+    ("({rst_n})", "(", ")", 97, 118),        # at its `{`
+    ("(~~rst_n)", "~", "", 99, 121),         # at its second `~`
+])
+def test_a_repeated_term_at_the_depth_limit_raises_at_its_own_token(
+        term, opens, closes, depth, col):
+    """A term, then its repeat nested `depth` levels deeper, which opens
+    the 101st bracket or prefix operator; one level less parses."""
+    def text(levels):
+        guard = f"{term} && " + opens * levels + term + closes * levels
+        return CLOCKED.replace("rst_n == 1'b0", guard)
+
+    hdl.parse_hdl(text(depth - 1))
+    with pytest.raises(hdl.HdlError) as err:
+        hdl.parse_hdl(text(depth))
+    assert str(err.value) == \
+        f"nesting deeper than 100 levels (line 7, column {col})"
+
+
+def test_a_longer_term_or_statement_with_a_shared_start_is_its_own():
+    """`(a == b || c)` and `q = a & b;` start as a shared term or
+    statement would; each is read whole, as at the first time."""
+    text = COMB.replace("if (sel == 1'b1)",
+                        "if ((a == b || sel) && (a == b || a == 4'd0))")
+    text = text.replace("y = a;", "y = a & b; y = a & 4'd1;")
+    guard, body = hdl.parse_hdl(text).processes[0].body[1].arms[0]
+    assert expr.render(guard) == \
+        "(((a == b) || sel) && ((a == b) || (a == 4'd0)))"
+    assert [expr.render(s.rhs) for s in body] == ["(a & b)", "(a & 4'd1)"]
+
+
+@pytest.mark.parametrize("guard, message", [
+    ("if ((y = 4'd0;", "expected ')', found '=' (line 9, column 10)"),
+    ("if ((a == b)) y = b;\n  a == b )",
+     "expected assignment, found '==' (line 10, column 5)"),
+])
+def test_a_term_and_a_statement_of_the_same_texts_stay_apart(guard, message):
+    """After `y = 4'd0;`, a bracket over the same texts is no statement;
+    after `(a == b)`, a statement over the same texts is no term."""
+    with pytest.raises(hdl.HdlError) as err:
+        hdl.parse_hdl(COMB.replace("  if (sel == 1'b1)", "  " + guard))
+    assert str(err.value) == message
+
+
+def test_a_shared_statement_is_frozen():
+    statement = hdl.parse_hdl(CLOCKED).processes[0].body[0].default[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        statement.rhs = expr.Num(0, 2)
 
 
 def test_upper_case_literal_bases_accepted():

@@ -196,3 +196,35 @@ def test_duplicate_port_names_rejected():
     with pytest.raises(Exception):
         PortMap((Port(Direction.INPUT, "a", 1),
                  Port(Direction.OUTPUT, "a", 1)))
+
+
+def test_per_cell_violations_keep_their_order():
+    """Every per-cell code over two rows, listed row by row, each row's
+    inputs and then its outputs, left to right."""
+    ports = PortMap(tuple(Port(Direction.INPUT, name, width)
+                          for name, width in (("a", 1), ("d", 4))) +
+                    tuple(Port(Direction.OUTPUT, name, 1)
+                          for name in "qrstu"))
+    zero = Constant(BitVector(1, 0))
+    rows = (CaseRow((SignalRef("a"), Constant(BitVector(2, 2)),
+                     Constant(BitVector(2, 1))),
+                    (SignalRef("X"), SignalRef("r"), zero, zero, zero)),
+            CaseRow((DONT_CARE,) * 3,
+                    (zero, zero, SignalRef("d"), SignalRef("nope"),
+                     Constant(BitVector(2, 1)))))
+    table = _table(rows, conditions=(SignalHeader("a"), ExprHeader("d == 3"),
+                                     SignalHeader("d")),
+                   results=tuple("qrstu"), ports=ports)
+    assert [(v.code, v.message, v.row, v.column)
+            for v in validate_lct(table)] == [
+        ("input-ref", "input cells may be constants or X only", 0, "a"),
+        ("expr-cell", "expression column cells must be 0, 1, or X", 0,
+         "(d == 3)"),
+        ("width", "cell width 2 != port width 4", 0, "d"),
+        ("x-ref", "a cell naming signal X would read as don't care", 0, "q"),
+        ("hold-comb", "hold cell in a combinational table", 0, "r"),
+        ("width", "pass-through d width 4 != result width 1", 1, "s"),
+        ("unknown-ref", "output cell references unknown signal nope", 1,
+         "t"),
+        ("width", "cell width 2 != port width 1", 1, "u"),
+    ]
