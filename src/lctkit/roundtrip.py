@@ -370,21 +370,22 @@ def classify_outcome(semantic: Optional[equiv.Verdict],
     """Map comparison/simulation/arbiter verdicts to an outcome label.
 
     A textually identical reconstruction is M (or M SP when simulation
-    fails, pointing at the specification rather than either transform)
-    unless the arbiter finds the forward HDL differs: a masked X FW.
-    Mismatches that are semantically equivalent are X EQ.  Remaining
-    mismatches go to the forward direction (X FW, or X FW~S when
-    simulation missed it) unless the arbiter shows the forward HDL still
-    matches the original, which isolates the inverse transform (X INV).
+    fails, pointing at the specification rather than either transform),
+    and other equivalent ones are X EQ, unless the arbiter finds the
+    forward HDL differs: a masked X FW.  Remaining mismatches go to the
+    forward direction (X FW, or X FW~S when simulation missed it) unless
+    the arbiter shows the forward HDL still matches the original, which
+    isolates the inverse transform (X INV).
     """
     caveat = None
     textual = semantic is equiv.Verdict.TEXTUALLY_IDENTICAL
+    equivalent = semantic is not None and semantic.equivalent
     if textual and arbiter is not ArbiterVerdict.FORWARD_DIFFERS:
         label = Label.M_SP if sim is SimVerdict.FAIL else Label.M
         if sim is SimVerdict.UNAVAILABLE:
             caveat = ("no simulation evidence: cannot distinguish M from "
                       "M SP")
-    elif semantic is not None and semantic.equivalent and not textual:
+    elif equivalent and arbiter is not ArbiterVerdict.FORWARD_DIFFERS:
         label = Label.X_EQ
     elif arbiter is ArbiterVerdict.FORWARD_MATCHES:
         label = Label.X_INV
@@ -392,8 +393,9 @@ def classify_outcome(semantic: Optional[equiv.Verdict],
         label = Label.X_FW_NS if sim is SimVerdict.PASS else Label.X_FW
         if arbiter is ArbiterVerdict.UNAVAILABLE:
             caveat = "forward HDL not analyzable; attributing to forward"
-        elif textual:
-            caveat = "textual match masks a forward fault the arbiter found"
+        elif equivalent:
+            what = "textual match" if textual else "equivalent reconstruction"
+            caveat = f"{what} masks a forward fault the arbiter found"
     return Outcome(label, semantic, sim, arbiter, caveat)
 
 

@@ -72,6 +72,7 @@ A = rt.ArbiterVerdict
 NO_SIM = "no simulation evidence: cannot distinguish M from M SP"
 NO_ARBITER = "forward HDL not analyzable; attributing to forward"
 MASKED = "textual match masks a forward fault the arbiter found"
+MASKED_EQ = "equivalent reconstruction masks a forward fault the arbiter found"
 
 
 @pytest.mark.parametrize("semantic,sim,arbiter,label,caveat", [
@@ -90,6 +91,9 @@ MASKED = "textual match masks a forward fault the arbiter found"
      MASKED),
     (V.TEXTUALLY_IDENTICAL, S.UNAVAILABLE, A.FORWARD_DIFFERS, rt.Label.X_FW,
      MASKED),
+    (V.EQUIVALENT, S.FAIL, A.FORWARD_DIFFERS, rt.Label.X_FW, MASKED_EQ),
+    (V.EQUIVALENT, S.PASS, A.FORWARD_DIFFERS, rt.Label.X_FW_NS, MASKED_EQ),
+    (V.EQUIVALENT, S.UNAVAILABLE, A.UNAVAILABLE, rt.Label.X_EQ, None),
 ])
 def test_classify_outcome(semantic, sim, arbiter, label, caveat):
     outcome = rt.classify_outcome(semantic, sim, arbiter)
@@ -386,6 +390,33 @@ def test_forward_fault_masked_by_the_inverse_is_x_fw():
     assert "  counterexample: at enable=1 select=0: data_out = data0 vs 0" \
         in lines
     assert f"  caveat: {MASKED}" in lines
+
+
+def test_forward_fault_masked_by_an_equivalent_inverse_is_x_fw():
+    """As above, with an inverse that answers with the specification's
+    don't-cares expanded: an equivalent, not textual, match that the
+    arbiter contradicts is X FW too."""
+    spec = load_fixture("mux4")
+
+    class Expanded:
+        name = "expanded"
+
+        def complete(self, request):
+            return TransformResponse(tableio.serialize_unit_doc(
+                analysis.expand_dont_cares(spec)))
+
+    forward = rt.FaultInjectingBackend(rt.drop_row(1),
+                                       TransformDirection.FORWARD)
+    report = rt.run_roundtrip(spec, forward, Expanded())
+    assert report.outcome.semantic is V.EQUIVALENT
+    assert report.outcome.arbiter is A.FORWARD_DIFFERS
+    assert (report.outcome.label, report.outcome.caveat) == \
+        (rt.Label.X_FW, MASKED_EQ)
+    lines = report.render().splitlines()
+    assert lines[0] == "unit mux4: X FW"
+    assert "  counterexample: at enable=1 select=0: data_out = data0 vs 0" \
+        in lines
+    assert f"  caveat: {MASKED_EQ}" in lines
 
 
 def test_drop_and_spurious_and_merge_faults():
