@@ -73,9 +73,9 @@ class _Builder:
         self.key_index: dict = {}
         self.has_expr_header = False
         self.constants: dict = {}  # (width, value) -> Constant
-        # id(node) -> (node, a subject's label fields, a `subject == number`
-        # term's constraints or a plain assignment's cell).  An expression
-        # column may bind a subject's part or a term: adding one empties both.
+        # id(node) -> (node, what it gives): a subject's label fields, a
+        # `subject == number` term's constraints, an assignment's cell.
+        # An added expression column may bind a subject's part or a term.
         self.label_fields: dict = {}
         self.terms: dict = {}
         self.cells: dict = {}
