@@ -16,7 +16,6 @@ from .model import (
     Clocking,
     ConnectivityTable,
     Constant,
-    DontCare,
     Direction,
     Lct,
     LctError,
@@ -60,34 +59,65 @@ def _port_decls(table: Lct) -> List[str]:
     return decls
 
 
-def _guard_terms(table: Lct, row) -> List[str]:
-    terms = []
-    for header, cell in zip(table.conditions, row.inputs):
-        if isinstance(cell, DontCare):
-            continue
-        assert isinstance(cell, Constant)
+def _guards(table: Lct) -> List[str]:
+    """Each row's `if` guard.  For this call, each column keeps the term
+    it formatted for each value, and a later row with that value reuses
+    the text: a valid column's constants differ only in value."""
+    names, memos = [], []
+    for header in table.conditions:
         if isinstance(header, SignalHeader):
-            terms.append(f"({header.name} == {cell.bv.binary()})")
+            names.append(header.name)
+            memos.append({})
         else:
-            # With the process's `begin` and the `if`, this wrapping
-            # opens the 4 levels expr.GUARD_DEPTH counts.
+            # An expression column's cells are 0 or 1.  With the process's
+            # `begin` and the `if`, this wrapping opens the 4 levels
+            # expr.GUARD_DEPTH counts.
             text = header.canonical
-            terms.append(f"({text})" if cell.bv.value else f"(!({text}))")
-    return terms
+            names.append(None)
+            memos.append({0: f"(!({text}))", 1: f"({text})"})
+    guards = []
+    for row in table.rows:
+        terms = []
+        for name, texts, cell in zip(names, memos, row.inputs):
+            if type(cell) is Constant:  # else a don't care
+                bv = cell.bv
+                text = texts.get(bv.value)
+                if text is None:
+                    text = texts[bv.value] = \
+                        f"({name} == {bv.width}'b{bv.value:0{bv.width}b})"
+                terms.append(text)
+        guards.append(" && ".join(terms) if terms else "1'b1")
+    return guards
 
 
-def _assignments(table: Lct, row, assign_op: str, indent: str) -> List[str]:
-    lines = []
-    for name, cell in zip(table.results, row.outputs):
-        if isinstance(cell, Constant):
-            lines.append(f"{indent}{name} {assign_op} {cell.bv.binary()};")
-        elif isinstance(cell, SignalRef):
-            if cell.name == name:
-                lines.append(f"{indent}// hold {name}")
+def _assignments(table: Lct, assign_op: str,
+                 indent: str) -> List[List[str]]:
+    """Each row's assignment lines.  For this call, each column keeps the
+    line it formatted for each value or signal, as ``_guards`` does."""
+    names = table.results
+    memos = [{} for _ in names]
+    rows = []
+    for row in table.rows:
+        lines = []
+        for name, texts, cell in zip(names, memos, row.outputs):
+            if type(cell) is Constant:
+                bv = cell.bv
+                text = texts.get(bv.value)
+                if text is None:
+                    text = texts[bv.value] = (
+                        f"{indent}{name} {assign_op} "
+                        f"{bv.width}'b{bv.value:0{bv.width}b};")
+            elif type(cell) is SignalRef:
+                text = texts.get(cell.name)
+                if text is None:
+                    text = texts[cell.name] = (
+                        f"{indent}// hold {name}" if cell.name == name
+                        else f"{indent}{name} {assign_op} {cell.name};")
             else:
-                lines.append(f"{indent}{name} {assign_op} {cell.name};")
-        # DontCare output cells assign nothing: default (comb) or hold.
-    return lines
+                continue  # a don't care assigns nothing: default or hold
+            lines.append(text)
+        rows.append(lines)
+    return rows
 
 
 def _defaults(table: Lct, indent: str) -> List[str]:
@@ -162,12 +192,12 @@ def _async_reset_signal(table: Lct) -> str:
 
 def _if_chain(table: Lct, assign_op: str) -> List[str]:
     lines = []
-    for i, row in enumerate(table.rows):
-        terms = _guard_terms(table, row)
-        guard = " && ".join(terms) if terms else "1'b1"
-        opener = "if" if i == 0 else "end else if"
+    opener = "if"
+    for guard, assigns in zip(_guards(table),
+                              _assignments(table, assign_op, "    ")):
         lines.append(f"  {opener} ({guard}) begin")
-        lines.extend(_assignments(table, row, assign_op, "    "))
+        lines.extend(assigns)
+        opener = "end else if"
     if table.rows:
         lines.append("  end")
     return lines
@@ -185,15 +215,22 @@ def _casez(table: Lct, assign_op: str) -> List[str]:
     if not names:  # a constant function: every arm's label is the subject
         subject, total = "1'b1", 1
     lines = [f"  casez ({subject})"]
-    for row in table.rows:
+    # For this call, each column keeps the bits it formatted for each
+    # value, as ``_guards`` does; None is a don't care.
+    memos = [{None: "?" * width} for width in widths]
+    for row, assigns in zip(table.rows,
+                            _assignments(table, assign_op, "      ")):
         bits = []
-        for width, cell in zip(widths, row.inputs):
-            if isinstance(cell, DontCare):
-                bits.append("?" * width)
+        for width, texts, cell in zip(widths, memos, row.inputs):
+            if type(cell) is Constant:
+                text = texts.get(cell.bv.value)
+                if text is None:
+                    text = texts[cell.bv.value] = f"{cell.bv.value:0{width}b}"
+                bits.append(text)
             else:
-                bits.append(f"{cell.bv.value:0{width}b}")
+                bits.append(texts[None])
         lines.append(f"    {total}'b{''.join(bits) or '1'}: begin")
-        lines.extend(_assignments(table, row, assign_op, "      "))
+        lines += assigns
         lines.append("    end")
     lines.append("    default: ;")
     lines.append("  endcase")

@@ -36,7 +36,9 @@ from .model import (
     CaseRow,
     Clocking,
     ConnectivityTable,
+    Constant,
     Direction,
+    DontCare,
     ExprHeader,
     IDENT_RE,
     Instance,
@@ -47,7 +49,6 @@ from .model import (
     Port,
     PortMap,
     SignalRef,
-    cell_text,
     condition_header,
     parse_cell,
 )
@@ -306,13 +307,20 @@ def _render_unit(table: Lct) -> Tuple[str, str]:
     if has_comments:
         header.append("Comments")
 
+    # A constant's text is its bare decimal value, whatever its column,
+    # so each distinct value is formatted once per call.
+    texts = {}
     csv_lines = [",".join(header)]
     for row in table.rows:
-        cells = []
-        if has_case:
-            cells.append(row.label or "")
-        cells.extend(cell_text(c) for c in row.inputs)
-        cells.extend(cell_text(c) for c in row.outputs)
+        cells = [row.label or ""] if has_case else []
+        for cell in row.inputs + row.outputs:
+            if type(cell) is Constant:
+                text = texts.get(cell.bv.value)
+                if text is None:
+                    text = texts[cell.bv.value] = str(cell.bv.value)
+            else:
+                text = "X" if type(cell) is DontCare else cell.name
+            cells.append(text)
         if has_comments:
             cells.append(row.comment or "")
         csv_lines.append(",".join(cells))
