@@ -32,6 +32,8 @@ KEYWORDS = frozenset({
 }) | UNSUPPORTED
 _SIZED_LITERAL_RE = re.compile(r"([0-9]+)'([bdh])([0-9a-fA-F_]+)\Z")
 _DECIMAL_RE = re.compile(r"[0-9]+\Z")
+# What ends a CSV cell or line, and so no row label or comment may hold.
+_CSV_BREAK_RE = re.compile(r"[,\r\n]")
 
 
 class LctError(Exception):
@@ -425,6 +427,12 @@ def validate_lct(table: Lct) -> list:
     n_cond = len(conds)
     n_res = len(results)
     for i, row in enumerate(table.rows):
+        if row.label is not None or row.comment is not None:
+            for what, text in (("label", row.label),
+                               ("comment", row.comment)):
+                if text is not None and _CSV_BREAK_RE.search(text):
+                    bad("csv-text", f"{what} {text!r} holds a comma or a "
+                        "line break, which a CSV cell cannot hold", row=i)
         if len(row.inputs) != n_cond:
             bad("arity", f"{len(row.inputs)} input cells, expected {n_cond}",
                 row=i)

@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -51,10 +52,14 @@ def schema_of(table: Lct) -> Tuple[List[str], List[str]]:
     return [h.text for h in table.conditions], list(table.results)
 
 
+# An opening fence: an info string, then spaces or tabs, ends its line
+# with LF or CRLF.
+_CODE_BLOCK_RE = re.compile(r"```[\w-]*[ \t]*\r?\n(.*?)```", re.DOTALL)
+
+
 def extract_code_block(text: str) -> str:
     """Take the first fenced code block, else the whole body."""
-    import re
-    m = re.search(r"```[\w-]*\n(.*?)```", text, re.DOTALL)
+    m = _CODE_BLOCK_RE.search(text)
     return m.group(1) if m else text
 
 

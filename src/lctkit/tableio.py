@@ -273,10 +273,13 @@ def _parse_cell(side, text, width, lineno, col):
 # Serialization
 
 def serialize_unit(table: Lct) -> Tuple[str, str]:
-    """Render a valid table as (manifest_text, csv_text), deterministically:
-    parse_unit(*serialize_unit(t)) == t.  The text is kept in the
-    instance's ``__dict__`` as ``Lct.violations`` are; an invalid table
-    raises on every call."""
+    """Render a valid table as (manifest_text, csv_text), deterministically.
+    parse_unit(*serialize_unit(t)) == t but for three normalizations:
+    a label or comment loses its surrounding whitespace, a missing label
+    or comment beside present ones reads back as "", and an
+    expression-column constant reads back 1 bit wide.  The text is kept
+    in the instance's ``__dict__`` as ``Lct.violations`` are; an invalid
+    table raises on every call."""
     if "_unit_text" not in table.__dict__:
         table.require_valid(LctError, "cannot serialize invalid table")
         table.__dict__["_unit_text"] = _render_unit(table)

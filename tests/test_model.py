@@ -180,9 +180,15 @@ _ROW = CaseRow((Constant(BitVector(1, 0)),), (Constant(BitVector(1, 1)),))
     ({"feedback": (("q", "d"),)},
      ("feedback", "feedback target d is not a signal condition column",
       None, None)),
+    ({"rows": (dataclasses.replace(_ROW, label="a,b"),)},
+     ("csv-text", "label 'a,b' holds a comma or a line break, which a CSV "
+      "cell cannot hold", 0, None)),
+    ({"rows": (dataclasses.replace(_ROW, comment="a\r\nb"),)},
+     ("csv-text", "comment 'a\\r\\nb' holds a comma or a line break, "
+      "which a CSV cell cannot hold", 0, None)),
 ], ids=["bad-name", "dup-result", "unknown-result", "output-arity",
         "pass-through-width", "output-width", "feedback-result",
-        "feedback-target"])
+        "feedback-target", "label-comma", "comment-line-break"])
 def test_each_violation_is_reported(change, found):
     """One change to a valid clocked table gives exactly one violation."""
     table = _table((_ROW,), clocking=Clocking.CLOCKED, ports=_PORTS)

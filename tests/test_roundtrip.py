@@ -62,6 +62,34 @@ def test_extract_code_block():
     assert rt.extract_code_block(fenced) == "module m ();\nendmodule\n"
     bare = "module m ();\nendmodule\n"
     assert rt.extract_code_block(bare) == bare
+    # Spaces or tabs after the info string, and CRLF line ends.
+    spaced = "preamble\n```verilog \t\nmodule m ();\nendmodule\n```\n"
+    assert rt.extract_code_block(spaced) == "module m ();\nendmodule\n"
+    crlf = "preamble\r\n```verilog\r\nmodule m ();\r\nendmodule\r\n```\r\n"
+    assert rt.extract_code_block(crlf) == "module m ();\r\nendmodule\r\n"
+
+
+@pytest.mark.parametrize("fence,newline", [("```verilog ", "\n"),
+                                           ("```verilog", "\r\n")])
+def test_fenced_forward_response_round_trips(fence, newline):
+    """mux4's correct HDL, fenced with spaces after the info string or
+    with CRLF line ends, reads back: the fences do not stay in the text."""
+    unit = load_fixture("mux4")
+    inner = rt.DeterministicBackend()
+
+    class Fenced:
+        name = "fenced"
+
+        def complete(self, request):
+            response = inner.complete(request)
+            if request.direction is not TransformDirection.FORWARD:
+                return response
+            body = response.text.replace("\n", newline)
+            return TransformResponse(
+                f"Here it is:{newline}{fence}{newline}{body}```{newline}")
+
+    report = rt.run_roundtrip(unit, Fenced(), inner)
+    assert report.outcome.label is rt.Label.M
 
 
 # --- classification ----------------------------------------------------------

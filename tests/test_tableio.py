@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -250,6 +251,45 @@ def test_comments_survive_round_trip():
     manifest, csv = tableio.serialize_unit(table)
     assert "Disabled" in csv
     assert tableio.parse_unit(manifest, csv).rows[0].comment == "Disabled"
+
+
+@pytest.mark.parametrize("field, text", [
+    ("comment", "a,b"), ("comment", "two\nlines"), ("label", "a,b"),
+    ("label", "ends\r")])
+def test_text_the_csv_cannot_hold_is_not_written(tmp_path, field, text):
+    """A label or comment holding a comma or a line break would write a
+    file that ``load_unit`` rejects; such a table is invalid instead."""
+    table = load_fixture("mux4")
+    row = dataclasses.replace(table.rows[0], **{field: text})
+    table = dataclasses.replace(table, rows=(row,) + table.rows[1:])
+    with pytest.raises(LctError, match=r"cannot serialize invalid table: "
+                       r"\[csv-text\] row 0: " + field):
+        tableio.save_unit(table, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
+def test_serialize_round_trip_normalizations():
+    """What ``serialize_unit``'s docstring states: a label or comment
+    loses its surrounding whitespace, a missing one beside present ones
+    reads back as "", and an expression-column constant reads back 1 bit
+    wide.  All else reads back equal."""
+    ports = PortMap((Port(Direction.INPUT, "a", 1),
+                     Port(Direction.INPUT, "b", 1),
+                     Port(Direction.OUTPUT, "q", 2)))
+    one, wide_one = Constant(BitVector(1, 1)), Constant(BitVector(2, 1))
+    table = Lct(name="t", clocking=Clocking.COMBINATIONAL,
+                conditions=(SignalHeader("a"), ExprHeader("a & b")),
+                results=("q",),
+                rows=(CaseRow((one, wide_one), (wide_one,), label=" L0 ",
+                              comment="note "),
+                      CaseRow((DONT_CARE, DONT_CARE), (DONT_CARE,))),
+                ports=ports)
+    back = tableio.parse_unit(*tableio.serialize_unit(table))
+    assert back.rows == (
+        CaseRow((one, one), (wide_one,), label="L0", comment="note"),
+        CaseRow((DONT_CARE, DONT_CARE), (DONT_CARE,), label="",
+                comment=""))
+    assert dataclasses.replace(back, rows=table.rows) == table
 
 
 @pytest.mark.parametrize("condition, result", [
