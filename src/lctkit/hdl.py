@@ -39,6 +39,18 @@ class HAssign:
     rhs: object
     nonblocking: bool
 
+    def __init__(self, lhs: str, rhs, nonblocking: bool):
+        # Frozen, but set through the slots: a frozen dataclass's own
+        # __init__ takes about twice as long, and every statement is one.
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_nonblocking(self, nonblocking)
+
+
+_set_lhs = HAssign.lhs.__set__
+_set_rhs = HAssign.rhs.__set__
+_set_nonblocking = HAssign.nonblocking.__set__
+
 
 # Arms tried in priority order, then a default body (`else` or `default`)
 # taken when no arm matches.  A `case` item is one arm per label, guarded
