@@ -268,7 +268,10 @@ class _Parser:
         if tok == "(":
             start = self.i
             self.open_bracket(start - 1)
-            key = tuple(self.tokens[start:start + 4])
+            toks = self.tokens
+            key = ((toks[start], toks[start + 1], toks[start + 2],
+                    toks[start + 3])
+                   if start + 3 < len(toks) else tuple(toks[start:]))
             node = self.terms.get(key)
             if node is None:
                 node = self.expression()

@@ -163,8 +163,11 @@ class _Builder:
             if value >> total:
                 raise ExtractError(f"condition value {value} exceeds "
                                    f"width of {ex.render(subject)}")
-            constraints = [(header, (value >> (total := total - width))
-                            & ((1 << width) - 1)) for header, width in fields]
+            constraints = []
+            for header, width in fields:
+                total -= width
+                constraints.append(
+                    (header, (value >> total) & ((1 << width) - 1)))
             self.terms[id(term)] = term, constraints
             return self._apply_terms(env, constraints)
         if label.width != total:
@@ -345,13 +348,15 @@ class _Builder:
         holds = [(result, SignalRef(result) if clocked else DONT_CARE)
                  for result in self.results]
         rows = []
+        constants = self.constants
         for env in paths:
             if clocked and env.fall_through:
                 continue  # identical to holding via no-match
             get, assigns = env.constraints.get, env.assigns
             rows.append(CaseRow(
                 tuple([DONT_CARE if (value := get(key)) is None
-                       else self._constant(width, value)
+                       else constants.get((width, value))
+                       or self._constant(width, value)
                        for key, width in columns]),
                 tuple([assigns.get(result, hold) for result, hold in holds])))
 

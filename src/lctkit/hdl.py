@@ -92,6 +92,11 @@ _WILDCARD_RE = re.compile(r"[?zZxX]")
 _CASE_PATTERN_RE = re.compile(r"([0-9]+)'[bB]([01?zZxX_]+)\Z")
 
 
+# A port's direction by its keyword: a lookup, where calling the enum
+# takes a microsecond per port.
+_DIRECTIONS = {d.value: d for d in Direction}
+
+
 class _Parser(ex._Parser):
     """The statement layer over the shared expression grammar, over the
     tokens of `text`."""
@@ -149,9 +154,8 @@ class _Parser(ex._Parser):
 
     def port_decl(self, module: HdlModule):
         tok = self.take()
-        try:
-            direction = Direction(tok)
-        except ValueError:
+        direction = _DIRECTIONS.get(tok)
+        if direction is None:
             raise self.error(f"expected port direction, found {tok!r}",
                              self.i - 1)
         is_reg = False
@@ -261,7 +265,9 @@ class _Parser(ex._Parser):
         # The commonest statement first; no keyword is an identifier.
         if self.is_ident(tok):
             start = self.i
-            key = tuple(self.tokens[start:start + 4])
+            toks = self.tokens
+            key = ((tok, toks[start + 1], toks[start + 2], toks[start + 3])
+                   if start + 3 < len(toks) else tuple(toks[start:]))
             node = self.assigns.get(key)
             if node is not None:
                 self.i = start + 4
