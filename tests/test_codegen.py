@@ -1,4 +1,7 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, strategies as st
 
 from lctkit import codegen, extract, tableio
 from lctkit.model import (
@@ -16,7 +19,12 @@ from lctkit.model import (
     SignalHeader,
 )
 from lctkit.roundtrip import schema_of
-from .util import load_fixture
+from .util import (
+    WRITTEN,
+    load_fixture,
+    reference_casez,
+    reference_if_chain,
+)
 
 
 def test_combinational_module_structure():
@@ -182,3 +190,22 @@ def test_structural_unknown_unit():
     conn = tableio.parse_connectivity(CONNECTIVITY)
     with pytest.raises(codegen.CodegenError):
         codegen.gen_structural(conn, {})
+
+
+def _generate(table, style, async_reset):
+    try:
+        return codegen.generate(table, style, async_reset)
+    except codegen.CodegenError as e:  # no reset row for the async form
+        return str(e)
+
+
+@given(WRITTEN, st.sampled_from([codegen.STYLE_IF, codegen.STYLE_CASE]),
+       st.booleans())
+def test_generate_matches_the_per_cell_reference(table, style, async_reset):
+    """Each call formats each distinct cell of a column once, and its
+    text is the one that formats every cell again, in both styles and in
+    the async reset form where row 0 allows it."""
+    text = _generate(table, style, async_reset)
+    with mock.patch.object(codegen, "_if_chain", reference_if_chain), \
+            mock.patch.object(codegen, "_casez", reference_casez):
+        assert text == _generate(table, style, async_reset)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 
 import pytest
+from hypothesis import given
 
 from lctkit import tableio
 from lctkit.model import (
@@ -20,7 +21,13 @@ from lctkit.model import (
     SignalRef,
     validate_lct,
 )
-from .util import TABLES_DIR, load_fixture, random_lct
+from .util import (
+    TABLES_DIR,
+    WRITTEN,
+    load_fixture,
+    random_lct,
+    reference_csv_text,
+)
 
 MANIFEST = """\
 unit demux
@@ -398,3 +405,10 @@ def test_port_width_and_binding_size_must_be_decimal(what, line, parse, size):
     assert err.value.line == line
     assert f"{what} {size!r} is not a non-negative decimal number" in \
         str(err.value)
+
+
+@given(WRITTEN)
+def test_serialize_unit_matches_the_per_cell_reference(table):
+    """Each call formats each distinct value once, and its CSV is the one
+    that formats every cell again."""
+    assert tableio.serialize_unit(table)[1] == reference_csv_text(table)

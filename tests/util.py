@@ -2,7 +2,8 @@
 and the hypothesis strategy over them, a row-by-row reference for the
 checks that ``analysis`` and ``equiv`` compute from match-set bitsets
 and for ``sim``'s evaluation entry points, a two-pass reference for
-``equiv.align``, and a reference HDL tokenizer."""
+``equiv.align``, a reference HDL tokenizer, and per-cell references for
+codegen's row bodies and the unit renderer's CSV."""
 
 from __future__ import annotations
 
@@ -289,6 +290,12 @@ RUNGS = st.builds(analysis.generate_fsm, st.sampled_from([8, 16, 32]),
 # with signals in some input cells (unvalidated).
 DRESSED = st.builds(dressed_lct, TABLES, SEEDS)
 UNVALIDATED = st.builds(dressed_lct, TABLES, SEEDS, st.just(True))
+# What the writers are checked on: the tables above, dressed ones, each
+# table cut to its first row, and the ladder's rungs.
+WRITTEN = st.one_of(TABLES, DRESSED,
+                    TABLES.map(lambda t: dataclasses.replace(
+                        t, rows=t.rows[:1])),
+                    RUNGS)
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +651,98 @@ def hdl_variant(text: str, kind: str, index: int, stray: str = "$") -> str:
     if kind == "stray":
         return text[:start] + stray + text[start:]
     raise ValueError(f"unknown variant kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Per-cell reference writers: codegen's `if` chain and `casez` and the unit
+# renderer's CSV rows as they were before each call kept its formatted
+# cells, formatting every cell of every row again.
+
+def _reference_guard_terms(table: Lct, row) -> list:
+    terms = []
+    for header, cell in zip(table.conditions, row.inputs):
+        if isinstance(cell, DontCare):
+            continue
+        if isinstance(header, SignalHeader):
+            terms.append(f"({header.name} == {cell.bv.binary()})")
+        else:
+            text = header.canonical
+            terms.append(f"({text})" if cell.bv.value else f"(!({text}))")
+    return terms
+
+
+def _reference_assignments(table: Lct, row, assign_op: str,
+                           indent: str) -> list:
+    lines = []
+    for name, cell in zip(table.results, row.outputs):
+        if isinstance(cell, Constant):
+            lines.append(f"{indent}{name} {assign_op} {cell.bv.binary()};")
+        elif isinstance(cell, SignalRef):
+            if cell.name == name:
+                lines.append(f"{indent}// hold {name}")
+            else:
+                lines.append(f"{indent}{name} {assign_op} {cell.name};")
+    return lines
+
+
+def reference_if_chain(table: Lct, assign_op: str) -> list:
+    lines = []
+    for i, row in enumerate(table.rows):
+        terms = _reference_guard_terms(table, row)
+        guard = " && ".join(terms) if terms else "1'b1"
+        opener = "if" if i == 0 else "end else if"
+        lines.append(f"  {opener} ({guard}) begin")
+        lines.extend(_reference_assignments(table, row, assign_op, "    "))
+    if table.rows:
+        lines.append("  end")
+    return lines
+
+
+def reference_casez(table: Lct, assign_op: str) -> list:
+    names = [h.name if isinstance(h, SignalHeader) else f"({h.canonical} != 0)"
+             for h in table.conditions]
+    widths = [table.condition_width(h) for h in table.conditions]
+    subject = names[0] if len(names) == 1 else "{" + ", ".join(names) + "}"
+    total = sum(widths)
+    if not names:
+        subject, total = "1'b1", 1
+    lines = [f"  casez ({subject})"]
+    for row in table.rows:
+        bits = []
+        for width, cell in zip(widths, row.inputs):
+            if isinstance(cell, DontCare):
+                bits.append("?" * width)
+            else:
+                bits.append(f"{cell.bv.value:0{width}b}")
+        lines.append(f"    {total}'b{''.join(bits) or '1'}: begin")
+        lines.extend(_reference_assignments(table, row, assign_op, "      "))
+        lines.append("    end")
+    lines.append("    default: ;")
+    lines.append("  endcase")
+    return lines
+
+
+def _reference_cell_text(cell) -> str:
+    if isinstance(cell, DontCare):
+        return "X"
+    if isinstance(cell, SignalRef):
+        return cell.name
+    return str(cell.bv.value)
+
+
+def reference_csv_text(table: Lct) -> str:
+    """The CSV that ``tableio.serialize_unit`` writes for a valid table."""
+    has_case = any(row.label is not None for row in table.rows)
+    has_comments = any(row.comment is not None for row in table.rows)
+    header = ["Case"] if has_case else []
+    header += [h.text for h in table.conditions] + list(table.results)
+    if has_comments:
+        header.append("Comments")
+    lines = [",".join(header)]
+    for row in table.rows:
+        cells = [row.label or ""] if has_case else []
+        cells += [_reference_cell_text(c) for c in row.inputs + row.outputs]
+        if has_comments:
+            cells.append(row.comment or "")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
