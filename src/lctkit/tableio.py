@@ -38,7 +38,6 @@ from .model import (
     ConnectivityTable,
     Constant,
     Direction,
-    DontCare,
     ExprHeader,
     IDENT_RE,
     Instance,
@@ -49,6 +48,7 @@ from .model import (
     Port,
     PortMap,
     SignalRef,
+    cell_text,
     condition_header,
     parse_cell,
 )
@@ -322,7 +322,7 @@ def _render_unit(table: Lct) -> Tuple[str, str]:
                 if text is None:
                     text = texts[cell.bv.value] = str(cell.bv.value)
             else:
-                text = "X" if type(cell) is DontCare else cell.name
+                text = cell_text(cell)
             cells.append(text)
         if has_comments:
             cells.append(row.comment or "")
