@@ -348,15 +348,13 @@ class _Builder:
         holds = [(result, SignalRef(result) if clocked else DONT_CARE)
                  for result in self.results]
         rows = []
-        constants = self.constants
         for env in paths:
             if clocked and env.fall_through:
                 continue  # identical to holding via no-match
             get, assigns = env.constraints.get, env.assigns
             rows.append(CaseRow(
                 tuple([DONT_CARE if (value := get(key)) is None
-                       else constants.get((width, value))
-                       or self._constant(width, value)
+                       else self._constant(width, value)
                        for key, width in columns]),
                 tuple([assigns.get(result, hold) for result, hold in holds])))
 
