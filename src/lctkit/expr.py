@@ -245,43 +245,45 @@ class _Parser:
             level = _BINARY.get(self.tokens[self.i])
 
     def operand(self):
-        """unary: the prefix operators, read in a loop, then a primary or
-        a leaf seen before in this parse."""
+        """unary: the prefix operators, read in a loop, then a primary,
+        or a leaf or bracketed term seen before in this parse."""
+        toks = self.tokens
         i = start = self.i
-        while (tok := self.tokens[i]) == "~" or tok == "!":
+        while (tok := toks[i]) == "~" or tok == "!":
             self.open_operator(i)
             i += 1
-        node = self.leaves.get(tok)
-        if node is None:
-            self.i = i
-            node = self.primary()
+        if tok == "(":
+            # A repeated `(a OP b)` is looked up here, once; it still
+            # counts its bracket toward the nesting limit.
+            key = ((toks[i + 1], toks[i + 2], toks[i + 3], toks[i + 4])
+                   if i + 4 < len(toks) else tuple(toks[i + 1:]))
+            node = self.terms.get(key)
+            if node is not None and self.brackets < MAX_DEPTH:
+                self.i = i + 5
+            else:
+                self.i = i + 1
+                self.open_bracket(i)
+                node = self.expression()
+                self.take(")")
+                if self.i == i + 5 and key[1] in _BINARY:
+                    self.terms[key] = node
+                self.brackets -= 1
         else:
-            self.i = i + 1
+            node = self.leaves.get(tok)
+            if node is None:
+                self.i = i
+                node = self.primary()
+            else:
+                self.i = i + 1
         if i > start:
-            for op in reversed(self.tokens[start:i]):
+            for op in reversed(toks[start:i]):
                 node = Unary(op, node)
             self.operators -= i - start
         return node
 
     def primary(self):
+        """Any operand but a bracketed term, which `operand` reads."""
         tok = self.take()
-        if tok == "(":
-            start = self.i
-            self.open_bracket(start - 1)
-            toks = self.tokens
-            key = ((toks[start], toks[start + 1], toks[start + 2],
-                    toks[start + 3])
-                   if start + 3 < len(toks) else tuple(toks[start:]))
-            node = self.terms.get(key)
-            if node is None:
-                node = self.expression()
-                self.take(")")
-                if self.i == start + 4 and key[1] in _BINARY:
-                    self.terms[key] = node
-            else:
-                self.i = start + 4
-            self.brackets -= 1
-            return node
         if tok == "{":
             self.open_bracket(self.i - 1)
             parts = [self.expression()]

@@ -247,15 +247,28 @@ class _Parser(ex._Parser):
     # -- statements ---------------------------------------------------------
 
     def statement_block(self) -> list:
-        if self.tokens[self.i] != "begin":
+        toks = self.tokens
+        if toks[self.i] != "begin":
             return self.statement()
         self.i += 1
         self.open_bracket(self.i - 1)
+        assigns = self.assigns
+        n = len(toks)
         stmts = []
-        while (tok := self.tokens[self.i]) != "end":
-            if not tok:
+        while (tok := toks[i := self.i]) != "end":
+            # A repeated `name OP leaf ;` is looked up here, once.
+            key = ((tok, toks[i + 1], toks[i + 2], toks[i + 3])
+                   if i + 3 < n else tuple(toks[i:]))
+            node = assigns.get(key)
+            if node is not None:
+                self.i = i + 4
+                stmts.append(node)
+            elif self.is_ident(tok):
+                stmts.append(self.assignment(key))
+            elif not tok:
                 raise self.error("missing end")
-            stmts += self.statement()
+            else:
+                stmts += self.statement()
         self.i += 1
         self.brackets -= 1
         return stmts
@@ -264,23 +277,14 @@ class _Parser(ex._Parser):
         tok = self.tokens[self.i]
         # The commonest statement first; no keyword is an identifier.
         if self.is_ident(tok):
-            start = self.i
+            i = self.i
             toks = self.tokens
-            key = ((tok, toks[start + 1], toks[start + 2], toks[start + 3])
-                   if start + 3 < len(toks) else tuple(toks[start:]))
+            key = ((tok, toks[i + 1], toks[i + 2], toks[i + 3])
+                   if i + 3 < len(toks) else tuple(toks[i:]))
             node = self.assigns.get(key)
-            if node is not None:
-                self.i = start + 4
-                return [node]
-            self.i += 2
-            op = key[1]
-            if op != "=" and op != "<=":
-                raise self.error(f"expected assignment, found {op!r}" if op
-                                 else "unexpected end of input", self.i - 1)
-            node = HAssign(tok, self.expression(), op == "<=")
-            self.take(";")
-            if self.i == start + 4:
-                self.assigns[key] = node
+            if node is None:
+                return [self.assignment(key)]
+            self.i = i + 4
             return [node]
         if not tok:
             raise self.error("unexpected end of input in statement")
@@ -295,6 +299,21 @@ class _Parser(ex._Parser):
         if tok == "begin":
             return self.statement_block()
         raise self.error(f"unsupported statement {tok!r}")
+
+    def assignment(self, key: tuple) -> HAssign:
+        """The assignment at the next token, whose first four tokens are
+        `key`, not yet kept: kept when it is `name OP leaf ;`."""
+        start = self.i
+        self.i += 2
+        op = key[1]
+        if op != "=" and op != "<=":
+            raise self.error(f"expected assignment, found {op!r}" if op
+                             else "unexpected end of input", self.i - 1)
+        node = HAssign(key[0], self.expression(), op == "<=")
+        self.take(";")
+        if self.i == start + 4:
+            self.assigns[key] = node
+        return node
 
     def if_statement(self) -> HIf:
         """One arm per `if` / `else if`, read in a loop: a chain of any
