@@ -214,9 +214,10 @@ def _parse_csv(csv_text, csv_line, name, clocking, n_inputs, n_outputs,
 
     sides = ["input"] * n_inputs + ["output"] * n_outputs
     widths = cond_widths + result_widths
-    # (side, text, width) -> cell for this CSV; a cell that fails is not
-    # kept, so each occurrence raises at its own line and column.
-    parsed = {}
+    # Per column, a cell's text -> the cell, for this CSV; a cell that
+    # fails is not kept, so each occurrence raises at its own line and
+    # column.
+    parsed = [{} for _ in widths]
     rows = []
     for lineno, line in enumerate(lines[start + 1:], start=header_line + 1):
         if not line.strip():
@@ -241,11 +242,11 @@ def _parse_csv(csv_text, csv_line, name, clocking, n_inputs, n_outputs,
                 lineno)
 
         values = []
-        for col, memo_key in enumerate(zip(sides, cells, widths),
-                                       start=first):
-            cell = parsed.get(memo_key)
+        for pos, (memo, text) in enumerate(zip(parsed, cells)):
+            cell = memo.get(text)
             if cell is None:
-                cell = parsed[memo_key] = _parse_cell(*memo_key, lineno, col)
+                cell = memo[text] = _parse_cell(
+                    sides[pos], text, widths[pos], lineno, first + pos)
             values.append(cell)
         rows.append(CaseRow(tuple(values[:n_inputs]),
                             tuple(values[n_inputs:]), label=label,
