@@ -67,6 +67,15 @@ def test_extract_code_block():
     assert rt.extract_code_block(spaced) == "module m ();\nendmodule\n"
     crlf = "preamble\r\n```verilog\r\nmodule m ();\r\nendmodule\r\n```\r\n"
     assert rt.extract_code_block(crlf) == "module m ();\r\nendmodule\r\n"
+    # A block cut off before its closing fence runs to the end of the
+    # response, without the opening fence line.
+    cut = "preamble\n```verilog\nmodule m ();\nendmodule\n"
+    assert rt.extract_code_block(cut) == "module m ();\nendmodule\n"
+    cut_crlf = "```verilog \r\nmodule m ();\r\nendmodule"
+    assert rt.extract_code_block(cut_crlf) == "module m ();\r\nendmodule"
+    # A closed block is still taken before a later unclosed one.
+    two = "```\nfirst\n```\nthen\n```\nsecond\n"
+    assert rt.extract_code_block(two) == "first\n"
 
 
 @pytest.mark.parametrize("fence,newline", [("```verilog ", "\n"),
@@ -90,6 +99,28 @@ def test_fenced_forward_response_round_trips(fence, newline):
 
     report = rt.run_roundtrip(unit, Fenced(), inner)
     assert report.outcome.label is rt.Label.M
+
+
+@pytest.mark.parametrize("direction", list(TransformDirection))
+def test_response_cut_before_its_closing_fence_round_trips(direction):
+    """A correct module, or unit document, whose response ends before
+    the closing fence reads back as the text after the opening fence."""
+    unit = load_fixture("mux4")
+    inner = rt.DeterministicBackend()
+
+    class Unclosed:
+        name = "unclosed"
+
+        def complete(self, request):
+            response = inner.complete(request)
+            if request.direction is not direction:
+                return response
+            return TransformResponse(f"Here it is:\n```\n{response.text}")
+
+    backend = Unclosed()
+    report = rt.run_roundtrip(unit, backend, backend)
+    assert report.outcome.label is rt.Label.M
+    assert not report.notes
 
 
 # --- classification ----------------------------------------------------------

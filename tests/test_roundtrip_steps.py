@@ -5,6 +5,9 @@ rendered at most once.  Steps are counted through the module attributes
 their callers look up."""
 
 import dataclasses
+import json
+import os
+import random
 from collections import Counter
 
 import pytest
@@ -12,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from lctkit import (analysis, codegen, equiv, extract, model, roundtrip as rt,
                     tableio)
-from lctkit.model import LctError, TransformDirection, TransformResponse
-from .util import TABLES, UNVALIDATED
+from lctkit.model import (BitVector, Constant, LctError, TransformDirection,
+                          TransformResponse)
+from .util import DRESSED, RUNGS, TABLES, UNVALIDATED
 
 
 @pytest.fixture
@@ -55,11 +59,12 @@ def test_deterministic_round_trip_does_each_step_once(calls, style):
     assert calls["canonicalize"] == 2
     # The unit, for the forward prompt and again for codegen and its
     # digest; the extraction, validated when built and rendered as the
-    # inverse's response; and the parsed reconstruction, rendered as
-    # `reconstructed.unit`.  The worked example of the inverse prompt is
-    # built once, at import.
+    # inverse's response; and the parsed reconstruction, validated only:
+    # the response is the arbiter's text, so it is `reconstructed.unit`
+    # as it stands.  The worked example of the inverse prompt is built
+    # once, at import.
     assert calls["validate_lct"] == 3
-    assert calls["_render_unit"] == 3
+    assert calls["_render_unit"] == 2
 
 
 @pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
@@ -146,6 +151,121 @@ def test_identical_reconstruction_reuses_the_arbiter_verdict(calls):
     assert report.outcome.label is rt.Label.M
     assert calls["parse_hdl"] == 2
     assert calls["compare"] == 1
+
+
+def _respell(doc, rng):
+    """A unit document that reads as ``doc`` does, spelled otherwise:
+    spaces and tabs around the cells and words, and blank lines."""
+    manifest, separator, csv = doc.partition("\n---\n")
+    lines = []
+    for line in manifest.splitlines():
+        lines.append(line.replace(" ", "  ") if rng.random() < 0.5 else line)
+    manifest = "\n".join(lines)
+    lines = []
+    for line in csv.splitlines():
+        if rng.random() < 0.3:
+            lines.append("")
+        lines.append(",".join(f" {cell}\t" if rng.random() < 0.5 else cell
+                              for cell in line.split(",")))
+    return manifest + separator + "\n".join(lines) + "\n"
+
+
+def _with_column(doc, rng, name):
+    """``doc`` with a ``Case`` column first, or a ``Comments`` column
+    last, whose cells are texts, empty or (comments only) missing."""
+    manifest, separator, csv = doc.partition("\n---\n")
+    texts = ["", "  ", "note"] + ([None] if name == "Comments" else [])
+    lines = []
+    for line in csv.splitlines():
+        text = rng.choice(texts) if any(lines) else name
+        if line.strip() and text is not None:
+            line = f"{text},{line}" if name == "Case" else f"{line},{text}"
+        lines.append(line)
+    return manifest + separator + "\n".join(lines) + "\n"
+
+
+def _faults(table, rng):
+    """``table`` with a row dropped, and with an output constant
+    changed, where it has one."""
+    faulted = [rt.drop_row(rng.randrange(len(table.rows)))(table)]
+    cells = [(i, j, cell) for i, row in enumerate(table.rows)
+             for j, cell in enumerate(row.outputs)
+             if isinstance(cell, Constant)]
+    if cells:
+        i, j, cell = rng.choice(cells)
+        width = cell.bv.width
+        other = Constant(BitVector(width, (cell.bv.value + 1) % (1 << width)))
+        faulted.append(rt.alter_output_cell(i, j, other)(table))
+    return faulted
+
+
+def _arbiter_table(table, style):
+    """The arbiter's extraction of ``table``'s HDL in ``style``, or in
+    the if style where the case style cannot be written."""
+    try:
+        hdl_text = codegen.gen_unit(table, style)
+    except codegen.CodegenError:
+        hdl_text = codegen.gen_unit(table, codegen.STYLE_IF)
+    return extract.hdl_text_to_lct(hdl_text, *rt.schema_of(table))
+
+
+@settings(max_examples=40)
+@given(st.one_of(TABLES, DRESSED, RUNGS),
+       st.sampled_from([codegen.STYLE_IF, codegen.STYLE_CASE]),
+       st.randoms(use_true_random=False))
+def test_text_check_decides_as_table_equality(table, style, rng):
+    """``run_roundtrip``'s rule, that a response is the arbiter's table
+    exactly when its text, or else its parsed table's text, is the
+    arbiter table's, decides as ``reconstructed == arb_table``: on the
+    arbiter's text, re-spelled, with a label or comment column, faulted,
+    and on the original's text."""
+    arb_table = _arbiter_table(table, style)
+    expected = tableio.serialize_unit_doc(arb_table)
+    docs = [expected, _respell(expected, rng),
+            _with_column(expected, rng, "Case"),
+            _with_column(_respell(expected, rng), rng, "Comments"),
+            tableio.serialize_unit_doc(table)]
+    for faulted in _faults(arb_table, rng):
+        doc = tableio.serialize_unit_doc(faulted)
+        docs += [doc, _respell(doc, rng)]
+    decided = Counter()
+    for doc in docs:
+        reconstructed = tableio.parse_unit_doc(doc)
+        text = doc if doc == expected \
+            else tableio.serialize_unit_doc(reconstructed)
+        same = text == expected
+        assert same == (reconstructed == arb_table), doc
+        decided[same] += 1
+    # The arbiter's text and its re-spelling match; the extra column and
+    # the faults do not.
+    assert decided[True] >= 2 and decided[False] >= 3
+
+
+class _RespelledInverse:
+    """An inverse that answers with the arbiter's table, re-spelled."""
+    name = "respelled"
+
+    def complete(self, request):
+        doc = tableio.serialize_unit_doc(request.payload.arbiter_table)
+        return TransformResponse(_respell(doc, random.Random(7)))
+
+
+@pytest.mark.parametrize("style", [codegen.STYLE_IF, codegen.STYLE_CASE])
+def test_respelled_reconstruction_reuses_the_arbiter_verdict(calls, style,
+                                                             tmp_path):
+    table = _fsm()
+    report = rt.run_roundtrip(table, rt.DeterministicBackend(style),
+                              _RespelledInverse(), run_dir=str(tmp_path))
+    assert report.outcome.label is rt.Label.M
+    assert calls["compare"] == 1
+    with open(os.path.join(report.run_dir, rt.RECORD), encoding="utf-8") as f:
+        artifacts = json.load(f)["artifacts"]
+    assert artifacts["inverse_response.txt"] != \
+        artifacts["reconstructed.unit"]
+    arb_table = extract.hdl_text_to_lct(artifacts[f"{table.name}.v"],
+                                        *rt.schema_of(table))
+    assert artifacts["reconstructed.unit"] == \
+        tableio.serialize_unit_doc(arb_table)
 
 
 def _forms(table):
