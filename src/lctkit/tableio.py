@@ -242,9 +242,10 @@ def _parse_csv(csv_text, csv_line, name, clocking, n_inputs, n_outputs,
                 lineno)
 
         values = []
-        for pos, (memo, text) in enumerate(zip(parsed, cells)):
+        for memo, text in zip(parsed, cells):
             cell = memo.get(text)
             if cell is None:
+                pos = len(values)
                 cell = memo[text] = _parse_cell(
                     sides[pos], text, widths[pos], lineno, first + pos)
             values.append(cell)
