@@ -5,19 +5,24 @@ synthetic FSM generation.
 
 All enumeration respects first-match row priority and is bounded by an
 explicit assignment limit.  ``check_coverage``, canonicalization and
-``equiv.compare`` share one walk over the control space, ``match_sets``,
-which multiplies the row bitsets of the trailing condition columns out
-into a block once: an assignment then costs one AND inside its block,
-plus one per leading column per block.  ``check_coverage`` takes every
-finding from a single walk.  Its bitsets, and the outputs it compares,
-are the table's one first-match form, its ``sim`` kernel, built on
-first use and freed with the table.  Past the walk, canonicalization
-keeps a row that needs no change as it is and codes each kept row once
-(``cell_codes``): the codes sort the rows and key ``equiv``'s textual check.
+``equiv.compare`` share one walk over the control space,
+``match_blocks``, which multiplies the row bitsets of the trailing
+condition columns out into a block once and yields each block's match
+sets beside a lazy slice of its assignments.  Each consumer decides a
+distinct match set once, in order of first appearance, and reads an
+assignment only where it reports one; ``match_sets`` is the walk one
+point at a time.  ``check_coverage`` takes every finding from a single
+walk.  Its bitsets, and the outputs it compares, are the table's one
+first-match form, its ``sim`` kernel, built on first use and freed with
+the table.  Past the walk, canonicalization keeps a row that needs no
+change as it is and codes the kept rows once, a column at a time
+(``cell_codes``): the codes sort the rows and key ``equiv``'s textual
+check.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -93,16 +98,19 @@ def _reset_warning(table: Lct) -> Optional[str]:
     return "clocked table never pins its reset condition (missing reset row?)"
 
 
-def match_sets(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
-               other: Optional[Lct] = None) -> Iterator[tuple]:
-    """Yield ``(assignment, m)`` in enumeration order, where bit i of
-    ``m`` is set when row i matches: the lowest set bit is the
-    first-match row.  The rows of ``other``, a table aligned to
+def match_blocks(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
+                 other: Optional[Lct] = None) -> Iterator[tuple]:
+    """Yield ``(assignments, masks)`` per block, in enumeration order,
+    where bit i of a mask is set when row i matches: the lowest set bit
+    is the first-match row.  The rows of ``other``, a table aligned to
     ``table``, follow ``table``'s, their bitsets stacked on its own.
     The trailing columns' row bitsets, those of the table's ``sim``
     kernel, are multiplied out once into a block of at most ``_BLOCK``
-    masks, or the last column's own if wider: an assignment costs one
-    AND in its block, plus one per leading column per block.  Memory
+    masks, or the last column's own if wider: a block costs one AND per
+    distinct mask in it, plus one per leading column.  ``masks`` is a
+    sequence, not to be changed; ``assignments`` is a lazy slice of the
+    walk's one ``sim.enumerate_assignments`` iterator, and the walk
+    skips what the consumer leaves unread before the next block.  Memory
     holds one block plus one mask list per column, never the whole
     space."""
     size = sim.control_space_size(table)
@@ -121,10 +129,26 @@ def match_sets(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
     while values and len(block) * len(values[-1]) <= _BLOCK:
         block = [a & b for a in values.pop() for b in block]
     assignments = sim.enumerate_assignments(table)
+    if not values:  # the whole space is one block
+        yield assignments, block
+        return
+    # A prefix ANDs its mask into each distinct mask of the block once,
+    # and these are picked into the block's order.
+    distinct = list(dict.fromkeys(block))
+    index = {m: i for i, m in enumerate(distinct)}
+    pick = picker([index[m] for m in block])
     for prefix in itertools.product(*values):
         mask = functools.reduce(operator.and_, prefix, full)
-        yield from zip(itertools.islice(assignments, len(block)),
-                       [mask & m for m in block])
+        part = itertools.islice(assignments, len(block))
+        yield part, pick([mask & m for m in distinct])
+        collections.deque(part, maxlen=0)
+
+
+def match_sets(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT,
+               other: Optional[Lct] = None) -> Iterator[tuple]:
+    """``match_blocks`` one point at a time: ``(assignment, mask)``."""
+    for assignments, masks in match_blocks(table, enum_limit, other):
+        yield from zip(assignments, masks)
 
 
 def check_coverage(table: Lct,
@@ -141,20 +165,39 @@ def check_coverage(table: Lct,
     seen_sets = set()
     seen_conflicts = set()
     outputs = sim.row_values(table)
-    for assignment, m in match_sets(table, enum_limit):
-        claimed |= m & -m
-        if not m:
-            report.uncovered.append(sim.assignment_dict(table, assignment))
-        # A repeated match set has no pair left to report.
-        if not m & (m - 1) or m in seen_sets:
+    for assignments, masks in match_blocks(table, enum_limit):
+        # Each match set is decided once, where it first appears, and an
+        # assignment is read only where it is reported.
+        distinct = dict.fromkeys(masks)
+        witnesses = {}  # a new set -> the pairs it is the first witness of
+        for m in distinct:
+            if m in seen_sets:
+                continue
+            seen_sets.add(m)
+            claimed |= m & -m
+            if not m & (m - 1):
+                continue
+            matching = [i for i in range(m.bit_length()) if m >> i & 1]
+            pairs = [(a, b) for a, b in itertools.combinations(matching, 2)
+                     if (a, b) not in seen_conflicts
+                     and outputs[a] != outputs[b]]
+            if pairs:
+                seen_conflicts.update(pairs)
+                witnesses[m] = pairs
+        if not witnesses and 0 not in distinct:
             continue
-        seen_sets.add(m)
-        matching = [i for i in range(m.bit_length()) if m >> i & 1]
-        for a, b in itertools.combinations(matching, 2):
-            if (a, b) not in seen_conflicts and outputs[a] != outputs[b]:
-                seen_conflicts.add((a, b))
-                report.conflicts.append(
-                    (a, b, sim.assignment_dict(table, assignment)))
+        read = list(map(operator.not_, masks))  # the unmatched points
+        witnesses = {masks.index(m): pairs for m, pairs in witnesses.items()}
+        for i in witnesses:
+            read[i] = True
+        for i, assignment in zip(itertools.compress(range(len(read)), read),
+                                 itertools.compress(assignments, read)):
+            if i in witnesses:
+                report.conflicts.extend(
+                    (a, b, sim.assignment_dict(table, assignment))
+                    for a, b in witnesses[i])
+            else:
+                report.uncovered.append(sim.assignment_dict(table, assignment))
     report.shadowed_rows = [i for i in range(len(table.rows))
                             if not claimed >> i & 1]
     warning = _reset_warning(table)
@@ -224,12 +267,21 @@ def picker(order: Sequence[int]):
     return operator.itemgetter(*order) if order else lambda items: ()
 
 
+def _row_codes(cells: list, width: int):
+    """``cell_codes`` of each row of ``cells``, coded a column at a time."""
+    if not width:
+        return [()] * len(cells)
+    return zip(*map(cell_codes, zip(*cells)))
+
+
 def _prune(table: Lct, enum_limit: int) -> tuple:
     """The rows that canonicalization keeps, as a bitset, and whether it
     may sort them, from the distinct match sets of one walk.  Past the
     limit every row is kept in order."""
+    sets = set()
     try:
-        sets = set(map(operator.itemgetter(1), match_sets(table, enum_limit)))
+        for _, masks in match_blocks(table, enum_limit):
+            sets.update(masks)
     except EnumLimitError:
         return (1 << len(table.rows)) - 1, False
     keep = 0  # the rows that are first match somewhere
@@ -311,7 +363,8 @@ def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
                                 for cell, hold in zip(outputs, holds))
             row = CaseRow(pick_inputs(row.inputs), outputs)
         rows.append(row)
-    codes = [(cell_codes(row.inputs), cell_codes(row.outputs)) for row in rows]
+    codes = list(zip(_row_codes([row.inputs for row in rows], len(conditions)),
+                     _row_codes([row.outputs for row in rows], len(results))))
     if sort_rows:
         keys = [inputs for inputs, _ in codes]
         try:

@@ -9,12 +9,17 @@ compared as the pass-through cells that name them: two tables agree only
 if they pass through the same input under the same control assignment.  Each table's row
 bitsets and outputs are those of its one ``sim`` kernel, built on first
 use and freed with the table.  The textual check reads the row codes
-canonicalization keeps; the walk decides each joint match set once.
+canonicalization keeps.  The walk reads ``analysis.match_blocks`` a
+block at a time and decides each distinct joint match set once, where
+it first appears; only a set whose row pair the oracle must settle is
+read point by point, in order, so the counterexample is the first one
+in enumeration order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -241,29 +246,34 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
     # Walk both tables' rows as one bitset, a's rows in the low bits.  A
     # pass-through of a condition signal read as its cell only merges
     # equal values, so a joint match set whose row pair agrees is decided
-    # once.  Any other pair is settled by the oracle at each assignment.
+    # once, where it first appears.  Any other set is settled by the
+    # oracle at each of its assignments, in order, within its block.
     outputs_a, outputs_b = sim.row_values(a), sim.row_values(b)
     compiled = None
     n = len(a.rows)
     low = (1 << n) - 1
-    agreeing = set()
-    for assignment, m in analysis.match_sets(a, enum_limit, b):
-        if m in agreeing:
-            continue
-        va = outputs_a[sim.first_row(m & low)]
-        vb = outputs_b[sim.first_row(m >> n)]
-        if va == vb or all(map(_values_agree, va, vb)):
-            agreeing.add(m)
+    agrees = {}  # a joint match set -> whether its row pair agrees
+    for assignments, masks in analysis.match_blocks(a, enum_limit, b):
+        distinct = dict.fromkeys(masks)
+        for m in distinct:
+            if m not in agrees:
+                va = outputs_a[sim.first_row(m & low)]
+                vb = outputs_b[sim.first_row(m >> n)]
+                agrees[m] = va == vb or all(map(_values_agree, va, vb))
+        disputed = {m for m in distinct if not agrees[m]}
+        if not disputed:
             continue
         if compiled is None:
             compiled = sim.compile_rows(a), sim.compile_rows(b)
-        outs_a = sim.symbolic_outputs(a, assignment, compiled[0])
-        outs_b = sim.symbolic_outputs(b, assignment, compiled[1])
-        for name, va, vb in zip(a.results, outs_a, outs_b):
-            if not _values_agree(va, vb):
-                counterexample = Counterexample(
-                    sim.assignment_dict(a, assignment), name,
-                    str(va), str(vb))
-                return EquivResult(Verdict.NOT_EQUIVALENT, counterexample,
-                                   normalizations)
+        for assignment in itertools.compress(
+                assignments, map(disputed.__contains__, masks)):
+            outs_a = sim.symbolic_outputs(a, assignment, compiled[0])
+            outs_b = sim.symbolic_outputs(b, assignment, compiled[1])
+            for name, va, vb in zip(a.results, outs_a, outs_b):
+                if not _values_agree(va, vb):
+                    counterexample = Counterexample(
+                        sim.assignment_dict(a, assignment), name,
+                        str(va), str(vb))
+                    return EquivResult(Verdict.NOT_EQUIVALENT,
+                                       counterexample, normalizations)
     return EquivResult(Verdict.EQUIVALENT, normalizations=normalizations)

@@ -13,7 +13,7 @@ one (``compile_rows``, ``first_match``).  ``equiv.compare`` takes every
 counterexample from it, and the bitset walks are tested against it.
 Every other first-match decision reads the table's one kernel, built on
 first use and freed with the table: the row bitsets of
-``column_bitsets``, which ``analysis.match_sets`` walks and evaluation
+``column_bitsets``, which ``analysis.match_blocks`` walks and evaluation
 ANDs once per condition column, and the rows' outputs, resolved when
 first needed and read at the lowest set bit.
 """

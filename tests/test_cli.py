@@ -61,14 +61,14 @@ X,X,1
 
 
 def test_check_walks_each_unit_once(monkeypatch, capsys):
-    """One ``match_sets`` walk gives every finding of a unit."""
+    """One ``match_blocks`` walk gives every finding of a unit."""
     walked = []
-    match_sets = analysis.match_sets
+    match_blocks = analysis.match_blocks
 
     def counting(table, *args):
         walked.append(table.name)
-        return match_sets(table, *args)
-    monkeypatch.setattr(analysis, "match_sets", counting)
+        return match_blocks(table, *args)
+    monkeypatch.setattr(analysis, "match_blocks", counting)
     code, _, _ = run(capsys, "check", fixture_path("mux4"),
                      fixture_path("fsm4"))
     assert code == cli.EXIT_FINDINGS

@@ -4,6 +4,7 @@
 `sim.symbolic_outputs` at every control assignment."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -212,6 +213,85 @@ def test_small_blocks_match_reference(block, table, kind, seed):
                 result = equiv.compare(a, b)
                 assert (result.verdict, result.counterexample) == \
                     util.reference_compare(a, b)
+
+
+# How many of a block's assignments a consumer reads.
+READS = {"none": lambda size: 0, "one": lambda size: 1,
+         "half": lambda size: size // 2, "all": lambda size: size}
+
+
+@pytest.mark.parametrize("reads", sorted(READS))
+@pytest.mark.parametrize("block", [1, 2, 3, 16])
+@settings(max_examples=25)
+@given(TABLES)
+def test_blocks_stay_aligned_whatever_the_consumer_reads(block, reads,
+                                                         table):
+    """A consumer may read none, some or all of a block's assignments:
+    the next block's first assignment is still its own."""
+    reference = _reference_match_sets(table)
+    start = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK", block)
+        for assignments, masks in analysis.match_blocks(table):
+            size = len(masks)
+            assert list(masks) == \
+                [m for _, m in reference[start:start + size]]
+            read = READS[reads](size)
+            assert list(itertools.islice(assignments, read)) == \
+                [a for a, _ in reference[start:start + read]]
+            start += size
+    assert start == len(reference)
+
+
+@st.composite
+def _pass_through_pairs(draw):
+    """Two tables that differ in one output cell: the first passes its
+    last condition signal ``d`` through, the second holds 0 there.  No
+    row pins ``d``, so the points of one match set that differ only in
+    ``d`` are neighbours in one block: the oracle agrees at ``d = 0`` and
+    disagrees at the next point, of the same set."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))
+    width = draw(st.integers(1, 3))
+    names = [f"c{i}" for i in range(len(widths))]
+
+    def const(w, value):
+        return Constant(BitVector(w, value))
+
+    def row():
+        inputs = tuple(draw(st.one_of(st.just(DONT_CARE), st.builds(
+            const, st.just(w), st.integers(0, (1 << w) - 1))))
+            for w in widths) + (DONT_CARE,)
+        return CaseRow(inputs, (const(width, draw(
+            st.integers(0, (1 << width) - 1))),))
+    rows = draw(st.lists(st.builds(row), min_size=1, max_size=5))
+    index = draw(st.integers(0, len(rows) - 1))
+    ports = tuple(Port(Direction.INPUT, name, w)
+                  for name, w in zip(names, widths)) + (
+        Port(Direction.INPUT, "d", width),
+        Port(Direction.OUTPUT, "y", width))
+
+    def table(name, cell):
+        cells = list(rows)
+        cells[index] = dataclasses.replace(rows[index], outputs=(cell,))
+        return Lct(name=name, clocking=Clocking.COMBINATIONAL,
+                   conditions=tuple(map(SignalHeader, names + ["d"])),
+                   results=("y",), rows=tuple(cells), ports=PortMap(ports))
+    return table("through", SignalRef("d")), table("zero", const(width, 0))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 16])
+@settings(max_examples=60)
+@given(_pass_through_pairs())
+def test_oracle_finds_the_first_counterexample_within_a_set(block, pair):
+    """A joint match set whose row pair needs the oracle is checked at
+    each of its points, in order: agreeing at one point of the set does
+    not decide the next."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK", block)
+        for a, b in (pair, pair[::-1]):
+            result = equiv.compare(a, b)
+            assert (result.verdict, result.counterexample) == \
+                util.reference_compare(a, b)
 
 
 def test_a_column_wider_than_a_block_is_its_own_block():
