@@ -56,12 +56,17 @@ def schema_of(table: Lct) -> Tuple[List[str], List[str]]:
 # with LF or CRLF.  A block with no closing fence runs to the end.
 _CODE_BLOCK_RE = re.compile(r"```[\w-]*[ \t]*\r?\n(.*?)(?:```|\Z)",
                             re.DOTALL)
+_BLANK_TO_END_RE = re.compile(r"\s*\Z")
 
 
 def extract_code_block(text: str) -> str:
     """Take the first fenced code block, else the whole body.  A block
     cut off before its closing fence is the text after its opening
-    fence line."""
+    fence line.  A first fence with nothing but whitespace after it
+    closes a block never opened: the block is the text before it."""
+    first = text.find("```")
+    if first >= 0 and _BLANK_TO_END_RE.match(text, first + 3):
+        return text[:first]
     m = _CODE_BLOCK_RE.search(text)
     return m.group(1) if m else text
 

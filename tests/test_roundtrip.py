@@ -76,6 +76,17 @@ def test_extract_code_block():
     # A closed block is still taken before a later unclosed one.
     two = "```\nfirst\n```\nthen\n```\nsecond\n"
     assert rt.extract_code_block(two) == "first\n"
+    # A closing fence never opened, with only whitespace after it, ends a
+    # block that began at the start of the response.
+    stray = "module m ();\nendmodule\n```\n"
+    assert rt.extract_code_block(stray) == "module m ();\nendmodule\n"
+    stray_crlf = "module m ();\r\nendmodule\r\n``` \t\r\n\r\n"
+    assert rt.extract_code_block(stray_crlf) == \
+        "module m ();\r\nendmodule\r\n"
+    assert rt.extract_code_block("module m ();\nendmodule```") == \
+        "module m ();\nendmodule"
+    # An opening fence with an info string opens, even with nothing after.
+    assert rt.extract_code_block("Here it is:\n```verilog\n") == ""
 
 
 @pytest.mark.parametrize("fence,newline", [("```verilog ", "\n"),
@@ -121,6 +132,25 @@ def test_response_cut_before_its_closing_fence_round_trips(direction):
     report = rt.run_roundtrip(unit, backend, backend)
     assert report.outcome.label is rt.Label.M
     assert not report.notes
+
+
+def test_response_with_a_stray_closing_fence_round_trips():
+    """mux4's correct HDL followed by a closing fence it never opened
+    reads back as the text before the fence."""
+    unit = load_fixture("mux4")
+    inner = rt.DeterministicBackend()
+
+    class Stray:
+        name = "stray"
+
+        def complete(self, request):
+            response = inner.complete(request)
+            if request.direction is not TransformDirection.FORWARD:
+                return response
+            return TransformResponse(f"{response.text}```\n")
+
+    report = rt.run_roundtrip(unit, Stray(), inner)
+    assert report.outcome.label is rt.Label.M
 
 
 # --- classification ----------------------------------------------------------
