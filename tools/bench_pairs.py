@@ -7,10 +7,15 @@ Usage, from the root of a checkout:
         --workload fsm_ladder --seed 103 --pairs 10 --seconds 10 \\
         --out BENCH_11.json
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
-parent first in odd pairs and the change first in even ones, so that a
-drift of the host's speed falls on both sides alike.  Then each side
-runs once with ``--trace 1``.  The file keeps, per workload, seed and
+Each side runs from a fresh copy of its checkout's tracked files, as
+they stand in the working tree, and both copies sit under one temporary
+parent directory: the run directories that ``perfbench`` writes under
+``.perfbench_tmp/`` are then on the same file system and equally new for
+both sides, whatever the checkouts' own directories are.  Each pair
+runs ``perfbench/run.py --trace 0`` once on each side, the parent first
+in odd pairs and the change first in even ones, so that a drift of the
+host's speed falls on both sides alike.  Then each side runs once with
+``--trace 1``.  The file keeps, per workload, seed and
 side, the median and quartiles of every end-to-end metric over the
 pairs, the pairs the change won on each metric, and every per-layer
 figure of the traced run, and the commit of each checkout, marked dirty
@@ -29,9 +34,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change")
 # The unscaled figures of an untraced run, from its record's notes.
@@ -61,6 +68,22 @@ def run(checkout, workload, seed, seconds, trace):
     return metrics
 
 
+def copy_tracked(checkout, dest):
+    """Copy the files git tracks in ``checkout``, as they stand in its
+    working tree, to the new directory ``dest``; return ``dest``."""
+    names = subprocess.run(["git", "-C", checkout, "ls-files", "-z"],
+                           check=True, capture_output=True,
+                           text=True).stdout.split("\0")
+    for name in filter(None, names):
+        source = os.path.join(checkout, name)
+        if not os.path.isfile(source):  # deleted in the working tree
+            continue
+        target = os.path.join(dest, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target)
+    return dest
+
+
 def checkout_state(checkout):
     """The commit a checkout is at, with ``"dirty": true`` when its
     tracked files differ from that commit: then the commit is not what
@@ -81,24 +104,13 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True)
-    parser.add_argument("--change", required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
-    checkouts = {"parent": args.parent, "change": args.change}
-
-    states = {side: checkout_state(checkouts[side]) for side in SIDES}
+def measure(args, copies, states):
+    """The entry of one workload and seed, from runs in ``copies``."""
     runs = {side: [] for side in SIDES}
     for pair in range(args.pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run(checkouts[side], args.workload, args.seed,
+            runs[side].append(run(copies[side], args.workload, args.seed,
                                   args.seconds, 0))
         print(f"{args.workload} pair {pair + 1}/{args.pairs}: " + ", ".join(
             f"{side} {runs[side][-1]['ops_per_s']['value']:.1f} ops/s"
@@ -119,11 +131,32 @@ def main(argv=None):
             (c > p) if higher else (c < p)
             for p, c in zip(by_side["parent"], by_side["change"]))
     for side in SIDES:
-        traced = run(checkouts[side], args.workload, args.seed,
+        traced = run(copies[side], args.workload, args.seed,
                      args.seconds, 1)
         entry["traced"][side] = {name: m["value"]
                                  for name, m in traced.items()
                                  if name not in entry["end_to_end"]}
+    return entry
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+
+    states = {side: checkout_state(checkouts[side]) for side in SIDES}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
+        copies = {side: copy_tracked(checkouts[side],
+                                     os.path.join(scratch, side))
+                  for side in SIDES}
+        entry = measure(args, copies, states)
 
     doc = {}
     if os.path.exists(args.out):
