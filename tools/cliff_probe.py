@@ -10,9 +10,10 @@ Round-trips ``generate_fsm(16, c, 4)`` at 17 and 19 control bits in the
 and once without.  A faulted run must be labelled ``X INV``, with a
 counterexample at which ``sim.symbolic_outputs`` of the unit and of its
 reconstruction give the two values it reports; an unfaulted run must be
-``M``.  Any other result exits 1.  The seconds of each round trip are
-printed, and appended to ``--summary`` as a markdown table, as reported
-figures: nothing is gated on them.
+``M``.  Each row runs three times and every run is checked; any other
+result exits 1.  The least seconds of a row's three round trips, which
+damps the host's swings, are printed, and appended to ``--summary`` as a
+markdown table, as reported figures: nothing is gated on them.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from lctkit.model import TransformDirection
 STATES, OUTPUTS = 16, 4
 CONTROL_BITS = (17, 19)  # rst_n, a 4-bit state, then one bit per condition
 STYLES = ("if", "case")
+RUNS = 3  # round trips per row; the row reports the least seconds
 
 
 class Recording:
@@ -90,7 +92,9 @@ def main(argv=None):
     for bits in CONTROL_BITS:
         for style in STYLES:
             for faulted in (True, False):
-                seconds, problem = probe(bits, style, faulted)
+                runs = [probe(bits, style, faulted) for _ in range(RUNS)]
+                seconds = min(seconds for seconds, _ in runs)
+                problem = next((p for _, p in runs if p), None)
                 problems += problem is not None
                 inverse = "drops last row" if faulted else "exact"
                 result = problem or ("X INV, confirmed" if faulted else "M")
