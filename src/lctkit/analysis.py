@@ -166,11 +166,12 @@ def check_coverage(table: Lct,
     seen_conflicts = set()
     outputs = sim.row_values(table)
     for assignments, masks in match_blocks(table, enum_limit):
-        # Each match set is decided once, where it first appears, and an
-        # assignment is read only where it is reported.
-        distinct = dict.fromkeys(masks)
-        witnesses = {}  # a new set -> the pairs it is the first witness of
-        for m in distinct:
+        # Each match set is decided where it first appears, and only the
+        # points reported are read: those no row matches, and the first
+        # witness of each new conflict.
+        read = list(map(operator.not_, masks))
+        witnesses = {}  # the index of such a witness -> its row pairs
+        for m in dict.fromkeys(masks):
             if m in seen_sets:
                 continue
             seen_sets.add(m)
@@ -183,13 +184,8 @@ def check_coverage(table: Lct,
                      and outputs[a] != outputs[b]]
             if pairs:
                 seen_conflicts.update(pairs)
-                witnesses[m] = pairs
-        if not witnesses and 0 not in distinct:
-            continue
-        read = list(map(operator.not_, masks))  # the unmatched points
-        witnesses = {masks.index(m): pairs for m, pairs in witnesses.items()}
-        for i in witnesses:
-            read[i] = True
+                i = masks.index(m)
+                witnesses[i], read[i] = pairs, True
         for i, assignment in zip(itertools.compress(range(len(read)), read),
                                  itertools.compress(assignments, read)):
             if i in witnesses:
