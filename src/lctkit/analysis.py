@@ -13,11 +13,10 @@ distinct match set once, in order of first appearance, and reads an
 assignment only where it reports one; ``match_sets`` is the walk one
 point at a time.  ``check_coverage`` takes every finding from a single
 walk.  Its bitsets, and the outputs it compares, are the table's one
-first-match form, its ``sim`` kernel, built on first use and freed with
-the table.  Past the walk, canonicalization keeps a row that needs no
-change as it is and codes the kept rows once, a column at a time
-(``cell_codes``): the codes sort the rows and key ``equiv``'s textual
-check.
+first-match form, its ``sim`` kernel.  Past the walk, canonicalization
+keeps a row that needs no change as it is and codes the kept rows once,
+a column at a time (``cell_codes``): the codes sort the rows and key
+``equiv``'s textual check.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .model import (
     SignalHeader,
     SignalRef,
     condition_header,
+    kept,
 )
 from . import sim
 
@@ -270,6 +270,13 @@ def _row_codes(cells: list, width: int):
     return zip(*map(cell_codes, zip(*cells)))
 
 
+def row_codes(table: Lct) -> tuple:
+    """Per row, its inputs' and outputs' codes, as ``canonicalize`` keeps."""
+    return tuple(zip(
+        _row_codes([row.inputs for row in table.rows], len(table.conditions)),
+        _row_codes([row.outputs for row in table.rows], len(table.results))))
+
+
 def _prune(table: Lct, enum_limit: int) -> tuple:
     """The rows that canonicalization keeps, as a bitset, and whether it
     may sort them, from the distinct match sets of one walk.  Past the
@@ -325,7 +332,7 @@ def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
     are in key order already, and it has no label, no comment and no
     clocked don't-care output.  Any other kept row is built once, its
     cells picked in sorted column order.  The rows' codes, computed once,
-    stay in the returned (new) table's ``__dict__`` as ``_row_codes``.
+    are kept on the returned (new) table as ``_row_codes``.
     """
     keep, sort_rows = _prune(table, enum_limit)
 
@@ -375,7 +382,8 @@ def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
     canonical = Lct(name=table.name, clocking=table.clocking,
                     conditions=conditions, results=results,
                     rows=tuple(rows), ports=PortMap(ports), feedback=())
-    canonical.__dict__["_row_codes"] = tuple(codes)
+    # The codes exist before the table, which is sorted by them.
+    kept(canonical, "_row_codes", lambda _: tuple(codes))
     return canonical
 
 

@@ -6,14 +6,13 @@ Benign differences (row/column permutation, don't-care expansion,
 numeric literal style, shadowed extra rows, signal-name aliases) all
 collapse under this comparison without per-case rules.  Data inputs are
 compared as the pass-through cells that name them: two tables agree only
-if they pass through the same input under the same control assignment.  Each table's row
-bitsets and outputs are those of its one ``sim`` kernel, built on first
-use and freed with the table.  The textual check reads the row codes
-canonicalization keeps.  The walk reads ``analysis.match_blocks`` a
-block at a time and decides each distinct joint match set once, where
-it first appears; only a set whose row pair the oracle must settle is
-read point by point, in order, so the counterexample is the first one
-in enumeration order.
+if they pass through the same input under the same control assignment.
+Each table's row bitsets and outputs are those of its one ``sim``
+kernel.  The textual check reads the row codes canonicalization keeps.
+The walk reads ``analysis.match_blocks`` a block at a time and decides
+each distinct joint match set once, where it first appears; only a set
+whose row pair the oracle must settle is read point by point, in order,
+so the counterexample is the first one in enumeration order.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .model import (
     PortMap,
     SignalHeader,
     SignalRef,
+    kept,
 )
 
 
@@ -198,7 +198,7 @@ def _canonical_key(table: Lct, enum_limit: int) -> tuple:
     column may hold 1'd1 or 2'd1 alike)."""
     c = analysis.canonicalize(table, enum_limit)
     return (c.clocking, c.ports, tuple(h.text for h in c.conditions),
-            c.results, c.__dict__["_row_codes"])
+            c.results, kept(c, "_row_codes", analysis.row_codes))
 
 
 def textual_match(a: Lct, b: Lct,

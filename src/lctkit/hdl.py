@@ -5,8 +5,9 @@ edge-triggered or combinational always blocks containing if/else,
 case/casez, and blocking/nonblocking assignments.
 
 Anything outside the subset fails with the construct named and located.
-Within one parse, equal terms `(a OP b)` and equal statements `x OP b;`
-over leaves a and b are one shared node, so an HAssign is frozen.
+Within one parse, equal terms `(a OP b)` over leaves a and b are one
+shared node, and so are equal statements `x OP b;` in `begin ... end`
+blocks, so an HAssign is frozen.
 """
 
 from __future__ import annotations
@@ -38,18 +39,6 @@ class HAssign:
     lhs: str
     rhs: object
     nonblocking: bool
-
-    def __init__(self, lhs: str, rhs, nonblocking: bool):
-        # Frozen, but set through the slots: a frozen dataclass's own
-        # __init__ takes about twice as long, and every statement is one.
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_nonblocking(self, nonblocking)
-
-
-_set_lhs = HAssign.lhs.__set__
-_set_rhs = HAssign.rhs.__set__
-_set_nonblocking = HAssign.nonblocking.__set__
 
 
 # Arms tried in priority order, then a default body (`else` or `default`)
@@ -277,15 +266,7 @@ class _Parser(ex._Parser):
         tok = self.tokens[self.i]
         # The commonest statement first; no keyword is an identifier.
         if self.is_ident(tok):
-            i = self.i
-            toks = self.tokens
-            key = ((tok, toks[i + 1], toks[i + 2], toks[i + 3])
-                   if i + 3 < len(toks) else tuple(toks[i:]))
-            node = self.assigns.get(key)
-            if node is None:
-                return [self.assignment(key)]
-            self.i = i + 4
-            return [node]
+            return [self.assignment(tuple(self.tokens[self.i:self.i + 4]))]
         if not tok:
             raise self.error("unexpected end of input in statement")
         self.check_supported(tok)
@@ -302,7 +283,7 @@ class _Parser(ex._Parser):
 
     def assignment(self, key: tuple) -> HAssign:
         """The assignment at the next token, whose first four tokens are
-        `key`, not yet kept: kept when it is `name OP leaf ;`."""
+        `key`: kept when it is `name OP leaf ;`."""
         start = self.i
         self.i += 2
         op = key[1]

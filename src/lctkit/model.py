@@ -3,8 +3,11 @@ Core domain types: bit vectors, table cells, condition headers, case rows,
 logic condition tables, port maps, and connectivity tables.
 
 All types are immutable after construction and safe to share across threads.
-The dataclasses are slotted, but for ``Lct``, which keeps its derived forms
-in its ``__dict__``; ``ExprHeader`` keeps its cached parse.
+The dataclasses are slotted, but for ``Lct``, whose derived forms (violations,
+``serialize_unit`` text, ``sim`` kernel, a canonical form's row codes) only
+``kept`` builds, on first use, into its ``__dict__``: a form is freed with the
+table, built anew for a ``dataclasses.replace``d copy, and taken without the
+lock that a ``cached_property`` shares across instances in Python 3.11.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ _CSV_BREAK_RE = re.compile(r"[,\r\n]")
 
 class LctError(Exception):
     """Base class for all toolkit errors."""
+
+
+def kept(value, name: str, build):
+    """``value``'s form ``name``: ``build(value)``, kept on first use."""
+    form = value.__dict__.get(name)
+    if form is None:
+        form = value.__dict__[name] = build(value)
+    return form
 
 
 class LiteralError(LctError):
@@ -334,11 +345,8 @@ class Lct:
 
     @property
     def violations(self) -> tuple:
-        """``validate_lct``'s findings, kept in ``__dict__`` as ``sim`` keeps
-        its kernel (a ``cached_property`` would lock across instances)."""
-        if "_violations" not in self.__dict__:
-            self.__dict__["_violations"] = tuple(validate_lct(self))
-        return self.__dict__["_violations"]
+        """``validate_lct``'s findings, kept."""
+        return kept(self, "_violations", _violations)
 
     def require_valid(self, error: type, prefix: str = "invalid table"):
         """Raise ``error`` listing the violations, if there are any."""
@@ -495,6 +503,10 @@ def validate_lct(table: Lct) -> list:
             bad("feedback", f"feedback {res} -> {cond} width mismatch")
 
     return out
+
+
+def _violations(table: Lct) -> tuple:
+    return tuple(validate_lct(table))
 
 
 # ---------------------------------------------------------------------------

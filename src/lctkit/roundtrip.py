@@ -57,15 +57,22 @@ def schema_of(table: Lct) -> Tuple[List[str], List[str]]:
 _CODE_BLOCK_RE = re.compile(r"```[\w-]*[ \t]*\r?\n(.*?)(?:```|\Z)",
                             re.DOTALL)
 _BLANK_TO_END_RE = re.compile(r"\s*\Z")
+_BARE_FENCE_LINE_RE = re.compile(r"[ \t]*(?:\r?\n|\Z)")
+_BLOCK_BEFORE_RE = re.compile(
+    rf"endmodule\s*\Z|\n{tableio.UNIT_DOC_SEPARATOR}\n")
 
 
 def extract_code_block(text: str) -> str:
     """Take the first fenced code block, else the whole body.  A block
     cut off before its closing fence is the text after its opening
-    fence line.  A first fence with nothing but whitespace after it
-    closes a block never opened: the block is the text before it."""
+    fence line.  A first fence closes a block never opened, the text
+    before it, when only whitespace follows it, or when it has no info
+    string and that text ends in ``endmodule`` or holds a unit document's
+    separator line."""
     first = text.find("```")
-    if first >= 0 and _BLANK_TO_END_RE.match(text, first + 3):
+    if first >= 0 and (_BLANK_TO_END_RE.match(text, first + 3) or (
+            _BARE_FENCE_LINE_RE.match(text, first + 3)
+            and _BLOCK_BEFORE_RE.search(text, 0, first))):
         return text[:first]
     m = _CODE_BLOCK_RE.search(text)
     return m.group(1) if m else text

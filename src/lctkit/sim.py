@@ -11,11 +11,11 @@ constant is its cell's ``BitVector``, an input supplied is that input's
 ``symbolic_outputs`` is the brute-force oracle: it scans the rows one by
 one (``compile_rows``, ``first_match``).  ``equiv.compare`` takes every
 counterexample from it, and the bitset walks are tested against it.
-Every other first-match decision reads the table's one kernel, built on
-first use and freed with the table: the row bitsets of
-``column_bitsets``, which ``analysis.match_blocks`` walks and evaluation
-ANDs once per condition column, and the rows' outputs, resolved when
-first needed and read at the lowest set bit.
+Every other first-match decision reads the table's one kernel, kept on
+it by ``model.kept``: the row bitsets of ``column_bitsets``, which
+``analysis.match_blocks`` walks and evaluation ANDs once per condition
+column, and the rows' outputs, resolved when first needed and read at
+the lowest set bit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .model import (
     LiteralError,
     SignalHeader,
     SignalRef,
+    kept,
     parse_literal,
 )
 
@@ -294,14 +295,7 @@ class _Kernel:
 
 
 def _kernel(table: Lct) -> _Kernel:
-    """The table's kernel, built on first use and kept in the instance's
-    ``__dict__`` as ``functools.cached_property`` keeps a value: it is
-    freed with the table, and a ``dataclasses.replace``d table, being a
-    new instance, builds its own."""
-    kernel = table.__dict__.get("_sim_kernel")
-    if kernel is None:
-        kernel = table.__dict__["_sim_kernel"] = _Kernel(table)
-    return kernel
+    return kept(table, "_sim_kernel", _Kernel)
 
 
 def row_values(table: Lct) -> List[tuple]:

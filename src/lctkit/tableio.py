@@ -21,8 +21,6 @@ from ports of those names by the manifest's column counts.  An error's
 column counts from the file's first, a "Case" column included, and its
 line from the file's first, blank lines included: in a unit document,
 from the manifest's first.
-A table instance is validated and rendered at most once: its
-``violations`` and its ``serialize_unit`` text are kept on it.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ from .model import (
     SignalRef,
     cell_text,
     condition_header,
+    kept,
     parse_cell,
 )
 
@@ -279,13 +278,10 @@ def serialize_unit(table: Lct) -> Tuple[str, str]:
     parse_unit(*serialize_unit(t)) == t but for three normalizations:
     a label or comment loses its surrounding whitespace, a missing label
     or comment beside present ones reads back as "", and an
-    expression-column constant reads back 1 bit wide.  The text is kept
-    in the instance's ``__dict__`` as ``Lct.violations`` are; an invalid
-    table raises on every call."""
-    if "_unit_text" not in table.__dict__:
-        table.require_valid(LctError, "cannot serialize invalid table")
-        table.__dict__["_unit_text"] = _render_unit(table)
-    return table.__dict__["_unit_text"]
+    expression-column constant reads back 1 bit wide.  The text is
+    kept; an invalid table raises on every call."""
+    table.require_valid(LctError, "cannot serialize invalid table")
+    return kept(table, "_unit_text", _render_unit)
 
 
 def _render_unit(table: Lct) -> Tuple[str, str]:

@@ -153,6 +153,47 @@ def test_response_with_a_stray_closing_fence_round_trips():
     assert report.outcome.label is rt.Label.M
 
 
+def test_extract_code_block_closed_by_a_stray_fence_before_prose():
+    """A fence with no info string after a module's `endmodule`, or
+    after a unit document's separator line, closes a block that began at
+    the start of the response; prose before a bare fence does not."""
+    module = "module m ();\nendmodule\n"
+    assert rt.extract_code_block(f"{module}```\nHope this helps.\n") == \
+        module
+    assert rt.extract_code_block(f"{module}```  \r\nDone.") == module
+    doc = "unit m\nclocking combinational\n---\na,q\n0,0\n"
+    assert rt.extract_code_block(f"{doc}```\nHope this helps.\n") == doc
+    # An info string opens a block, whatever comes before it.
+    assert rt.extract_code_block(f"{module}```verilog\nx\n```\n") == "x\n"
+    assert rt.extract_code_block("Here it is:\n```\nmodule m ();\n") == \
+        "module m ();\n"
+
+
+@pytest.mark.parametrize("direction", list(TransformDirection))
+def test_response_closed_by_a_stray_fence_before_prose_round_trips(
+        direction):
+    """mux4's correct HDL, or unit document, followed by a closing fence
+    it never opened and a sign-off reads back as the text before the
+    fence."""
+    unit = load_fixture("mux4")
+    inner = rt.DeterministicBackend()
+
+    class SignedOff:
+        name = "signed-off"
+
+        def complete(self, request):
+            response = inner.complete(request)
+            if request.direction is not direction:
+                return response
+            return TransformResponse(
+                f"{response.text}```\nHope this helps.\n")
+
+    backend = SignedOff()
+    report = rt.run_roundtrip(unit, backend, backend)
+    assert report.outcome.label is rt.Label.M
+    assert not report.notes
+
+
 # --- classification ----------------------------------------------------------
 
 V = equiv.Verdict

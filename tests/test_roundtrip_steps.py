@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lctkit import (analysis, codegen, equiv, extract, model, roundtrip as rt,
-                    tableio)
+                    sim, tableio)
 from lctkit.model import (BitVector, Constant, LctError, TransformDirection,
                           TransformResponse)
-from .util import DRESSED, RUNGS, TABLES, UNVALIDATED
+from .util import DRESSED, RUNGS, TABLES, UNVALIDATED, load_fixture
 
 
 @pytest.fixture
@@ -268,12 +268,23 @@ def test_respelled_reconstruction_reuses_the_arbiter_verdict(calls, style,
         tableio.serialize_unit_doc(arb_table)
 
 
+def _canonical_codes(table):
+    """The row codes kept on the table's canonical form, which are those
+    a fresh copy of that form builds from its rows."""
+    canonical = analysis.canonicalize(table)
+    codes = model.kept(canonical, "_row_codes", analysis.row_codes)
+    assert model.kept(dataclasses.replace(canonical), "_row_codes",
+                      analysis.row_codes) == codes
+    return codes
+
+
 def _forms(table):
-    """serialize_unit, generate and the rules on the table, or the error
-    each raises."""
+    """serialize_unit, generate, the rules, the sim kernel's bitsets and
+    the canonical row codes of the table, or the error each raises."""
     forms = []
     for step in (tableio.serialize_unit, codegen.generate,
-                 model.validate_lct, lambda t: list(t.violations)):
+                 model.validate_lct, lambda t: list(t.violations),
+                 lambda t: sim._kernel(t).bitsets, _canonical_codes):
         try:
             forms.append(step(table))
         except LctError as e:
@@ -292,3 +303,37 @@ def test_kept_forms_are_those_of_a_fresh_copy(table):
     assert _forms(dataclasses.replace(table)) == first
     if table.violations:
         assert all(isinstance(form, str) for form in first[:2])
+
+
+KEPT = {"_violations", "_unit_text", "_sim_kernel", "_row_codes"}
+FIELDS = {field.name for field in dataclasses.fields(model.Lct)}
+
+
+def test_a_round_trip_keeps_only_the_named_forms(monkeypatch):
+    """Every table a deterministic round trip with a sim suite builds,
+    and the unit it starts from, holds no state but its fields and the
+    forms ``model.kept`` names; a ``dataclasses.replace`` copy of each
+    holds none of those forms."""
+    unit = load_fixture("fsm4")
+    tables = [unit]
+    init = model.Lct.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+    monkeypatch.setattr(model.Lct, "__init__", recorded)
+    suite = [[{"rst_n": BitVector(1, 0), "cond0": BitVector(1, 0),
+               "cond1": BitVector(1, 0)},
+              {"rst_n": BitVector(1, 1), "cond0": BitVector(1, 0),
+               "cond1": BitVector(1, 1)}]]
+    backend = rt.DeterministicBackend()
+    report = rt.run_roundtrip(unit, backend, backend, sim_suite=suite)
+    monkeypatch.undo()
+    assert report.outcome.label is rt.Label.M
+    assert report.outcome.sim is rt.SimVerdict.PASS
+    held = [set(vars(table)) - FIELDS for table in tables]
+    assert all(forms <= KEPT for forms in held), held
+    assert set().union(*held) == KEPT
+    for table in tables:
+        assert set(vars(dataclasses.replace(table))) == FIELDS
+
