@@ -336,4 +336,3 @@ def test_a_round_trip_keeps_only_the_named_forms(monkeypatch):
     assert set().union(*held) == KEPT
     for table in tables:
         assert set(vars(dataclasses.replace(table))) == FIELDS
-
