@@ -14,9 +14,10 @@ assignment only where it reports one; ``match_sets`` is the walk one
 point at a time.  ``check_coverage`` takes every finding from a single
 walk.  Its bitsets, and the outputs it compares, are the table's one
 first-match form, its ``sim`` kernel.  Past the walk, canonicalization
-keeps a row that needs no change as it is and codes the kept rows once,
-a column at a time (``cell_codes``): the codes sort the rows and key
-``equiv``'s textual check.
+decides by columns: it transposes the kept rows once, codes each column
+once (``cell_codes``), keeps a row that needs no change as it is and
+builds only the others: the codes sort the rows and key ``equiv``'s
+textual check.
 """
 
 from __future__ import annotations
@@ -263,18 +264,26 @@ def picker(order: Sequence[int]):
     return operator.itemgetter(*order) if order else lambda items: ()
 
 
-def _row_codes(cells: list, width: int):
-    """``cell_codes`` of each row of ``cells``, coded a column at a time."""
-    if not width:
-        return [()] * len(cells)
-    return zip(*map(cell_codes, zip(*cells)))
+def _columns(cells: list, width: int) -> list:
+    """The ``width`` columns of the rows of ``cells``."""
+    return list(zip(*cells)) if cells else [()] * width
+
+
+def _rows(columns: list, count: int):
+    """The ``count`` rows of ``columns``: ``_columns`` undone."""
+    return zip(*columns) if columns else [()] * count
 
 
 def row_codes(table: Lct) -> tuple:
-    """Per row, its inputs' and outputs' codes, as ``canonicalize`` keeps."""
-    return tuple(zip(
-        _row_codes([row.inputs for row in table.rows], len(table.conditions)),
-        _row_codes([row.outputs for row in table.rows], len(table.results))))
+    """Per row, its inputs' and outputs' codes, as ``canonicalize`` keeps,
+    coded a column at a time."""
+    count = len(table.rows)
+    inputs = _columns([row.inputs for row in table.rows],
+                      len(table.conditions))
+    outputs = _columns([row.outputs for row in table.rows],
+                       len(table.results))
+    return tuple(zip(_rows(list(map(cell_codes, inputs)), count),
+                     _rows(list(map(cell_codes, outputs)), count)))
 
 
 def _prune(table: Lct, enum_limit: int) -> tuple:
@@ -327,55 +336,76 @@ def canonicalize(table: Lct, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Lct:
 
     Rows are left in priority order when any two rows overlap: sorting
     them could conflate tables that differ only in overlap priority, and
-    are otherwise sorted by their input cells' ``cell_codes``.  A kept
-    row that needs no change is the table's own row object: its columns
-    are in key order already, and it has no label, no comment and no
-    clocked don't-care output.  Any other kept row is built once, its
-    cells picked in sorted column order.  The rows' codes, computed once,
-    are kept on the returned (new) table as ``_row_codes``.
+    are otherwise sorted by their input cells' ``cell_codes``.  The kept
+    rows are decided by columns: transposed once, their columns put in
+    key order, and each column coded once.  A kept row that needs no
+    change is the table's own row object and costs no work of its own:
+    its columns are in key order already, and it has no label, no
+    comment and no clocked don't-care output.  Any other kept row is
+    built once from the columns.  The rows' codes are kept on the
+    returned (new) table as ``_row_codes``.
     """
     keep, sort_rows = _prune(table, enum_limit)
+    rows = list(table.rows if keep == (1 << len(table.rows)) - 1
+                else itertools.compress(table.rows,
+                                        map("1".__eq__, bin(keep)[:1:-1])))
+    count = len(rows)
 
     cond_order = sorted(range(len(table.conditions)),
                         key=lambda i: table.conditions[i].key)
     res_order = sorted(range(len(table.results)),
                        key=lambda i: table.results[i])
-    pick_inputs, pick_outputs = picker(cond_order), picker(res_order)
     in_order = cond_order == sorted(cond_order) and \
         res_order == sorted(res_order)
 
     # A key re-read as header text is the header with its canonical text.
     conditions = tuple(condition_header(table.conditions[i].key)
                        for i in cond_order)
-    results = pick_outputs(table.results)
-    # A clocked don't-care output leaves the register alone, which is
-    # exactly a hold; normalize to the hold spelling.
-    holds = tuple(map(SignalRef, results)) \
-        if table.clocking is Clocking.CLOCKED else None
+    results = picker(res_order)(table.results)
+    inputs = _columns([row.inputs for row in rows], len(cond_order))
+    outputs = _columns([row.outputs for row in rows], len(res_order))
+    inputs = [inputs[i] for i in cond_order]
+    outputs = [outputs[i] for i in res_order]
+    input_codes = list(map(cell_codes, inputs))
+    output_codes = list(map(cell_codes, outputs))
 
-    rows = []
-    for i, row in enumerate(table.rows):
-        if not keep >> i & 1:
-            continue
-        spell = holds and DontCare in map(type, row.outputs)
-        if spell or not in_order or row.label is not None \
-                or row.comment is not None:
-            outputs = pick_outputs(row.outputs)
-            if spell:
-                outputs = tuple(hold if type(cell) is DontCare else cell
-                                for cell, hold in zip(outputs, holds))
-            row = CaseRow(pick_inputs(row.inputs), outputs)
-        rows.append(row)
-    codes = list(zip(_row_codes([row.inputs for row in rows], len(conditions)),
-                     _row_codes([row.outputs for row in rows], len(results))))
+    # A clocked don't-care output leaves the register alone, which is
+    # exactly a hold; normalize to the hold spelling, in the columns
+    # that hold one.
+    changed = set()  # the kept rows to build anew, by index
+    if table.clocking is Clocking.CLOCKED:
+        for j, name in enumerate(results):
+            codes = output_codes[j]
+            if math.inf not in codes:
+                continue
+            hold = SignalRef(name)
+            spelled = [code is math.inf for code in codes]
+            changed.update(itertools.compress(range(count), spelled))
+            outputs[j] = tuple(hold if x else cell
+                               for cell, x in zip(outputs[j], spelled))
+            output_codes[j] = tuple(name if x else code
+                                    for code, x in zip(codes, spelled))
+    if not in_order:
+        rows = list(map(CaseRow, _rows(inputs, count),
+                        _rows(outputs, count)))
+    else:
+        changed.update(itertools.compress(range(count), map(
+            (None, None).__ne__,
+            map(operator.attrgetter("label", "comment"), rows))))
+        if changed:
+            output_rows = list(_rows(outputs, count))
+            for i in changed:
+                rows[i] = CaseRow(rows[i].inputs, output_rows[i])
+    keys = list(_rows(input_codes, count))
+    codes = list(zip(keys, _rows(output_codes, count)))
     if sort_rows:
-        keys = [inputs for inputs, _ in codes]
         try:
-            order = sorted(range(len(rows)), key=keys.__getitem__)
+            order = sorted(range(count), key=keys.__getitem__)
         except TypeError:  # a signal beside a number in one column
-            order = sorted(range(len(rows)), key=lambda i: tuple(
+            order = sorted(range(count), key=lambda i: tuple(
                 (type(code) is str, code) for code in keys[i]))
-        rows, codes = [rows[i] for i in order], [codes[i] for i in order]
+        pick = picker(order)
+        rows, codes = pick(rows), pick(codes)
 
     ports = tuple(sorted(table.ports.entries,
                          key=lambda p: (p.direction.value, p.name)))

@@ -8,11 +8,16 @@ collapse under this comparison without per-case rules.  Data inputs are
 compared as the pass-through cells that name them: two tables agree only
 if they pass through the same input under the same control assignment.
 Each table's row bitsets and outputs are those of its one ``sim``
-kernel.  The textual check reads the row codes canonicalization keeps.
-The walk reads ``analysis.match_blocks`` a block at a time and decides
-each distinct joint match set once, where it first appears; only a set
-whose row pair the oracle must settle is read point by point, in order,
-so the counterexample is the first one in enumeration order.
+kernel.  The textual check reads the row codes canonicalization keeps;
+since a canonical form puts columns in key order, it reads the second
+table as given unless a port is renamed, and a copy aligned to the
+first table's column order is built only for the walk.  The walk reads
+``analysis.match_blocks`` a block at a time and decides each distinct
+joint match set once, where it first appears; only a set whose row pair
+the oracle must settle is read point by point, in order, so the
+counterexample is the first one in enumeration order.  The oracle,
+``sim.symbolic_outputs``, scans the rows at each such point and
+compiles nothing.
 """
 
 from __future__ import annotations
@@ -226,7 +231,16 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
     normalizations = []
     aliases = aliases or {}
     renames = _match_ports(a, b, aliases)
-    b = _aligned(a, b, renames)
+    renamed = any(old != new for old, new in renames.items())
+    if renamed:
+        b = _aligned(a, b, renames)
+    else:
+        # The columns must correspond, as for the walk; the canonical
+        # form puts them in key order, so b as given keys the textual
+        # check as its aligned copy would.
+        _column_order([h.key for h in a.conditions],
+                      [h.key for h in b.conditions], "condition")
+        _column_order(a.results, b.results, "result")
     # An alias decided a pairing when it names the port of b that a
     # differently named port of a took: it is tried before case folding.
     if any(aliases.get(new) == old != new for old, new in renames.items()):
@@ -242,6 +256,8 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
         raise CompareError(
             f"control space of {size} assignments exceeds limit {enum_limit}")
     normalizations.extend(["semantic-enumeration", "literal-normalization"])
+    if not renamed:
+        b = _aligned(a, b, renames)
 
     # Walk both tables' rows as one bitset, a's rows in the low bits.  A
     # pass-through of a condition signal read as its cell only merges
@@ -249,7 +265,6 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
     # once, where it first appears.  Any other set is settled by the
     # oracle at each of its assignments, in order, within its block.
     outputs_a, outputs_b = sim.row_values(a), sim.row_values(b)
-    compiled = None
     n = len(a.rows)
     low = (1 << n) - 1
     agrees = {}  # a joint match set -> whether its row pair agrees
@@ -263,12 +278,10 @@ def compare(a: Lct, b: Lct, aliases: Optional[Mapping[str, str]] = None,
         disputed = {m for m in distinct if not agrees[m]}
         if not disputed:
             continue
-        if compiled is None:
-            compiled = sim.compile_rows(a), sim.compile_rows(b)
         for assignment in itertools.compress(
                 assignments, map(disputed.__contains__, masks)):
-            outs_a = sim.symbolic_outputs(a, assignment, compiled[0])
-            outs_b = sim.symbolic_outputs(b, assignment, compiled[1])
+            outs_a = sim.symbolic_outputs(a, assignment)
+            outs_b = sim.symbolic_outputs(b, assignment)
             for name, va, vb in zip(a.results, outs_a, outs_b):
                 if not _values_agree(va, vb):
                     counterexample = Counterexample(

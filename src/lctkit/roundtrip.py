@@ -62,20 +62,31 @@ _BLOCK_BEFORE_RE = re.compile(
     rf"endmodule\s*\Z|\n{tableio.UNIT_DOC_SEPARATOR}\n")
 
 
-def extract_code_block(text: str) -> str:
+def extract_code_block(text: str, module: Optional[str] = None) -> str:
     """Take the first fenced code block, else the whole body.  A block
     cut off before its closing fence is the text after its opening
     fence line.  A first fence closes a block never opened, the text
     before it, when only whitespace follows it, or when it has no info
     string and that text ends in ``endmodule`` or holds a unit document's
-    separator line."""
+    separator line.  Given a ``module`` name, the first fenced block
+    that declares that module is taken when the block this rule takes
+    does not, so a testbench or usage example shown first is passed
+    over."""
     first = text.find("```")
     if first >= 0 and (_BLANK_TO_END_RE.match(text, first + 3) or (
             _BARE_FENCE_LINE_RE.match(text, first + 3)
             and _BLOCK_BEFORE_RE.search(text, 0, first))):
-        return text[:first]
-    m = _CODE_BLOCK_RE.search(text)
-    return m.group(1) if m else text
+        block = text[:first]
+    else:
+        m = _CODE_BLOCK_RE.search(text)
+        block = m.group(1) if m else text
+    if module is None:
+        return block
+    declares = re.compile(rf"\bmodule\s+{re.escape(module)}\b").search
+    if declares(block):
+        return block
+    blocks = (m.group(1) for m in _CODE_BLOCK_RE.finditer(text))
+    return next((b for b in blocks if declares(b)), block)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +566,7 @@ def run_roundtrip(unit: Lct, fwd, inv, sim_suite=None,
         artifacts["forward_prompt.txt"] = request.prompt
         response = fwd.complete(request).text
         artifacts["forward_response.txt"] = response
-        artifacts[f"{unit.name}.v"] = extract_code_block(response)
+        artifacts[f"{unit.name}.v"] = extract_code_block(response, unit.name)
         return artifacts[f"{unit.name}.v"]
 
     def arbiter():

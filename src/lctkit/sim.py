@@ -9,8 +9,10 @@ constant is its cell's ``BitVector``, an input supplied is that input's
 ``UNSPEC`` mark a kept register and an undefined output.
 
 ``symbolic_outputs`` is the brute-force oracle: it scans the rows one by
-one (``compile_rows``, ``first_match``).  ``equiv.compare`` takes every
-counterexample from it, and the bitset walks are tested against it.
+one, up to the first that matches, or reads them as ``compile_rows``
+gives them (``first_match``) when a caller that asks about many points
+passes them.  ``equiv.compare`` takes every counterexample from it,
+compiling nothing, and the bitset walks are tested against it.
 Every other first-match decision reads the table's one kernel, kept on
 it by ``model.kept``: the row bitsets of ``column_bitsets``, which
 ``analysis.match_blocks`` walks and evaluation ANDs once per condition
@@ -184,14 +186,31 @@ def resolve_cell(table: Lct, result: str, cell,
     raise SimError(f"bad output cell {cell!r}")
 
 
+def _scan(table: Lct, assignment: tuple) -> Optional[int]:
+    """``first_match`` of the rows themselves: a row is left at its first
+    constant cell that differs from the assignment."""
+    for i, row in enumerate(table.rows):
+        for cell, value in zip(row.inputs, assignment):
+            if isinstance(cell, Constant) and cell.bv.value != value:
+                break
+        else:
+            return i
+    return None
+
+
 def symbolic_outputs(table: Lct, assignment: tuple,
                      compiled: Optional[List[tuple]] = None) -> tuple:
     """Outputs at one control assignment, with condition signals treated
     as known values.  Unmatched assignments yield all-unspecified for
-    combinational tables and all-hold for clocked tables."""
+    combinational tables and all-hold for clocked tables.  Without
+    ``compiled`` rows the table's rows are scanned in order, up to the
+    first that matches: a caller that asks about one or two points
+    compiles nothing, and one that asks about many passes
+    ``compile_rows`` once."""
     if compiled is None:
-        compiled = compile_rows(table)
-    index = first_match(compiled, assignment)
+        index = _scan(table, assignment)
+    else:
+        index = first_match(compiled, assignment)
     if index is None:
         fallback = HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
         return tuple(fallback for _ in table.results)

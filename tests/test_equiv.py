@@ -103,6 +103,61 @@ def test_compare_builds_each_tables_bitsets_once(monkeypatch):
     assert len({id(t) for t in built}) == 3 and built[0] is fsm4
 
 
+def test_aligned_table_is_built_only_for_the_walk(monkeypatch):
+    """A permuted pair that the textual check settles builds no aligned
+    copy of its second table; the walk of a mutated one builds one."""
+    table = random_disjoint_lct(5)
+    perm = permute_columns(table, random.Random(2))
+    assert [h.key for h in perm.conditions] != \
+        [h.key for h in table.conditions]
+    mutated, _, column = mutate_output(perm, random.Random(0))
+    built = []
+    aligned = equiv._aligned
+
+    def counted(a, b, renames):
+        result = aligned(a, b, renames)
+        if result is not b:
+            built.append(result)
+        return result
+    monkeypatch.setattr(equiv, "_aligned", counted)
+    assert equiv.compare(table, perm).verdict is \
+        equiv.Verdict.TEXTUALLY_IDENTICAL
+    assert built == []
+    result = equiv.compare(table, mutated)
+    assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
+    assert result.counterexample.output == column
+    assert len(built) == 1 and built[0].conditions == table.conditions
+
+
+def test_renamed_pairs_read_textually_identical():
+    """A second table that an alias or case folding renames is aligned
+    before the textual check, and matches it."""
+    table = load_fixture("regmux2")
+    aliases = {"rst_n": "RESETN", "data_out": "DOUT"}
+    folded = {"rst_n": "RST_N", "select": "SELECT"}
+    for other, given_aliases in ((rename_table(table, aliases), aliases),
+                                 (rename_table(table, folded), None)):
+        other = permute_columns(other, random.Random(3))
+        result = equiv.compare(table, other, aliases=given_aliases)
+        assert result.verdict is equiv.Verdict.TEXTUALLY_IDENTICAL
+
+
+def test_compare_compiles_no_rows(monkeypatch):
+    """The oracle scans the rows at the one or two points it is asked
+    about: a not-equivalent compare compiles no table's rows."""
+    table = random_disjoint_lct(3)
+    mutated, _, _ = mutate_output(table, random.Random(0))
+    compiled = []
+
+    def counted(t):
+        compiled.append(t)
+        return []
+    monkeypatch.setattr(sim, "compile_rows", counted)
+    result = equiv.compare(table, mutated)
+    assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
+    assert compiled == []
+
+
 @settings(max_examples=200)
 @given(st.one_of(TABLES, UNVALIDATED), st.integers(0, 10 ** 6))
 def test_stacked_bitsets_are_those_of_the_joined_rows(table, cut):
@@ -352,9 +407,11 @@ def test_align_matches_reference(table, kind, seed):
     try:
         expected = reference_align(table, other, aliases)[1]
     except equiv.AlignError as e:
-        with pytest.raises(equiv.AlignError) as raised:
-            equiv.align(table, other, aliases)
-        assert str(raised.value) == str(e)
+        # compare raises the same error, whether or not it aligns b.
+        for run in (equiv.align, equiv.compare):
+            with pytest.raises(equiv.AlignError) as raised:
+                run(table, other, aliases)
+            assert str(raised.value) == str(e)
         return
     a, aligned = equiv.align(table, other, aliases)
     assert a is table

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lctkit import analysis, equiv, sim
 from lctkit.model import (BitVector, CaseRow, Clocking, Constant, DONT_CARE,
-                          Direction, Lct, Port, PortMap, SignalHeader,
-                          SignalRef)
+                          DontCare, Direction, Lct, Port, PortMap,
+                          SignalHeader, SignalRef)
 from . import util
 from .util import DRESSED, SEEDS, TABLES, UNVALIDATED
 
@@ -46,11 +46,41 @@ def test_checks_match_reference(table):
     assert report.conflicts == util.reference_conflicts(table)
 
 
+def _labelled(table, seed):
+    """``table`` with some rows labelled or commented, and its columns
+    shuffled in about half the draws."""
+    rng = random.Random(seed)
+    rows = tuple(dataclasses.replace(
+        row, label=f"case{i}" if rng.random() < 0.2 else row.label,
+        comment=f"row {i}" if rng.random() < 0.2 else row.comment)
+        for i, row in enumerate(table.rows))
+    table = dataclasses.replace(table, rows=rows)
+    return util.permute_columns(table, rng) if rng.random() < 0.5 else table
+
+
+def _needs_no_change(table, row) -> bool:
+    """Whether canonicalization keeps ``row`` of ``table`` as it is."""
+    keys = [h.key for h in table.conditions]
+    return keys == sorted(keys) and \
+        list(table.results) == sorted(table.results) and \
+        row.label is None and row.comment is None and not (
+            table.clocking is Clocking.CLOCKED
+            and any(type(cell) is DontCare for cell in row.outputs))
+
+
 @settings(max_examples=360)
-@given(ALL_TABLES)
+@given(st.one_of(ALL_TABLES, st.builds(_labelled, ALL_TABLES, SEEDS)))
 def test_pruning_and_canonical_form_match_reference(table):
-    assert util.canonical_text(analysis.canonicalize(table)) == \
+    canonical = analysis.canonicalize(table)
+    assert util.canonical_text(canonical) == \
         util.canonical_text(util.reference_canonicalize(table))
+    keep, _ = analysis._prune(table, analysis.DEFAULT_ENUM_LIMIT)
+    kept = [row for i, row in enumerate(table.rows) if keep >> i & 1]
+    # A kept row is the table's own object exactly when it needs no
+    # change; every other canonical row is new.
+    assert {id(row) for row in canonical.rows} & \
+        {id(row) for row in table.rows} == \
+        {id(row) for row in kept if _needs_no_change(table, row)}
 
     table = util.hold_spelling(table)
     shadowed = set(util.reference_shadowed(table))

@@ -169,6 +169,53 @@ def test_extract_code_block_closed_by_a_stray_fence_before_prose():
         "module m ();\n"
 
 
+def test_extract_code_block_prefers_the_block_declaring_the_module():
+    """Given a module name, the first fenced block that declares it is
+    taken over an earlier block that does not; without one, or when no
+    block declares it, the first block is taken as before."""
+    bench = "module m_tb;\n  m dut ();\nendmodule\n"
+    module = "module m ();\nendmodule\n"
+    text = f"Testbench:\n```verilog\n{bench}```\nDesign:\n```verilog\n" \
+        f"{module}```\n"
+    assert rt.extract_code_block(text) == bench
+    assert rt.extract_code_block(text, "m") == module
+    assert rt.extract_code_block(text, "m_tb") == bench
+    assert rt.extract_code_block(text, "other") == bench
+    # A declaration cut off before its closing fence is still a block.
+    assert rt.extract_code_block(f"```\n{bench}```\n```\n{module}", "m") == \
+        module
+    # The block today's rule takes is kept when it declares the module.
+    stray = f"{module}```\nHope this helps.\n```verilog\nmodule m;\n```\n"
+    assert rt.extract_code_block(stray, "m") == module
+
+
+def test_forward_response_with_a_testbench_first_round_trips():
+    """mux4's correct HDL, after a fenced testbench that instantiates
+    it, is the block the arbiter reads."""
+    unit = load_fixture("mux4")
+    inner = rt.DeterministicBackend()
+    bench = ("module mux4_tb;\n  reg enable;\n  reg [1:0] select;\n"
+             "  wire [7:0] data_out;\n"
+             "  mux4 dut (.enable(enable), .select(select),\n"
+             "            .data_out(data_out));\nendmodule\n")
+
+    class BenchFirst:
+        name = "bench-first"
+
+        def complete(self, request):
+            response = inner.complete(request)
+            if request.direction is not TransformDirection.FORWARD:
+                return response
+            return TransformResponse(
+                f"A testbench:\n```verilog\n{bench}```\nThe design:\n"
+                f"```verilog\n{response.text}```\n")
+
+    backend = BenchFirst()
+    report = rt.run_roundtrip(unit, backend, backend)
+    assert report.outcome.label is rt.Label.M
+    assert not report.notes
+
+
 @pytest.mark.parametrize("direction", list(TransformDirection))
 def test_response_closed_by_a_stray_fence_before_prose_round_trips(
         direction):

@@ -559,3 +559,22 @@ def test_values_are_the_tables_own_objects(table, seed):
         outputs = sim.symbolic_outputs(table, assignment, compiled)
         for result, cell, value in zip(table.results, row.outputs, outputs):
             _check_value(table, result, cell, value, known)
+
+
+@settings(max_examples=200)
+@given(st.one_of(TABLES, DRESSED), st.integers(0, 10**6))
+def test_symbolic_outputs_scan_the_rows_as_compiled_rows_give(table, seed):
+    """Without compiled rows, ``symbolic_outputs`` scans the table's own
+    rows and gives what it gives from ``compile_rows``, at every point of
+    a small table and at seeded points of a larger one."""
+    compiled = sim.compile_rows(table)
+    if sim.control_space_size(table) <= 256:
+        points = list(sim.enumerate_assignments(table))
+    else:
+        rng = random.Random(seed)
+        widths = [table.condition_width(h) for h in table.conditions]
+        points = [tuple(rng.randrange(1 << w) for w in widths)
+                  for _ in range(64)]
+    for assignment in points:
+        assert sim.symbolic_outputs(table, assignment) == \
+            sim.symbolic_outputs(table, assignment, compiled)
