@@ -16,8 +16,7 @@ first table's column order is built only for the walk.  The walk reads
 joint match set once, where it first appears; only a set whose row pair
 the oracle must settle is read point by point, in order, so the
 counterexample is the first one in enumeration order.  The oracle,
-``sim.symbolic_outputs``, scans the rows at each such point and
-compiles nothing.
+``sim.symbolic_outputs``, scans the rows at each such point.
 """
 
 from __future__ import annotations

@@ -463,6 +463,8 @@ def validate_lct(table: Lct) -> list:
                 bad("input-ref",
                     "input cells may be constants or X only", row=i,
                     column=col)
+            elif type(cell) is not DontCare:
+                bad("bad-cell", f"{cell!r} is not a cell", row=i, column=col)
         for (name, port), cell in zip(results, row.outputs):
             if type(cell) is Constant:
                 if port is not None and cell.bv.width != port.width:
@@ -487,6 +489,8 @@ def validate_lct(table: Lct) -> list:
                     bad("unknown-ref",
                         f"output cell references unknown signal {cell.name}",
                         row=i, column=name)
+            elif type(cell) is not DontCare:
+                bad("bad-cell", f"{cell!r} is not a cell", row=i, column=name)
 
     result_set = set(table.results)
     for res, cond in table.feedback:

@@ -8,16 +8,14 @@ constant is its cell's ``BitVector``, an input supplied is that input's
 ``SignalRef`` cell, whose ``str`` is the input's name; ``HOLD`` and
 ``UNSPEC`` mark a kept register and an undefined output.
 
-``symbolic_outputs`` is the brute-force oracle: it scans the rows one by
-one, up to the first that matches, or reads them as ``compile_rows``
-gives them (``first_match``) when a caller that asks about many points
-passes them.  ``equiv.compare`` takes every counterexample from it,
-compiling nothing, and the bitset walks are tested against it.
-Every other first-match decision reads the table's one kernel, kept on
-it by ``model.kept``: the row bitsets of ``column_bitsets``, which
-``analysis.match_blocks`` walks and evaluation ANDs once per condition
-column, and the rows' outputs, resolved when first needed and read at
-the lowest set bit.
+``first_match`` is the brute-force oracle: it scans the rows one by one,
+up to the first that matches, and ``symbolic_outputs`` reads the outputs
+of the row it finds.  ``equiv.compare`` takes every counterexample from
+it, and the bitset walks are tested against it.  Every other first-match
+decision reads the table's one kernel, kept on it by ``model.kept``: the
+row bitsets of ``column_bitsets``, which ``analysis.match_blocks`` walks
+and evaluation ANDs once per condition column, and the rows' outputs,
+resolved when first needed and read at the lowest set bit.
 """
 
 from __future__ import annotations
@@ -105,25 +103,6 @@ def control_space_size(table: Lct) -> int:
     return size
 
 
-def compile_rows(table: Lct) -> List[tuple]:
-    """Per row, the tuple of (column index, required value) constraints;
-    don't-care cells impose no constraint."""
-    return [tuple((idx, cell.bv.value) for idx, cell in enumerate(row.inputs)
-                  if isinstance(cell, Constant))
-            for row in table.rows]
-
-
-def row_matches(constraints: tuple, assignment: tuple) -> bool:
-    return all(assignment[idx] == value for idx, value in constraints)
-
-
-def first_match(compiled: List[tuple], assignment: tuple) -> Optional[int]:
-    for i, constraints in enumerate(compiled):
-        if row_matches(constraints, assignment):
-            return i
-    return None
-
-
 def column_bitsets(table: Lct) -> List[tuple]:
     """Per condition column, ``(by_value, wild)``: bit i of ``wild`` is
     set when row i accepts any value there, and ``by_value`` maps each
@@ -186,9 +165,9 @@ def resolve_cell(table: Lct, result: str, cell,
     raise SimError(f"bad output cell {cell!r}")
 
 
-def _scan(table: Lct, assignment: tuple) -> Optional[int]:
-    """``first_match`` of the rows themselves: a row is left at its first
-    constant cell that differs from the assignment."""
+def first_match(table: Lct, assignment: tuple) -> Optional[int]:
+    """Index of the first row that matches a control assignment, or None:
+    a row is left at its first constant cell that differs from it."""
     for i, row in enumerate(table.rows):
         for cell, value in zip(row.inputs, assignment):
             if isinstance(cell, Constant) and cell.bv.value != value:
@@ -198,19 +177,12 @@ def _scan(table: Lct, assignment: tuple) -> Optional[int]:
     return None
 
 
-def symbolic_outputs(table: Lct, assignment: tuple,
-                     compiled: Optional[List[tuple]] = None) -> tuple:
+def symbolic_outputs(table: Lct, assignment: tuple) -> tuple:
     """Outputs at one control assignment, with condition signals treated
-    as known values.  Unmatched assignments yield all-unspecified for
-    combinational tables and all-hold for clocked tables.  Without
-    ``compiled`` rows the table's rows are scanned in order, up to the
-    first that matches: a caller that asks about one or two points
-    compiles nothing, and one that asks about many passes
-    ``compile_rows`` once."""
-    if compiled is None:
-        index = _scan(table, assignment)
-    else:
-        index = first_match(compiled, assignment)
+    as known values, from the row that ``first_match`` finds.  Unmatched
+    assignments yield all-unspecified for combinational tables and
+    all-hold for clocked tables."""
+    index = first_match(table, assignment)
     if index is None:
         fallback = HOLD if table.clocking is Clocking.CLOCKED else UNSPEC
         return tuple(fallback for _ in table.results)

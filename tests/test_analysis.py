@@ -118,6 +118,13 @@ def test_expand_unknown_column_rejected():
         analysis.expand_dont_cares(load_fixture("mux4"), columns=["nope"])
 
 
+def test_expand_dont_cares_enforces_its_limit():
+    """mux4's first row alone expands to 4 rows, past a limit of 2."""
+    with pytest.raises(analysis.EnumLimitError,
+                       match="expansion exceeds 2 rows"):
+        analysis.expand_dont_cares(load_fixture("mux4"), enum_limit=2)
+
+
 @settings(max_examples=150)
 @given(st.one_of(TABLES, st.just(clocked_dont_care_lct())))
 def test_canonicalize_is_idempotent(table):

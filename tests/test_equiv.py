@@ -142,22 +142,6 @@ def test_renamed_pairs_read_textually_identical():
         assert result.verdict is equiv.Verdict.TEXTUALLY_IDENTICAL
 
 
-def test_compare_compiles_no_rows(monkeypatch):
-    """The oracle scans the rows at the one or two points it is asked
-    about: a not-equivalent compare compiles no table's rows."""
-    table = random_disjoint_lct(3)
-    mutated, _, _ = mutate_output(table, random.Random(0))
-    compiled = []
-
-    def counted(t):
-        compiled.append(t)
-        return []
-    monkeypatch.setattr(sim, "compile_rows", counted)
-    result = equiv.compare(table, mutated)
-    assert result.verdict is equiv.Verdict.NOT_EQUIVALENT
-    assert compiled == []
-
-
 @settings(max_examples=200)
 @given(st.one_of(TABLES, UNVALIDATED), st.integers(0, 10 ** 6))
 def test_stacked_bitsets_are_those_of_the_joined_rows(table, cut):

@@ -21,6 +21,7 @@ from lctkit.model import (
     TransformResponse,
     validate_lct,
 )
+from .test_extract import _foreign, _inputs
 
 MANIFEST = """\
 unit t
@@ -204,3 +205,21 @@ def test_header_text_and_serialized_forms_reparse_to_the_same_table(table):
     canonical = tableio.parse_unit_doc(
         tableio.serialize_unit_doc(analysis.canonicalize(table)))
     assert equiv.compare(table, canonical).verdict.equivalent
+
+
+# --- concatenations constrain the signal columns themselves -----------------
+
+def test_arms_infeasible_under_their_guard_are_dropped():
+    """`{a, b}` in a casez subject or an `if` guard constrains the columns
+    a and b, so under `a == 1` the casez arm `2'b0?` and the `if` on
+    `{a, b} == 1`, which both need `a == 0`, give no row."""
+    table = _foreign("if (a == 1'b1) begin\n"
+                     "    casez ({a, b})\n"
+                     "      2'b0?: y = 1'b1;\n"
+                     "      2'b11: y = 1'b1;\n"
+                     "    endcase\n"
+                     "    if ({a, b} == 2'd1) y = 1'b1;\n"
+                     "  end")
+    assert [h.key for h in table.conditions] == ["a", "b"]
+    assert _inputs(table) == [(1, 1), (1, "X"), ("X", "X")]
+    assert [row.outputs[0].bv.value for row in table.rows] == [1, 0, 0]

@@ -27,13 +27,12 @@ ALL_TABLES = st.one_of(TABLES, DRESSED, UNVALIDATED)
 
 def test_walk_yields_every_matching_row_in_enumeration_order():
     table = util.random_lct(7)
-    compiled = sim.compile_rows(table)
     walked = list(analysis.match_sets(table))
     assert [a for a, _ in walked] == list(sim.enumerate_assignments(table))
     for assignment, m in walked:
-        assert m == sum(1 << i for i, constraints in enumerate(compiled)
-                        if sim.row_matches(constraints, assignment))
-        first = sim.first_match(compiled, assignment)
+        assert m == sum(1 << i for i, row in enumerate(table.rows)
+                        if util.row_matches(row, assignment))
+        first = sim.first_match(table, assignment)
         assert sim.first_row(m) == (-1 if first is None else first)
 
 
@@ -203,9 +202,8 @@ def test_compare_matches_reference_in_both_orders(table, kind, seed):
 # one block of the real size, so these shrink it until walks cross blocks.
 
 def _reference_match_sets(table):
-    compiled = sim.compile_rows(table)
-    return [(assignment, sum(1 << i for i, constraints in enumerate(compiled)
-                             if sim.row_matches(constraints, assignment)))
+    return [(assignment, sum(1 << i for i, row in enumerate(table.rows)
+                             if util.row_matches(row, assignment)))
             for assignment in sim.enumerate_assignments(table)]
 
 

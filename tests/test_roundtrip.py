@@ -11,13 +11,16 @@ from lctkit import (analysis, codegen, equiv, extract, roundtrip as rt,
                     tableio)
 from lctkit.model import (
     BitVector,
+    Clocking,
     Constant,
+    SignalRef,
     TransformDirection,
     TransformRequest,
     TransformResponse,
 )
 from .test_validation import _expr_table, _x_passthrough
-from .util import clocked_dont_care_lct, load_fixture, mutate_output
+from .util import (clocked_dont_care_lct, load_fixture, permute_columns,
+                   rename_table)
 
 BV = BitVector
 
@@ -504,6 +507,62 @@ def test_unparsable_inverse_response_is_x_inv(old, new, note):
     assert report.error is None
     assert report.outcome.label is rt.Label.X_INV
     assert report.notes == [f"inverse: {note}"]
+
+
+def test_permuted_reconstruction_builds_no_aligned_copy(monkeypatch):
+    """A reconstruction with its columns permuted is `M`, settled by the
+    textual check without an aligned copy of it."""
+    built = []
+    aligned = equiv._aligned
+
+    def counted(a, b, renames):
+        result = aligned(a, b, renames)
+        if result is not b:
+            built.append(result)
+        return result
+    monkeypatch.setattr(equiv, "_aligned", counted)
+    backend = rt.FaultInjectingBackend(
+        lambda table: permute_columns(table, random.Random(1)),
+        TransformDirection.INVERSE)
+    report = rt.run_roundtrip(load_fixture("regmux2"), det(), backend)
+    assert report.outcome.label is rt.Label.M
+    assert built == []
+
+
+def test_reconstruction_differing_in_clocking_and_columns_notes_clocking():
+    """``equiv.compare`` checks clocking before it pairs the columns, so
+    a clocked reconstruction of mux4 that also renames its result is
+    noted for its clocking."""
+    def fault(table):
+        renamed = rename_table(table, {"data_out": "q"})
+        return dataclasses.replace(renamed, clocking=Clocking.CLOCKED)
+    backend = rt.FaultInjectingBackend(fault, TransformDirection.INVERSE)
+    report = rt.run_roundtrip(load_fixture("mux4"), det(), backend)
+    assert report.outcome.label is rt.Label.X_INV
+    assert report.notes == \
+        ["compare: clocking mismatch: combinational vs clocked"]
+
+
+def _mux4_suite():
+    """Every enable and select value, each data input distinct."""
+    data = {f"data{i}": BV(8, 0x11 * (i + 1)) for i in range(4)}
+    return [{"enable": BV(1, e), "select": BV(2, s), **data}
+            for e in range(2) for s in range(4)]
+
+
+def test_combinational_simulation_passes_and_fails():
+    """A combinational unit's suite runs through ``sim.eval_comb``: mux4
+    round-trips as `M` with simulation passing, and a forward fault that
+    routes data1 where data0 belongs fails it."""
+    unit = load_fixture("mux4")
+    report = rt.run_roundtrip(unit, det(), det(), sim_suite=_mux4_suite())
+    assert report.outcome.label is rt.Label.M
+    assert report.outcome.sim is rt.SimVerdict.PASS
+    fault = rt.alter_output_cell(1, 0, SignalRef("data1"))
+    backend = rt.FaultInjectingBackend(fault, TransformDirection.FORWARD)
+    report = rt.run_roundtrip(unit, backend, det(), sim_suite=_mux4_suite())
+    assert report.outcome.label is rt.Label.X_FW
+    assert report.outcome.sim is rt.SimVerdict.FAIL
 
 
 def test_forward_fault_missed_by_simulation_is_x_fw_ns():

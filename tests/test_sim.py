@@ -114,6 +114,30 @@ def test_fsm4_feedback_trace_visits_0_2_3():
     assert [s.get("next_state").value for s in states] == [0, 2, 3]
 
 
+def test_feedback_of_a_pass_through_not_supplied_is_an_error():
+    """A register that passes through input d, never supplied, holds no
+    known value to feed back: the next cycle's error names that cycle."""
+    ports = PortMap((Port(Direction.INPUT, "s", 1),
+                     Port(Direction.INPUT, "d", 1),
+                     Port(Direction.OUTPUT, "q", 1)))
+    table = Lct(name="loop", clocking=Clocking.CLOCKED,
+                conditions=(SignalHeader("s"),), results=("q",),
+                rows=(CaseRow((DONT_CARE,), (SignalRef("d"),)),),
+                ports=ports, feedback=(("q", "s"),))
+    assert sim.run_trace(table, [{}])[0].get("q") == SignalRef("d")
+    with pytest.raises(sim.SimError, match=r"^cycle 1: feedback q -> s is "
+                                           r"not a known value \(d\)$"):
+        sim.run_trace(table, [{}, {}])
+
+
+def test_check_coverage_raises_on_a_bad_output_cell():
+    """The coverage check reads every row's outputs through
+    ``sim.row_values``, which raises on an unvalidated bad cell."""
+    table = with_bad_cell(load_fixture("mux4"), random.Random(1))
+    with pytest.raises(sim.SimError, match="^bad output cell 'bogus'$"):
+        analysis.check_coverage(table)
+
+
 def test_fsm4_hold_row_keeps_state_and_outputs():
     table = load_fixture("fsm4")
     stimulus = [
@@ -522,12 +546,11 @@ def test_values_are_the_tables_own_objects(table, seed):
         for result, cell, value in zip(table.results, row.outputs, values):
             _check_value(table, result, cell, value, {})
 
-    compiled = sim.compile_rows(table)
     vectors = _data_on_every_other(table, rng, 8)
     if table.clocking is Clocking.COMBINATIONAL:
         for vector in vectors:
             outputs = sim.eval_comb(table, vector)
-            index = sim.first_match(compiled, tuple(
+            index = sim.first_match(table, tuple(
                 vector[h.name].value if isinstance(h, SignalHeader)
                 else expr.truth(h.tree, vector) for h in table.conditions))
             row = rows[-1 if index is None else index]
@@ -551,30 +574,11 @@ def test_values_are_the_tables_own_objects(table, seed):
     widths = [table.condition_width(h) for h in table.conditions]
     for _ in range(16):
         assignment = tuple(rng.randrange(1 << w) for w in widths)
-        index = sim.first_match(compiled, assignment)
+        index = sim.first_match(table, assignment)
         known = {h.name: BV(table.condition_width(h), value)
                  for h, value in zip(table.conditions, assignment)
                  if isinstance(h, SignalHeader)}
         row = rows[-1 if index is None else index]
-        outputs = sim.symbolic_outputs(table, assignment, compiled)
+        outputs = sim.symbolic_outputs(table, assignment)
         for result, cell, value in zip(table.results, row.outputs, outputs):
             _check_value(table, result, cell, value, known)
-
-
-@settings(max_examples=200)
-@given(st.one_of(TABLES, DRESSED), st.integers(0, 10**6))
-def test_symbolic_outputs_scan_the_rows_as_compiled_rows_give(table, seed):
-    """Without compiled rows, ``symbolic_outputs`` scans the table's own
-    rows and gives what it gives from ``compile_rows``, at every point of
-    a small table and at seeded points of a larger one."""
-    compiled = sim.compile_rows(table)
-    if sim.control_space_size(table) <= 256:
-        points = list(sim.enumerate_assignments(table))
-    else:
-        rng = random.Random(seed)
-        widths = [table.condition_width(h) for h in table.conditions]
-        points = [tuple(rng.randrange(1 << w) for w in widths)
-                  for _ in range(64)]
-    for assignment in points:
-        assert sim.symbolic_outputs(table, assignment) == \
-            sim.symbolic_outputs(table, assignment, compiled)

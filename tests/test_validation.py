@@ -2,7 +2,8 @@
 output cell naming a signal `X` would read back as the don't-care cell,
 a reserved word cannot name a unit or a port, and an expression header
 must evaluate at its ports' widths and nest within what codegen's `if`
-guard leaves.  Every table lctkit itself produces validates."""
+guard leaves, and every cell is a constant, a signal or X.  Every table
+lctkit itself produces validates."""
 
 import dataclasses
 import itertools
@@ -30,10 +31,12 @@ from lctkit.model import (
     validate_lct,
 )
 from .util import (
+    load_fixture,
     permute_columns,
     random_disjoint_lct,
     random_lct,
     random_passthrough_lct,
+    with_bad_cell,
 )
 
 
@@ -88,6 +91,42 @@ def test_extraction_of_an_x_passthrough_is_rejected():
             "endmodule\n")
     with pytest.raises(extract.ExtractError, match="x-ref"):
         extract.hdl_text_to_lct(text, ["s"], ["q"])
+
+
+# --- cells that are not cells -----------------------------------------------
+
+def _raw_int_select() -> Lct:
+    """mux4 with the raw int 7, not a ``Constant``, in row 2's select
+    cell: unvalidated, the coverage check reads it as a don't care."""
+    table = load_fixture("mux4")
+    row = table.rows[2]
+    rows = list(table.rows)
+    rows[2] = dataclasses.replace(row, inputs=(row.inputs[0], 7))
+    return dataclasses.replace(table, rows=tuple(rows))
+
+
+@pytest.mark.parametrize("make, where", [
+    (_raw_int_select, (2, "select", "7")),
+    (lambda: with_bad_cell(load_fixture("mux4"), random.Random(1)),
+     (1, "data_out", "'bogus'")),
+], ids=["input", "output"])
+def test_a_cell_that_is_not_a_cell_is_rejected(make, where):
+    table = make()
+    row, column, text = where
+    violations = validate_lct(table)
+    assert [(v.code, v.row, v.column) for v in violations] == \
+        [("bad-cell", row, column)]
+    assert violations[0].message == f"{text} is not a cell"
+    with pytest.raises(LctError, match=r"cannot serialize invalid table: "
+                                       r"\[bad-cell\]"):
+        tableio.serialize_unit(table)
+    with pytest.raises(codegen.CodegenError, match="bad-cell"):
+        codegen.generate(table)
+    report = rt.run_roundtrip(table, rt.DeterministicBackend(),
+                              rt.DeterministicBackend())
+    assert report.outcome is None
+    assert report.error.startswith("forward: LctError: ")
+    assert "[bad-cell]" in report.error
 
 
 # --- reserved words ---------------------------------------------------------

@@ -155,10 +155,9 @@ def mutate_output(table: Lct, rng: random.Random):
     """Flip one constant output cell of a reachable row to a different
     value.  Returns (mutated table, row index, result name).  The table
     must have at least one reachable row with a constant output."""
-    compiled = sim.compile_rows(table)
     claimed = set()
     for assignment in sim.enumerate_assignments(table):
-        index = sim.first_match(compiled, assignment)
+        index = sim.first_match(table, assignment)
         if index is not None:
             claimed.add(index)
     candidates = [
@@ -299,39 +298,44 @@ WRITTEN = st.one_of(TABLES, DRESSED,
 
 
 # ---------------------------------------------------------------------------
-# Row-by-row reference: one sim.first_match or sim.row_matches scan per
-# control assignment, and sim.symbolic_outputs for every comparison.
+# Row-by-row reference: one sim.first_match scan, or a row_matches test
+# of every row, per control assignment, and sim.symbolic_outputs for
+# every comparison.
 
-def _matching(compiled, assignment):
-    return [i for i, constraints in enumerate(compiled)
-            if sim.row_matches(constraints, assignment)]
+def row_matches(row: CaseRow, assignment: tuple) -> bool:
+    """Whether every constant input cell of ``row`` holds its column's
+    value of ``assignment``; any other cell accepts every value."""
+    return all(not isinstance(cell, Constant) or cell.bv.value == value
+               for cell, value in zip(row.inputs, assignment))
+
+
+def _matching(table: Lct, assignment: tuple) -> list:
+    return [i for i, row in enumerate(table.rows)
+            if row_matches(row, assignment)]
 
 
 def reference_shadowed(table: Lct) -> list:
-    compiled = sim.compile_rows(table)
     claimed = set()
     for assignment in sim.enumerate_assignments(table):
-        index = sim.first_match(compiled, assignment)
+        index = sim.first_match(table, assignment)
         if index is not None:
             claimed.add(index)
     return [i for i in range(len(table.rows)) if i not in claimed]
 
 
 def reference_uncovered(table: Lct) -> list:
-    compiled = sim.compile_rows(table)
     return [sim.assignment_dict(table, assignment)
             for assignment in sim.enumerate_assignments(table)
-            if sim.first_match(compiled, assignment) is None]
+            if sim.first_match(table, assignment) is None]
 
 
 def reference_conflicts(table: Lct) -> list:
     """(i, j, witness) per overlapping row pair with differing symbolic
     outputs, at the first assignment where both match."""
-    compiled = sim.compile_rows(table)
     conflicts = []
     seen = set()
     for assignment in sim.enumerate_assignments(table):
-        matching = _matching(compiled, assignment)
+        matching = _matching(table, assignment)
         for a, b in itertools.combinations(matching, 2):
             outs = [tuple(sim.resolve_cell(table, name, cell)
                           for name, cell in zip(table.results,
@@ -347,7 +351,7 @@ def reference_conflicts(table: Lct) -> list:
 def _reference_row(table: Lct, inputs) -> int:
     """The first-match row at named inputs, or None: the inputs projected
     onto the condition columns in order, then one ``sim.first_match``
-    scan over ``sim.compile_rows``."""
+    scan."""
     assignment = []
     for header in table.conditions:
         if isinstance(header, SignalHeader):
@@ -357,7 +361,7 @@ def _reference_row(table: Lct, inputs) -> int:
             assignment.append(bv.value)
         else:
             assignment.append(expr.truth(header.tree, inputs))
-    return sim.first_match(sim.compile_rows(table), tuple(assignment))
+    return sim.first_match(table, tuple(assignment))
 
 
 def reference_eval_comb(table: Lct, inputs) -> dict:
@@ -417,13 +421,12 @@ def _all_hold(table: Lct, row: CaseRow) -> bool:
 def reference_droppable_hold_rows(table: Lct) -> set:
     """Pure-hold rows that no later row still kept overlaps where they
     match first, decided from the last row up."""
-    compiled = sim.compile_rows(table)
     dropped = set()
     for i in reversed(range(len(table.rows))):
         if not _all_hold(table, table.rows[i]):
             continue
         for assignment in sim.enumerate_assignments(table):
-            matching = [j for j in _matching(compiled, assignment)
+            matching = [j for j in _matching(table, assignment)
                         if j not in dropped]
             if len(matching) > 1 and matching[0] == i:
                 break
@@ -463,8 +466,7 @@ def reference_canonicalize(table: Lct) -> Lct:
         droppable = reference_droppable_hold_rows(table)
         table = dataclasses.replace(table, rows=tuple(
             row for i, row in enumerate(table.rows) if i not in droppable))
-    compiled = sim.compile_rows(table)
-    sort_rows = all(len(_matching(compiled, assignment)) < 2
+    sort_rows = all(len(_matching(table, assignment)) < 2
                     for assignment in sim.enumerate_assignments(table))
 
     cond_order = sorted(range(len(table.conditions)),
@@ -564,10 +566,9 @@ def reference_compare(a: Lct, b: Lct):
     if canonical_text(reference_canonicalize(a)) == \
             canonical_text(reference_canonicalize(b)):
         return equiv.Verdict.TEXTUALLY_IDENTICAL, None
-    compiled_a, compiled_b = sim.compile_rows(a), sim.compile_rows(b)
     for assignment in sim.enumerate_assignments(a):
-        outs_a = sim.symbolic_outputs(a, assignment, compiled_a)
-        outs_b = sim.symbolic_outputs(b, assignment, compiled_b)
+        outs_a = sim.symbolic_outputs(a, assignment)
+        outs_b = sim.symbolic_outputs(b, assignment)
         for name, va, vb in zip(a.results, outs_a, outs_b):
             if isinstance(va, sim.Unspecified) or \
                     isinstance(vb, sim.Unspecified) or va == vb:

@@ -494,11 +494,10 @@ def sim_lines(tables):
         if table.rows and table.results:
             lines += _sim_facts("bad-cell-", name,
                                 util.with_bad_cell(table, rng), vectors)
-        compiled = sim.compile_rows(table)
         for assignment in _assignments(table, rng):
             lines.append(_fact(f"symbolic/{assignment}", name, lambda: [
                 str(value) for value in
-                sim.symbolic_outputs(table, assignment, compiled)]))
+                sim.symbolic_outputs(table, assignment)]))
     return lines
 
 
